@@ -518,20 +518,8 @@ def _deep_family_graphs() -> list[tuple[str, MixedGraph]]:
 
 def _deep_sweep_one(item: tuple[str, MixedGraph]) -> DeepStats:
     label, g = item
-    stats = DeepStats(label)
-    for m in enumerate_orientations(g):
-        stats.orientations += 1
-        family, exact = _check_orientation(m)
-        if family is None:
-            if exact is Trichotomy.EQUAL:
-                stats.boundary_equal += 1
-            if exact is Trichotomy.GREATER:
-                stats.mismatches.append(m.encode())
-        else:
-            stats.accepted += 1
-            if exact is not Trichotomy.GREATER:
-                stats.mismatches.append(m.encode())
-    return stats
+    total, accepts, _, boundary, mismatches = _sweep_underlying(g)
+    return DeepStats(label, total, sum(accepts.values()), boundary, mismatches)
 
 
 def verify_main_theorem(

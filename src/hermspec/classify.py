@@ -27,6 +27,7 @@ from itertools import combinations, permutations
 
 from .catalog import sporadic_underlying
 from .graphs import (
+    _EXP_FROM_KIND as _KEXP,
     EdgeKind,
     MixedGraph,
     build,
@@ -71,9 +72,6 @@ __all__ = [
     "classify_sqrt2",
     "FORBIDDEN_SUBGRAPHS",
 ]
-
-# i-exponent of the Hermitian entry for each stored kind code.
-_KEXP = (None, 0, 1, 3)
 
 
 class TriangleType(Enum):
@@ -517,6 +515,11 @@ class Certificate:
             if self.family is Family.H3:
                 knst = self.details.knst
                 order = knst.s_side + knst.t_side
+                if (
+                    sorted(order) != list(range(m.n))
+                    or (len(knst.s_side), len(knst.t_side)) != (knst.s, knst.t)
+                ):
+                    return False
                 perm = [0] * m.n
                 for pos, v in enumerate(order):
                     perm[v] = pos
@@ -526,18 +529,21 @@ class Certificate:
                 )
             if self.family in (Family.H2, Family.H4):
                 det = self.details
-                if set(det.block1) & set(det.block2) != {det.cut_vertex}:
+                cut = (det.cut_vertex,)
+                if det.block1[:1] != cut or det.block2[:1] != cut:
                     return False
-                if set(det.block1) | set(det.block2) != set(range(m.n)):
+                if sorted(det.block1 + det.block2[1:]) != list(range(m.n)):
                     return False
-                for a in det.block1:
-                    for b in det.block2:
-                        if a != det.cut_vertex and b != det.cut_vertex and m.kinds[a][b]:
+                if (len(det.block1) - 1, len(det.block2) - 1) != (det.s, det.t):
+                    return False
+                if (self.family is Family.H4) != (det.t == 1):
+                    return False
+                for a in det.block1[1:]:
+                    for b in det.block2[1:]:
+                        if m.kinds[a][b]:
                             return False
                 for block, knst in ((det.block1, det.knst1), (det.block2, det.knst2)):
-                    sub = induced(m, block)
-                    match = recognize_knst(sub)
-                    if not isinstance(match, KnstMatch):
+                    if recognize_knst(induced(m, block)) != knst:
                         return False
                 return (
                     compare_min_root(f_cubic(det.s, det.t), NEG_GOLDEN)

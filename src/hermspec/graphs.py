@@ -63,9 +63,10 @@ class EdgeKind(IntEnum):
 
 # Hermitian entry for each EdgeKind value, indexed by kind.
 _ENTRY = (0, 1, 1j, -1j)
-# i-exponent of each nonzero entry: 1 = i^0, i = i^1, -i = i^3.
-_KIND_EXP = {EdgeKind.UNDIRECTED: 0, EdgeKind.ARC_OUT: 1, EdgeKind.ARC_IN: 3}
-_EXP_KIND = {0: EdgeKind.UNDIRECTED, 1: EdgeKind.ARC_OUT, 3: EdgeKind.ARC_IN}
+# i-exponent of each nonzero entry (1 = i^0, i = i^1, -i = i^3), indexed by
+# kind, and its inverse; -1 = i^2 is not an entry.
+_EXP_FROM_KIND = (None, 0, 1, 3)
+_KIND_FROM_EXP = {0: int(EdgeKind.UNDIRECTED), 1: int(EdgeKind.ARC_OUT), 3: int(EdgeKind.ARC_IN)}
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,17 @@ exact threshold comparisons, interlacing, and equitable partitions.
 
 Every accept/reject decision in the package bottoms out in
 ``compare_lambda_min``, which is exact: the characteristic polynomial has
-integer coefficients (computed by Faddeev-LeVerrier over Gaussian integers)
-and root counts against the algebraic thresholds come from Sturm chains
-evaluated with exact quadratic arithmetic.  Floating eigenvalues are for
-reporting and for cheap certified screening only.
+integer coefficients and root counts against the algebraic thresholds come
+from Sturm chains evaluated with exact quadratic arithmetic.  Floating
+eigenvalues are for reporting and for cheap certified screening only.
+
+One Faddeev-LeVerrier loop computes every characteristic polynomial.  It
+works on a real integer matrix: the 2n x 2n embedding [[Re H, -Im H],
+[Im H, Re H]] of a Hermitian H, whose traces are twice the (real) traces of
+H's products and are halved, or an integer matrix as given.  The loop runs
+in float64 while a written bound certifies it exact (every product entry
+and trace below 2**52, every trace dividing evenly) and otherwise reruns on
+Python ints from the original entries.
 """
 
 from __future__ import annotations
@@ -17,15 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import HermitianMatrix, MixedGraph, hermitian_matrix, induced
-from .polynomials import (
-    IntPolynomial,
-    Trichotomy,
-    _frac_divmod,
-    _frac_normalize,
-    _frac_trim,
-    compare_min_root,
-)
+from .graphs import _ENTRY, HermitianMatrix, MixedGraph, hermitian_matrix, induced
+from .polynomials import IntPolynomial, Trichotomy, compare_min_root
 from .quadratic import QuadraticNumber
 
 __all__ = [
@@ -44,137 +44,106 @@ __all__ = [
     "embed_real",
 ]
 
-_FL_LIMIT = 2**52  # magnitude bound certifying float arithmetic stayed exact
+#: Certified float bound: every integer below 2**53 is exact in float64, and
+#: the factor 2 absorbs the rounding of the bound computations themselves.
+_EXACT_LIMIT = 2.0**52
+_ENTRY_ARRAY = np.array(_ENTRY, dtype=np.complex128)
 
 
-class _FloatOverflow(Exception):
-    """Raised when the float fast path cannot certify exactness."""
+def _faddeev_leverrier(
+    x: np.ndarray, trace_scale: int, norm: float | None
+) -> list[int] | None:
+    """Faddeev-LeVerrier on the integer matrix ``x``; coefficients high to low.
+
+    With M_0 = I the loop forms M_k = X M_{k-1} + c_k I, where
+    c_k = -tr(X M_{k-1}) / (trace_scale * k), for x.shape[0] // trace_scale
+    steps.  ``trace_scale`` is 1 for a plain matrix and 2 for the real
+    embedding of a Hermitian matrix (see ``_char_poly_of``).
+
+    With ``norm`` (an upper bound on the largest absolute row sum of x) the
+    loop runs in float64 and certifies itself: before each product,
+    norm * max|M| < 2**52 keeps every product and partial sum of X M an
+    integer below 2**52, exact in any summation order; after it,
+    size * max|X M| < 2**52 does the same for the trace, which must divide
+    evenly.  The new M then stays below 2**53.  Returns None as soon as a
+    check fails.  With ``norm=None``, x holds Python ints and the loop is
+    exact by construction.
+    """
+    size = x.shape[0]
+    m = np.eye(size, dtype=x.dtype)
+    bound = 1.0  # at least every |entry| of m
+    high_to_low = [1]
+    for k in range(1, size // trace_scale + 1):
+        if norm is not None and norm * bound >= _EXACT_LIMIT:
+            return None
+        xm = x @ m
+        c, r = divmod(-xm.trace(), trace_scale * k)
+        if norm is not None:
+            top = float(np.abs(xm).max())
+            if size * top >= _EXACT_LIMIT or r:
+                return None
+            bound = top + abs(c)
+        elif r:
+            raise ArithmeticError("Faddeev-LeVerrier trace not divisible")
+        xm.flat[:: size + 1] += c
+        m = xm
+        high_to_low.append(int(c))
+    return high_to_low
 
 
-def _as_matrix(m: MixedGraph | HermitianMatrix) -> HermitianMatrix:
+def _int_char_poly(a: np.ndarray, trace_scale: int = 1) -> IntPolynomial:
+    """Characteristic polynomial from the square integer matrix ``a``.
+
+    ``a`` holds int64 or Python-int (object) entries.  The certified float64
+    run comes first; if it cannot certify itself the same loop reruns on
+    Python ints copied from ``a``, never from the float copy.
+    """
+    norm = np.abs(a).sum(axis=1).max(initial=0)
+    high_to_low = None
+    if norm < _EXACT_LIMIT:
+        high_to_low = _faddeev_leverrier(
+            a.astype(np.float64), trace_scale, float(norm)
+        )
+    if high_to_low is None:
+        high_to_low = _faddeev_leverrier(a.astype(object), trace_scale, None)
+    return IntPolynomial(high_to_low[::-1])
+
+
+def _numpy_matrix(m: MixedGraph | HermitianMatrix) -> np.ndarray:
+    """Complex128 H; a graph's is read from ``kinds`` through the entry table."""
     if isinstance(m, MixedGraph):
-        return hermitian_matrix(m)
-    return m
+        return _ENTRY_ARRAY[np.array(m.kinds, dtype=np.intp).reshape(m.n, m.n)]
+    return m.to_numpy()
 
 
-def _char_poly_float(h: np.ndarray) -> list[int]:
-    """Faddeev-LeVerrier in complex128, certified exact or _FloatOverflow.
+def _char_poly_of(h: np.ndarray) -> IntPolynomial:
+    """det(xI - H) via the real embedding E = [[Re H, -Im H], [Im H, Re H]].
 
-    All entries of H are units, so every multiplication is a sign flip or a
-    real/imaginary swap (exact); sums and the trace divisions stay exact as
-    long as every intermediate Gaussian integer is below 2**53, which is
-    checked at each step.
+    E maps products to products and tr E(X) = 2 Re tr X.  Each
+    Faddeev-LeVerrier matrix M_k is a real polynomial in H, so H M_k is
+    Hermitian and its trace is real: tr(E(H) E(M_k)) = 2 tr(H M_k).  Running
+    n steps on E with every trace halved therefore yields char(H) itself.
     """
     n = h.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    m = eye.copy()
-    coeffs_high_to_low = [1]
-    bound = 1.0
-    for k in range(1, n + 1):
-        if n * bound >= _FL_LIMIT:
-            raise _FloatOverflow
-        nm = h @ m
-        bound = max(
-            float(np.max(np.abs(nm.real))), float(np.max(np.abs(nm.imag))), 1.0
-        )
-        if n * bound >= _FL_LIMIT:
-            raise _FloatOverflow
-        tr = complex(np.trace(nm))
-        if tr.imag != 0.0:
-            raise _FloatOverflow
-        c = -tr.real / k
-        if c != int(c):
-            raise _FloatOverflow
-        c = int(c)
-        coeffs_high_to_low.append(c)
-        m = nm + c * eye
-        bound = bound + abs(c)
-    return coeffs_high_to_low
-
-
-def _char_poly_pairs(pairs: list[list[tuple[int, int]]]) -> list[int]:
-    """Exact Faddeev-LeVerrier over Gaussian integers stored as int pairs."""
-    n = len(pairs)
-    m = [[(1 if i == j else 0, 0) for j in range(n)] for i in range(n)]
-    coeffs_high_to_low = [1]
-    for k in range(1, n + 1):
-        nm = [[(0, 0)] * n for _ in range(n)]
-        for i in range(n):
-            hi = pairs[i]
-            for j in range(n):
-                re = im = 0
-                for l in range(n):
-                    a, b = hi[l]
-                    if a == 0 and b == 0:
-                        continue
-                    c2, d2 = m[l][j]
-                    re += a * c2 - b * d2
-                    im += a * d2 + b * c2
-                nm[i][j] = (re, im)
-        tr_re = sum(nm[i][i][0] for i in range(n))
-        tr_im = sum(nm[i][i][1] for i in range(n))
-        if tr_im != 0:
-            raise ArithmeticError("trace of a Hermitian power must be real")
-        q, r = divmod(-tr_re, k)
-        if r != 0:
-            raise ArithmeticError("Faddeev-LeVerrier trace not divisible")
-        coeffs_high_to_low.append(q)
-        for i in range(n):
-            re, im = nm[i][i]
-            nm[i][i] = (re + q, im)
-        m = nm
-    return coeffs_high_to_low
+    e = np.empty((2 * n, 2 * n), dtype=np.int64)
+    e[:n, :n] = e[n:, n:] = h.real
+    e[:n, n:] = -h.imag
+    e[n:, :n] = h.imag
+    return _int_char_poly(e, trace_scale=2)
 
 
 def char_poly(m: MixedGraph | HermitianMatrix) -> IntPolynomial:
-    """Characteristic polynomial det(xI - H), exact integer coefficients.
-
-    Uses the certified complex128 fast path for small matrices and falls
-    back to pure integer arithmetic whenever certification fails.
-    """
-    h = _as_matrix(m)
-    if h.n == 0:
-        return IntPolynomial([1])
-    if h.n <= 12:
-        try:
-            high_to_low = _char_poly_float(h.to_numpy())
-            return IntPolynomial(list(reversed(high_to_low)))
-        except _FloatOverflow:
-            pass
-    pairs = [
-        [(int(z.real), int(z.imag)) for z in row] for row in h.entries
-    ]
-    return IntPolynomial(list(reversed(_char_poly_pairs(pairs))))
+    """Characteristic polynomial det(xI - H), exact integer coefficients."""
+    return _char_poly_of(_numpy_matrix(m))
 
 
 def char_poly_int_matrix(rows: Sequence[Sequence[int]]) -> IntPolynomial:
     """Exact characteristic polynomial of an arbitrary integer matrix."""
     n = len(rows)
-    if n == 0:
-        return IntPolynomial([1])
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    pairs = [[(int(x), 0) for x in row] for row in rows]
-    return IntPolynomial(list(reversed(_char_poly_pairs(pairs))))
-
-
-def _char_poly_fraction_matrix(rows: list[list[Fraction]]) -> list[Fraction]:
-    """Faddeev-LeVerrier over Fractions; coefficients constant term first."""
-    n = len(rows)
-    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    high_to_low = [Fraction(1)]
-    for k in range(1, n + 1):
-        nm = [
-            [sum((rows[i][l] * m[l][j] for l in range(n)), Fraction(0)) for j in range(n)]
-            for i in range(n)
-        ]
-        tr = sum((nm[i][i] for i in range(n)), Fraction(0))
-        c = -tr / k
-        high_to_low.append(c)
-        for i in range(n):
-            nm[i][i] += c
-        m = nm
-    return list(reversed(high_to_low))
+    a = np.array([[int(x) for x in row] for row in rows], dtype=object)
+    return _int_char_poly(a.reshape(n, n))
 
 
 @dataclass(frozen=True)
@@ -201,19 +170,20 @@ def eigenvalues(m: MixedGraph | HermitianMatrix) -> SpectralSummary:
     their product must match the determinant read off the constant
     coefficient (1e-6 relative).  Violations raise RuntimeError.
     """
-    h = _as_matrix(m)
-    if h.n == 0:
+    h = _numpy_matrix(m)
+    n = h.shape[0]
+    if n == 0:
         return SpectralSummary(0, (), IntPolynomial([1]))
-    w = np.linalg.eigvalsh(h.to_numpy())
-    poly = char_poly(h)
+    w = np.linalg.eigvalsh(h)
+    poly = _char_poly_of(h)
     total = float(np.sum(w))
-    if abs(total) > 1e-9 * max(1.0, float(np.max(np.abs(w)))) * h.n:
+    if abs(total) > 1e-9 * max(1.0, float(np.max(np.abs(w)))) * n:
         raise RuntimeError(f"eigenvalue sum {total} violates zero trace")
-    det = (-1) ** h.n * poly.coeffs[0]
+    det = (-1) ** n * poly.coeffs[0]
     prod = float(np.prod(w))
     if abs(prod - det) > 1e-6 * max(1.0, abs(det)):
         raise RuntimeError(f"eigenvalue product {prod} does not match det {det}")
-    return SpectralSummary(h.n, tuple(float(x) for x in w[::-1]), poly)
+    return SpectralSummary(n, tuple(float(x) for x in w[::-1]), poly)
 
 
 _COMPARE_CACHE: dict[tuple[tuple[int, ...], QuadraticNumber], Trichotomy] = {}
@@ -305,7 +275,7 @@ def validate_equitable(
     Not-a-partition input raises ValueError; an unbalanced partition returns
     an EquitableViolation naming the failing vertex and cell pair.
     """
-    h = _as_matrix(m)
+    h = hermitian_matrix(m) if isinstance(m, MixedGraph) else m
     cell_tuples = tuple(tuple(c) for c in cells)
     flat = [v for c in cell_tuples for v in c]
     if sorted(flat) != list(range(h.n)) or any(len(c) == 0 for c in cell_tuples):
@@ -343,21 +313,20 @@ def quotient_contained_exactly(
 ) -> bool | None:
     """Exact containment of quotient eigenvalues via polynomial gcd.
 
-    Only available when the quotient matrix is real (rational); returns None
-    otherwise.  True when gcd(char(H), char(quotient)) has the quotient's
-    full degree, i.e. every quotient eigenvalue is an eigenvalue of H.
+    Only available when the quotient matrix is real, and then it has integer
+    entries; returns None otherwise.  True when char(quotient) divides
+    char(H), i.e. every quotient eigenvalue is an eigenvalue of H with at
+    least its multiplicity in the quotient.
     """
     if not part.quotient_is_real():
         return None
-    rows = [[Fraction(int(z.real)) for z in row] for row in part.quotient]
-    qpoly = _char_poly_fraction_matrix(rows)
-    hpoly = [Fraction(c) for c in char_poly(m).coeffs]
-    a, b = _frac_trim(list(hpoly)), _frac_trim(list(qpoly))
-    while b != [Fraction(0)]:
-        _, r = _frac_divmod(a, b)
-        a, b = b, r
-    g = _frac_normalize(a)
-    return len(g) == len(qpoly)
+    rows = [[int(z.real) for z in row] for row in part.quotient]
+    qpoly = char_poly_int_matrix(rows)
+    try:
+        char_poly(m).exact_div(qpoly)
+    except ValueError:
+        return False
+    return True
 
 
 def phi_cubic(n: int) -> IntPolynomial:

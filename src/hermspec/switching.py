@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import EdgeKind, MixedGraph, underlying_graph
+from .graphs import _EXP_FROM_KIND, _KIND_FROM_EXP, EdgeKind, MixedGraph, underlying_graph
 
 __all__ = [
     "SwitchDiagonal",
@@ -32,9 +32,6 @@ __all__ = [
 
 _UNIT_FROM_EXP = (1 + 0j, 1j, -1 + 0j, -1j)
 _EXP_FROM_UNIT = {1 + 0j: 0, 1j: 1, -1 + 0j: 2, -1j: 3}
-# i-exponent of the Hermitian entry for each stored kind code (index 1..3).
-_EXP_FROM_KIND = (None, 0, 1, 3)
-_KIND_FROM_EXP = {0: int(EdgeKind.UNDIRECTED), 1: int(EdgeKind.ARC_OUT), 3: int(EdgeKind.ARC_IN)}
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,8 @@ from hermspec.classify import (
     FORBIDDEN_SUBGRAPHS,
     Certificate,
     Family,
+    H2H4Details,
+    H3Details,
     JoinSplit,
     KnstMatch,
     NotKnst,
@@ -39,6 +42,7 @@ from hermspec.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    induced,
     make_knst,
     path_graph,
     star_graph,
@@ -247,6 +251,45 @@ def test_classify_accept_h2_h4():
     assert cert2.accepted and cert2.family is Family.H4
     assert cert2.details.t == 1
     assert cert2.verify(paw)
+
+
+def test_verify_rejects_forged_h2_h4_fields():
+    def forge(m, family, blocks, s, t, **changes):
+        k1, k2 = (recognize_knst(induced(m, b)) for b in blocks)
+        details = replace(
+            H2H4Details(blocks[0][0], *blocks, k1, k2, s, t), **changes
+        )
+        return Certificate(True, family, details, None, None, m.n)
+
+    # K_5.K_3 fails the block bound (lambda_min ~ -1.6262); claiming the
+    # bowtie's sizes s = t = 2 must not make it verify.
+    big = coalescence(complete_graph(5), 0, complete_graph(3), 0)
+    blocks = ((0, 1, 2, 3, 4), (0, 5, 6))
+    assert not forge(big, Family.H2, blocks, 2, 2).verify(big)
+    assert not forge(big, Family.H2, blocks, 4, 2).verify(big)
+
+    m = coalescence(make_knst(2, 2), 0, complete_graph(3), 0)
+    blocks = ((0, 1, 2, 3), (0, 4, 5))
+    assert forge(m, Family.H2, blocks, 3, 2).verify(m)
+    assert not forge(m, Family.H2, blocks, 2, 3).verify(m)
+    assert not forge(m, Family.H4, blocks, 3, 2).verify(m)
+    k3 = recognize_knst(induced(m, blocks[1]))
+    assert not forge(m, Family.H2, blocks, 3, 2, knst1=k3).verify(m)
+    assert not forge(m, Family.H2, blocks, 3, 2, block2=(0, 4, 4)).verify(m)
+
+
+def test_verify_h3_requires_a_partition():
+    m = make_knst(3, 2)
+
+    def forge(s, t, s_side, t_side):
+        return Certificate(
+            True, Family.H3, H3Details(KnstMatch(s, t, s_side, t_side)), None, None, m.n
+        )
+
+    assert forge(3, 2, (0, 1, 2), (3, 4)).verify(m)
+    assert not forge(3, 2, (0, 0, 1), (3, 4)).verify(m)
+    assert not forge(3, 2, (0, 1), (3, 4)).verify(m)
+    assert not forge(2, 3, (0, 1, 2), (3, 4)).verify(m)
 
 
 def test_classify_accept_h1_catalog():

@@ -113,23 +113,30 @@ def test_char_poly_known_graphs():
 
 
 def test_float_and_integer_paths_agree():
-    from hermspec.spectra import _char_poly_float, _char_poly_pairs
+    # The one Faddeev-LeVerrier loop, run on the halved real embedding in
+    # certified float64 and on Python ints, must agree coefficient by
+    # coefficient; up to n = 13 the float certificate must hold.
+    from hermspec.spectra import _faddeev_leverrier
 
     rng = random.Random(12)
     for _ in range(60):
-        m = _random_mixed(rng, rng.randrange(2, 8))
-        h = hermitian_matrix(m)
-        fast = _char_poly_float(h.to_numpy())
-        pairs = [[(int(z.real), int(z.imag)) for z in row] for row in h.entries]
-        assert fast == _char_poly_pairs(pairs)
+        m = _random_mixed(rng, rng.randrange(2, 14))
+        e = np.array(embed_real(hermitian_matrix(m)), dtype=np.int64)
+        norm = float(np.abs(e).sum(axis=1).max())
+        fast = _faddeev_leverrier(e.astype(np.float64), 2, norm)
+        assert fast is not None
+        assert fast == _faddeev_leverrier(e.astype(object), 2, None)
 
 
-def test_char_poly_large_graph_uses_integer_path():
-    # n = 13 bypasses the float fast path entirely; cross-check against the
-    # doubled real embedding, whose char poly must be the square.
+def test_char_poly_large_graph_uses_integer_path(monkeypatch):
+    # With the float certificate's limit lowered, every run falls back to
+    # the exact integer rerun.  It must match the certified float result and
+    # the doubled real embedding, whose char poly is the square.
     rng = random.Random(13)
     m = _random_mixed(rng, 13, p=0.4)
     p = char_poly(m)
+    monkeypatch.setattr("hermspec.spectra._EXACT_LIMIT", 1.0)
+    assert char_poly(m) == p
     sq = char_poly_int_matrix(embed_real(hermitian_matrix(m)))
     assert sq.coeffs == (p * p).coeffs
 
@@ -145,6 +152,10 @@ def test_embed_real_square_identity():
 
 def test_char_poly_int_matrix_validation():
     assert char_poly_int_matrix([[0, 1], [1, 0]]).coeffs == (-1, 0, 1)
+    # Entries beyond 2**53 defeat float64: the exact rerun must start from
+    # the original integers.
+    big = char_poly_int_matrix([[2**60 + 1, 1], [1, 0]])
+    assert big.coeffs == (-1, -(2**60 + 1), 1)
     with pytest.raises(ValueError):
         char_poly_int_matrix([[0, 1], [1]])
 
