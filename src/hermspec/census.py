@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import random
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from multiprocessing import Pool
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -31,6 +33,8 @@ from .catalog import (
 )
 from .classify import _automorphisms, classify_threshold
 from .graphs import (
+    _ENTRY,
+    _EXP_FROM_KIND,
     EdgeKind,
     MixedGraph,
     coalescence,
@@ -108,10 +112,6 @@ def enumerate_orientations(g: MixedGraph):
         yield orientation(g, index)
 
 
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    return {pair: i for i, pair in enumerate(combinations(range(n), 2))}
-
-
 def enumerate_connected_graphs(n: int) -> list[MixedGraph]:
     """Connected undirected graphs on exactly n labeled-canonical vertices.
 
@@ -125,7 +125,7 @@ def enumerate_connected_graphs(n: int) -> list[MixedGraph]:
         return [MixedGraph(1, ((0,),))]
     pairs = list(combinations(range(n), 2))
     m = len(pairs)
-    idx = _pair_index(n)
+    idx = {pair: i for i, pair in enumerate(pairs)}
     masks = np.arange(1 << m, dtype=np.int64)
     bits = (masks[:, None] >> np.arange(m)) & 1
     weights = (np.int64(1) << np.arange(m)).astype(np.int64)
@@ -156,15 +156,7 @@ def iso_classes(graphs: list[MixedGraph]) -> dict[str, list[MixedGraph]]:
     """
     if not graphs:
         return {}
-    underlying = graphs[0]
-    auts = _automorphisms(
-        MixedGraph(
-            underlying.n,
-            tuple(
-                tuple(1 if k else 0 for k in row) for row in underlying.kinds
-            ),
-        )
-    )
+    auts = _automorphisms(underlying_graph(graphs[0]))
     classes: dict[str, list[MixedGraph]] = {}
     for g in graphs:
         canon = min(g.relabel(list(p)).encode() for p in auts)
@@ -382,67 +374,63 @@ class CensusReport:
         return "\n".join(lines)
 
 
-def _check_orientation(m: MixedGraph) -> tuple[str | None, Trichotomy]:
-    """Classifier family (or None for reject) and the exact comparison."""
-    cert = classify_threshold(m, confirm=False)
-    exact = compare_lambda_min(m, NEG_GOLDEN)
-    return (cert.family.value if cert.accepted else None, exact)
+def _tally(orientations: Iterable[MixedGraph]) -> LevelStats:
+    """Classify each orientation and compare it exactly against -(1+sqrt5)/2.
 
-
-def _sweep_underlying(g: MixedGraph) -> tuple[int, dict[str, int], int, int, list[str]]:
-    """Worker: run classifier vs exact over all orientations of one graph."""
-    accepts: dict[str, int] = {}
-    rejects = 0
-    boundary = 0
-    mismatches: list[str] = []
-    total = 0
-    for m in enumerate_orientations(g):
-        total += 1
-        family, exact = _check_orientation(m)
-        if family is None:
-            rejects += 1
-            if exact is Trichotomy.EQUAL:
-                boundary += 1
-            if exact is Trichotomy.GREATER:
-                mismatches.append(m.encode())
+    Counts accepts by family, rejects and exact-EQUAL boundaries (``n`` and
+    ``underlying_graphs`` stay 0), and records the encoding of every
+    orientation whose verdict disagrees with the exact comparison.  A
+    disconnected orientation makes ``classify_threshold`` raise ValueError.
+    """
+    stats = LevelStats(0)
+    for m in orientations:
+        cert = classify_threshold(m, confirm=False)
+        exact = compare_lambda_min(m, NEG_GOLDEN)
+        stats.orientations += 1
+        if cert.accepted:
+            family = cert.family.value
+            stats.accepts[family] = stats.accepts.get(family, 0) + 1
         else:
-            accepts[family] = accepts.get(family, 0) + 1
-            if exact is not Trichotomy.GREATER:
-                mismatches.append(m.encode())
-    return total, accepts, rejects, boundary, mismatches
+            stats.rejects += 1
+        if exact is Trichotomy.EQUAL:
+            stats.boundary_equal += 1
+        if cert.accepted != (exact is Trichotomy.GREATER):
+            stats.mismatches.append(m.encode())
+    return stats
 
 
-def _merge_level(level: LevelStats, part) -> None:
-    total, accepts, rejects, boundary, mismatches = part
-    level.underlying_graphs += 1
-    level.orientations += total
-    for k, v in accepts.items():
-        level.accepts[k] = level.accepts.get(k, 0) + v
-    level.rejects += rejects
-    level.boundary_equal += boundary
-    level.mismatches.extend(mismatches)
+def _tally_underlying(g: MixedGraph) -> LevelStats:
+    """``_tally`` over every orientation of one underlying graph (a pool task)."""
+    return _tally(enumerate_orientations(g))
 
 
 # --- vectorized K_6 sweep -------------------------------------------------
 
 _K6_EDGES = tuple(combinations(range(6), 2))
+_K6_EDGE_POS = {e: i for i, e in enumerate(_K6_EDGES)}
 _K6_TRIANGLES = tuple(combinations(range(6), 3))
 _K6_CHUNK = 3 ** 9  # 19,683 orientations per chunk, 3^6 chunks in total
 
-#: i-exponent of the Hermitian entry for orientation digits 0, 1, 2.
-_DIGIT_EXP = np.array([0, 1, 3], dtype=np.int8)
-_DIGIT_VALUE = np.array([1, 1j, -1j], dtype=np.complex128)
+#: i-exponent and Hermitian entry for orientation digits 0, 1, 2.
+_DIGIT_EXP = np.array([_EXP_FROM_KIND[k] for k in _KIND_OF_DIGIT], dtype=np.int8)
+_DIGIT_VALUE = np.array([_ENTRY[k] for k in _KIND_OF_DIGIT], dtype=np.complex128)
 
 
-def _k6_edge_pos() -> dict[tuple[int, int], int]:
-    return {e: i for i, e in enumerate(_K6_EDGES)}
-
-def _k6_chunk(start: int) -> tuple[int, int, list[int]]:
+def _k6_chunk(start: int) -> tuple[int, list[int]]:
     """Scan one chunk of K_6 orientations.
 
-    Returns (count, accepted, flagged indices), where flagged means the
-    float eigenvalue bound cannot separate the orientation from the
-    threshold and exact arithmetic must decide.
+    Returns (accepted, flagged indices).  An orientation is accepted when
+    all 20 of its triangles have holonomy one, decided in integer
+    arithmetic.  It is flagged when its float lambda_min lies within 1e-6 of
+    -(1+sqrt5)/2 or on the side that contradicts that verdict; the caller
+    decides the flagged ones exactly.
+
+    The unflagged ones rest on this bound: ``eigvalsh`` is backward stable,
+    so each computed eigenvalue is an exact eigenvalue of H + E with
+    ||E||_2 <= c * n * eps * ||H||_2 for a modest constant c.  By Weyl's
+    inequality it is then within that much of the true one.  Here n = 6,
+    eps = 2**-53 and ||H||_2 <= 5 (the largest absolute row sum), so the
+    error is about 1e-14, eight orders of magnitude below the margin.
     """
     count = min(_K6_CHUNK, 3 ** 15 - start)
     idx = np.arange(start, start + count, dtype=np.int64)
@@ -452,7 +440,7 @@ def _k6_chunk(start: int) -> tuple[int, int, list[int]]:
         digits[:, e] = rem % 3
         rem //= 3
     exps = _DIGIT_EXP[digits].astype(np.int16)
-    pos = _k6_edge_pos()
+    pos = _K6_EDGE_POS
     accept = np.ones(count, dtype=bool)
     for a, b, c in _K6_TRIANGLES:
         hol = exps[:, pos[(a, b)]] + exps[:, pos[(b, c)]] - exps[:, pos[(a, c)]]
@@ -468,43 +456,21 @@ def _k6_chunk(start: int) -> tuple[int, int, list[int]]:
     below = lam_min < -_GOLDEN_F - margin
     clear = (accept & above) | (~accept & ~above)
     flagged = np.nonzero(~(clear & (above | below)))[0]
-    return count, int(accept.sum()), (idx[flagged]).tolist()
+    return int(accept.sum()), (idx[flagged]).tolist()
 
 
-def _k6_flag_recheck(flagged: list[int]) -> int:
-    """Exact recheck for flagged K_6 orientations; returns mismatch count."""
-    k6 = complete_graph(6)
-    mismatches = 0
-    for index in flagged:
-        m = orientation(k6, index)
-        family, exact = _check_orientation(m)
-        if (family is not None) != (exact is Trichotomy.GREATER):
-            mismatches += 1
-    return mismatches
-
-
-def _k6_sweep(jobs: int, rng: random.Random, subsample: int) -> K6Stats:
+def _k6_sweep(pmap: Callable, rng: random.Random, subsample: int) -> K6Stats:
     stats = K6Stats(total=3 ** 15)
-    starts = list(range(0, 3 ** 15, _K6_CHUNK))
-    flagged_all: list[int] = []
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            parts = pool.map(_k6_chunk, starts)
-    else:
-        parts = [_k6_chunk(s) for s in starts]
-    for count, accepted, flagged in parts:
+    flagged: list[int] = []
+    for accepted, indices in pmap(_k6_chunk, range(0, 3 ** 15, _K6_CHUNK)):
         stats.accepted += accepted
-        flagged_all.extend(flagged)
-    stats.flagged = len(flagged_all)
-    stats.mismatches = _k6_flag_recheck(flagged_all)
+        flagged.extend(indices)
+    stats.flagged = len(flagged)
     k6 = complete_graph(6)
-    for _ in range(subsample):
-        index = rng.randrange(3 ** 15)
-        m = orientation(k6, index)
-        family, exact = _check_orientation(m)
-        if (family is not None) != (exact is Trichotomy.GREATER):
-            stats.subsample_mismatches.append(m.encode())
-        stats.subsample += 1
+    stats.mismatches = len(_tally(orientation(k6, i) for i in flagged).mismatches)
+    drawn = _tally(orientation(k6, rng.randrange(3 ** 15)) for _ in range(subsample))
+    stats.subsample = drawn.orientations
+    stats.subsample_mismatches = drawn.mismatches
     return stats
 
 
@@ -514,12 +480,6 @@ def _deep_family_graphs() -> list[tuple[str, MixedGraph]]:
         ("K_3.K_4", coalescence(complete_graph(3), 0, complete_graph(4), 0)),
         ("k24-plus-2edges", sporadic_underlying()["k24-plus-2edges"]),
     ]
-
-
-def _deep_sweep_one(item: tuple[str, MixedGraph]) -> DeepStats:
-    label, g = item
-    total, accepts, _, boundary, mismatches = _sweep_underlying(g)
-    return DeepStats(label, total, sum(accepts.values()), boundary, mismatches)
 
 
 def verify_main_theorem(
@@ -546,45 +506,42 @@ def verify_main_theorem(
         raise ValueError("jobs must be at least 1")
     t0 = time.monotonic()
     levels: list[LevelStats] = []
-    for n in range(1, min(n_max, 5) + 1):
-        level = LevelStats(n)
-        graphs = enumerate_connected_graphs(n)
-        if jobs > 1 and n >= 4:
-            with Pool(jobs) as pool:
-                for part in pool.map(_sweep_underlying, graphs):
-                    _merge_level(level, part)
-        else:
-            for g in graphs:
-                _merge_level(level, _sweep_underlying(g))
-        level.mismatches.sort()
-        levels.append(level)
     deep_levels: list[DeepStats] = []
     k6_stats: K6Stats | None = None
     sample_stats: SampleStats | None = None
-    if deep:
-        rng = random.Random(seed)
-        items = _deep_family_graphs()
-        if jobs > 1:
-            with Pool(jobs) as pool:
-                deep_levels = pool.map(_deep_sweep_one, items)
-        else:
-            deep_levels = [_deep_sweep_one(item) for item in items]
-        k6_stats = _k6_sweep(jobs, rng, subsample=max(sample, 10000))
-        sample_stats = SampleStats()
-        six = enumerate_connected_graphs(6)
-        for _ in range(sample):
-            g = six[rng.randrange(len(six))]
-            m = orientation(g, rng.randrange(orientation_count(g)))
-            if not is_connected(m):
-                raise AssertionError("connected underlying graph lost connectivity")
-            family, exact = _check_orientation(m)
-            sample_stats.samples += 1
-            if family is not None:
-                sample_stats.accepted += 1
-            if exact is Trichotomy.EQUAL:
-                sample_stats.boundary_equal += 1
-            if (family is not None) != (exact is Trichotomy.GREATER):
-                sample_stats.mismatches.append(m.encode())
+    with Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        pmap = pool.map if pool is not None else map
+        for n in range(1, min(n_max, 5) + 1):
+            graphs = enumerate_connected_graphs(n)
+            level = LevelStats(n, underlying_graphs=len(graphs))
+            for part in pmap(_tally_underlying, graphs):
+                level.orientations += part.orientations
+                for family, count in part.accepts.items():
+                    level.accepts[family] = level.accepts.get(family, 0) + count
+                level.rejects += part.rejects
+                level.boundary_equal += part.boundary_equal
+                level.mismatches.extend(part.mismatches)
+            level.mismatches.sort()
+            levels.append(level)
+        if deep:
+            rng = random.Random(seed)
+            labels, graphs = zip(*_deep_family_graphs())
+            for label, part in zip(labels, pmap(_tally_underlying, graphs)):
+                deep_levels.append(
+                    DeepStats(
+                        label, part.orientations, sum(part.accepts.values()),
+                        part.boundary_equal, part.mismatches,
+                    )
+                )
+            k6_stats = _k6_sweep(pmap, rng, subsample=max(sample, 10000))
+            six = enumerate_connected_graphs(6)
+            # Each sample draws its graph first, then one of its orientations.
+            picks = (six[rng.randrange(len(six))] for _ in range(sample))
+            part = _tally(orientation(g, rng.randrange(orientation_count(g))) for g in picks)
+            sample_stats = SampleStats(
+                part.orientations, sum(part.accepts.values()),
+                part.boundary_equal, part.mismatches,
+            )
     return CensusReport(
         n_max=n_max,
         deep=deep,

@@ -25,7 +25,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .catalog import sporadic_underlying
+from .catalog import load_builtin, sporadic_underlying
 from .graphs import (
     _EXP_FROM_KIND as _KEXP,
     EdgeKind,
@@ -33,6 +33,7 @@ from .graphs import (
     build,
     complete_graph,
     connected_components,
+    decode,
     disjoint_union,
     induced,
     is_connected,
@@ -45,7 +46,7 @@ from .graphs import (
 from .polynomials import Trichotomy, compare_min_root
 from .quadratic import NEG_GOLDEN, NEG_SQRT2
 from .spectra import compare_lambda_min, eigenvalues, f_cubic
-from .switching import SwitchDiagonal, switching_equivalent
+from .switching import SwitchDiagonal, apply_switch, switching_equivalent
 
 __all__ = [
     "TriangleType",
@@ -108,9 +109,10 @@ SAFE_TRIANGLES = frozenset(
 )
 
 
-def _triangle_holonomy_exp(m: MixedGraph, u: int, v: int, w: int) -> int:
-    return (
-        _KEXP[m.kinds[u][v]] + _KEXP[m.kinds[v][w]] + _KEXP[m.kinds[w][u]]
+def _holonomy_exp(m: MixedGraph, *cycle: int) -> int:
+    """i-exponent of the product of Hermitian entries around ``cycle``."""
+    return sum(
+        _KEXP[m.kinds[u][v]] for u, v in zip(cycle, cycle[1:] + cycle[:1])
     ) % 4
 
 
@@ -126,7 +128,7 @@ def triangle_type(t: MixedGraph) -> TriangleType:
     if und == 2:
         return TriangleType.K3_1
     if und == 1:
-        hol = _triangle_holonomy_exp(t, 0, 1, 2)
+        hol = _holonomy_exp(t, 0, 1, 2)
         if hol == 2:
             return TriangleType.K3_21
         # Unit holonomy: locate the vertex off the undirected edge.
@@ -201,10 +203,7 @@ def quad_class(q: MixedGraph) -> QuadClass:
     if cyc is None:
         raise ValueError("underlying graph is not a quadrangle")
     a, b, c, d = cyc
-    exp = (
-        _KEXP[q.kinds[a][b]] + _KEXP[q.kinds[b][c]]
-        + _KEXP[q.kinds[c][d]] + _KEXP[q.kinds[d][a]]
-    ) % 4
+    exp = _holonomy_exp(q, *cyc)
     hol = (1 + 0j, 1j, -1 + 0j, -1j)[exp]
     if exp == 0:
         return QuadClass(QuadTag.PLUS_ONE, hol, cyc)
@@ -243,14 +242,7 @@ def find_forbidden_quadrangle(m: MixedGraph) -> tuple[int, int, int, int] | None
     """First induced quadrangle whose holonomy is not -1."""
     for vs in combinations(range(m.n), 4):
         cyc = _cycle_order4(m, vs)
-        if cyc is None:
-            continue
-        a, b, c, d = cyc
-        exp = (
-            _KEXP[m.kinds[a][b]] + _KEXP[m.kinds[b][c]]
-            + _KEXP[m.kinds[c][d]] + _KEXP[m.kinds[d][a]]
-        ) % 4
-        if exp != 2:
+        if cyc is not None and _holonomy_exp(m, *cyc) != 2:
             return cyc
     return None
 
@@ -550,23 +542,26 @@ class Certificate:
                     is Trichotomy.GREATER
                 )
             if self.family is Family.H1:
-                from .catalog import load_builtin
-
                 record = load_builtin().by_id(self.details.catalog_id)
                 if record is None:
                     return False
-                relabeled = m.relabel(list(self.details.perm))
-                from .switching import apply_switch
-
-                return apply_switch(relabeled, self.details.diagonal) == record.graph()
+                try:
+                    relabeled = m.relabel(list(self.details.perm))
+                    switched = apply_switch(relabeled, self.details.diagonal)
+                except ValueError:  # not a permutation, or not applicable
+                    return False
+                return switched == record.graph()
             return False
         if self.witness is None:
             return False
-        if self.witness.kind == "threshold":
-            sub = m
-        else:
-            sub = induced(m, self.witness.vertices)
-        verdict = compare_lambda_min(sub, NEG_GOLDEN)
+        try:
+            if self.witness.kind == "threshold":
+                sub = m
+            else:
+                sub = induced(m, self.witness.vertices)
+            verdict = compare_lambda_min(sub, NEG_GOLDEN)
+        except ValueError:  # repeated, out-of-range or no witness vertices
+            return False
         return verdict is self.witness.comparison and verdict is not Trichotomy.GREATER
 
     def summary(self) -> str:
@@ -609,14 +604,12 @@ def _witness_from_subgraph(
     m: MixedGraph, kind: str, pattern: str, vertices: tuple[int, ...]
 ) -> RejectWitness:
     sub = m if kind == "threshold" else induced(m, vertices)
-    comparison = compare_lambda_min(sub, NEG_GOLDEN)
-    lam = eigenvalues(sub).lambda_min
-    return RejectWitness(kind, pattern, vertices, comparison, lam)
+    summary = eigenvalues(sub)
+    comparison = compare_lambda_min(summary.char_poly, NEG_GOLDEN)
+    return RejectWitness(kind, pattern, vertices, comparison, summary.lambda_min)
 
 
 def _match_catalog(m: MixedGraph, label: str) -> H1Details | None:
-    from .catalog import load_builtin
-
     catalog = load_builtin()
     canon = catalog.underlying_graph(label)
     iso = find_induced(underlying_graph(m), underlying_graph(canon))
@@ -640,10 +633,7 @@ def _match_catalog(m: MixedGraph, label: str) -> H1Details | None:
 
 @lru_cache(maxsize=256)
 def _automorphisms_cached(encoded: str, n: int) -> tuple[tuple[int, ...], ...]:
-    kinds = tuple(
-        tuple(int(encoded[u * n + v]) for v in range(n)) for u in range(n)
-    )
-    g = MixedGraph(n, kinds)
+    g = decode(n, encoded)
     outs = []
     for perm in permutations(range(n)):
         ok = True

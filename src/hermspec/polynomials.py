@@ -277,14 +277,9 @@ def compare_min_root(
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no smallest root")
-    if p.degree == 0:
-        return Trichotomy.GREATER
-    cq = _as_quadratic(c)
-    sf = _squarefree_part(p)
-    chain = _sturm_chain(sf)
-    leq = _variations_at_minus_inf(chain) - _variations_at(chain, cq)
+    leq = count_roots_at_most(p, c)
     if leq == 0:
         return Trichotomy.GREATER
-    if leq == 1 and _eval_frac_poly(sf, cq).sign() == 0:
+    if leq == 1 and _eval_frac_poly(_to_frac(p.coeffs), _as_quadratic(c)).sign() == 0:
         return Trichotomy.EQUAL
     return Trichotomy.LESS

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -186,7 +187,9 @@ def eigenvalues(m: MixedGraph | HermitianMatrix) -> SpectralSummary:
     return SpectralSummary(n, tuple(float(x) for x in w[::-1]), poly)
 
 
-_COMPARE_CACHE: dict[tuple[tuple[int, ...], QuadraticNumber], Trichotomy] = {}
+@lru_cache(maxsize=200_000)
+def _compare_cached(poly: IntPolynomial, c: QuadraticNumber) -> Trichotomy:
+    return compare_min_root(poly, c)
 
 
 def compare_lambda_min(
@@ -207,14 +210,7 @@ def compare_lambda_min(
         raise ValueError("empty graph has no smallest eigenvalue")
     if not isinstance(c, QuadraticNumber):
         c = QuadraticNumber(Fraction(c), 0, 2)
-    key = (poly.coeffs, c)
-    hit = _COMPARE_CACHE.get(key)
-    if hit is None:
-        hit = compare_min_root(poly, c)
-        if len(_COMPARE_CACHE) > 200_000:
-            _COMPARE_CACHE.clear()
-        _COMPARE_CACHE[key] = hit
-    return hit
+    return _compare_cached(poly, c)
 
 
 def interlacing_holds(

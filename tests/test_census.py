@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
+import hermspec.census as census
 from hermspec.census import (
     DedupClass,
     dedup_classes,
@@ -15,6 +17,7 @@ from hermspec.census import (
     orientation_count,
     verify_main_theorem,
 )
+from hermspec.classify import Family
 from hermspec.graphs import (
     EdgeKind,
     build,
@@ -119,3 +122,27 @@ def test_verify_validation():
         verify_main_theorem(n_max=0)
     with pytest.raises(ValueError):
         verify_main_theorem(n_max=2, jobs=0)
+
+
+def test_census_reports_classifier_errors(monkeypatch):
+    real = census.classify_threshold
+
+    def rejects_h4(m, confirm=True):
+        cert = real(m, confirm=confirm)
+        if cert.family is Family.H4:
+            return replace(cert, accepted=False, family=None, details=None)
+        return cert
+
+    monkeypatch.setattr(census, "classify_threshold", rejects_h4)
+    report = verify_main_theorem(n_max=3)
+    assert not report.ok
+    assert [len(lv.mismatches) for lv in report.levels] == [0, 0, 9]
+    assert report.levels[2].accepts == {"H3": 7}
+    assert "result: FAIL" in report.text()
+
+
+def test_census_pool_matches_serial():
+    def body(report):
+        return [line for line in report.text().splitlines() if not line.startswith("elapsed:")]
+
+    assert body(verify_main_theorem(n_max=4, jobs=2)) == body(verify_main_theorem(n_max=4))

@@ -50,7 +50,7 @@ from hermspec.graphs import (
 from hermspec.polynomials import Trichotomy
 from hermspec.quadratic import NEG_GOLDEN
 from hermspec.spectra import compare_lambda_min, eigenvalues
-from hermspec.switching import random_switch
+from hermspec.switching import SwitchDiagonal, random_switch
 
 
 def test_triangle_census():
@@ -290,6 +290,28 @@ def test_verify_h3_requires_a_partition():
     assert not forge(3, 2, (0, 0, 1), (3, 4)).verify(m)
     assert not forge(3, 2, (0, 1), (3, 4)).verify(m)
     assert not forge(2, 3, (0, 1, 2), (3, 4)).verify(m)
+
+
+def test_verify_returns_false_on_malformed_input():
+    m = load_builtin().records[0].graph()
+    cert = classify_threshold(m)
+    assert cert.family is Family.H1 and cert.verify(m)
+    bad_details = [
+        replace(cert.details, perm=cert.details.perm[:-1]),
+        replace(cert.details, perm=(0,) * m.n),
+        replace(cert.details, diagonal=SwitchDiagonal.identity(m.n - 1)),
+        # -1 at vertex 0 turns its undirected edges into -1 entries.
+        replace(cert.details, diagonal=SwitchDiagonal([-1] + [1] * (m.n - 1))),
+    ]
+    for details in bad_details:
+        assert not replace(cert, details=details).verify(m)
+
+    p4 = path_graph(4)
+    reject = classify_threshold(p4)
+    assert reject.witness.vertices == (0, 1, 2, 3) and reject.verify(p4)
+    for vertices in [(0, 0, 1, 2), (0, 1, 2, 9), ()]:
+        witness = replace(reject.witness, vertices=vertices)
+        assert not replace(reject, witness=witness).verify(p4)
 
 
 def test_classify_accept_h1_catalog():
