@@ -6,6 +6,12 @@ to five vertices, plus targeted six-vertex sweeps), compares the structural
 classifier against the exact eigenvalue comparison for every single graph,
 and derives the pinned catalog of scattered orientations from scratch.
 
+The oracle decides graphs in blocks of 3^5 of one vertex count.  One batched
+Faddeev-LeVerrier call gives every characteristic polynomial in the block,
+``np.unique`` finds the distinct ones, and each distinct polynomial is
+compared once against -(1+sqrt5)/2 by the exact Sturm comparison, so every
+verdict stays exact while most orientations share a polynomial.
+
 The six-vertex complete graph has 3^15 = 14,348,907 orientations; these are
 handled by a vectorized path that evaluates the triangle-holonomy criterion
 and batched eigenvalue bounds in numpy, falling back to exact arithmetic
@@ -18,9 +24,9 @@ import random
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from multiprocessing import Pool
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -35,6 +41,7 @@ from .classify import _automorphisms, classify_threshold
 from .graphs import (
     _ENTRY,
     _EXP_FROM_KIND,
+    _FLIP,
     EdgeKind,
     MixedGraph,
     coalescence,
@@ -44,9 +51,9 @@ from .graphs import (
     is_connected,
     underlying_graph,
 )
-from .polynomials import Trichotomy
+from .polynomials import IntPolynomial, Trichotomy
 from .quadratic import NEG_GOLDEN
-from .spectra import char_poly, compare_lambda_min, eigenvalues
+from .spectra import char_poly, char_poly_rows, compare_lambda_min, eigenvalues
 from .switching import switching_equivalent
 
 __all__ = [
@@ -67,10 +74,16 @@ __all__ = [
     "verify_main_theorem",
 ]
 
-_KIND_OF_DIGIT = (EdgeKind.UNDIRECTED, EdgeKind.ARC_OUT, EdgeKind.ARC_IN)
+_KIND_OF_DIGIT = (
+    int(EdgeKind.UNDIRECTED), int(EdgeKind.ARC_OUT), int(EdgeKind.ARC_IN)
+)
 
 #: The golden ratio threshold as a float, for numeric prescreens only.
 _GOLDEN_F = (1 + 5 ** 0.5) / 2
+
+#: Orientations per batched exact comparison.  Larger blocks find few more
+#: repeated polynomials but hold more matrices at once.
+_BLOCK = 3 ** 5
 
 
 def edge_list(g: MixedGraph) -> tuple[tuple[int, int], ...]:
@@ -96,8 +109,8 @@ def orientation(g: MixedGraph, index: int) -> MixedGraph:
     for u, v in edges:
         kind = _KIND_OF_DIGIT[rem % 3]
         rem //= 3
-        kinds[u][v] = int(kind)
-        kinds[v][u] = int(kind.flipped())
+        kinds[u][v] = kind
+        kinds[v][u] = _FLIP[kind]
     return MixedGraph(g.n, tuple(tuple(row) for row in kinds))
 
 
@@ -212,6 +225,29 @@ def dedup_classes(graphs: list[MixedGraph]) -> list[DedupClass]:
     return out
 
 
+def _blocks(graphs: Iterable[MixedGraph]) -> Iterator[list[MixedGraph]]:
+    """Consecutive lists of at most ``_BLOCK`` graphs, drawn lazily."""
+    it = iter(graphs)
+    while block := list(islice(it, _BLOCK)):
+        yield block
+
+
+def _exact_verdicts(block: list[MixedGraph]) -> list[Trichotomy]:
+    """Exact comparison of each graph's lambda_min against -(1+sqrt5)/2.
+
+    The graphs share one n.  Their characteristic polynomials come from one
+    batched kernel call, and each distinct polynomial is decided once by the
+    exact Sturm comparison.  ``np.unique`` needs int64 rows, which the float
+    certificate gives for every graph the census meets (n <= 6).
+    """
+    polys, inverse = np.unique(char_poly_rows(block), axis=0, return_inverse=True)
+    verdicts = [
+        compare_lambda_min(IntPolynomial(row[::-1].tolist()), NEG_GOLDEN)
+        for row in polys
+    ]
+    return [verdicts[i] for i in inverse.ravel()]
+
+
 def derive_scattered_catalog() -> Catalog:
     """Recompute the scattered-orientation catalog from scratch.
 
@@ -227,8 +263,9 @@ def derive_scattered_catalog() -> Catalog:
         g = sporadic_underlying()[label]
         survivors = [
             m
-            for m in enumerate_orientations(g)
-            if compare_lambda_min(m, NEG_GOLDEN) is Trichotomy.GREATER
+            for block in _blocks(enumerate_orientations(g))
+            for m, exact in zip(block, _exact_verdicts(block))
+            if exact is Trichotomy.GREATER
         ]
         classes = iso_classes(survivors)
         reps = [decode(g.n, key) for key in sorted(classes)]
@@ -377,25 +414,27 @@ class CensusReport:
 def _tally(orientations: Iterable[MixedGraph]) -> LevelStats:
     """Classify each orientation and compare it exactly against -(1+sqrt5)/2.
 
-    Counts accepts by family, rejects and exact-EQUAL boundaries (``n`` and
-    ``underlying_graphs`` stay 0), and records the encoding of every
-    orientation whose verdict disagrees with the exact comparison.  A
-    disconnected orientation makes ``classify_threshold`` raise ValueError.
+    Every orientation must have the same n; they are taken in blocks for
+    ``_exact_verdicts``.  Counts accepts by family, rejects and exact-EQUAL
+    boundaries (``n`` and ``underlying_graphs`` stay 0), and records the
+    encoding of every orientation whose verdict disagrees with the exact
+    comparison.  A disconnected orientation makes ``classify_threshold``
+    raise ValueError.
     """
     stats = LevelStats(0)
-    for m in orientations:
-        cert = classify_threshold(m, confirm=False)
-        exact = compare_lambda_min(m, NEG_GOLDEN)
-        stats.orientations += 1
-        if cert.accepted:
-            family = cert.family.value
-            stats.accepts[family] = stats.accepts.get(family, 0) + 1
-        else:
-            stats.rejects += 1
-        if exact is Trichotomy.EQUAL:
-            stats.boundary_equal += 1
-        if cert.accepted != (exact is Trichotomy.GREATER):
-            stats.mismatches.append(m.encode())
+    for block in _blocks(orientations):
+        for m, exact in zip(block, _exact_verdicts(block)):
+            cert = classify_threshold(m, confirm=False)
+            stats.orientations += 1
+            if cert.accepted:
+                family = cert.family.value
+                stats.accepts[family] = stats.accepts.get(family, 0) + 1
+            else:
+                stats.rejects += 1
+            if exact is Trichotomy.EQUAL:
+                stats.boundary_equal += 1
+            if cert.accepted != (exact is Trichotomy.GREATER):
+                stats.mismatches.append(m.encode())
     return stats
 
 

@@ -502,9 +502,13 @@ class Certificate:
     n: int
 
     def verify(self, m: MixedGraph) -> bool:
-        """Re-check the certificate against the graph it was issued for."""
+        """Re-check the certificate against the graph it was issued for.
+
+        Returns False, never raises, for a malformed certificate, such as
+        details of another family's type.
+        """
         if self.accepted:
-            if self.family is Family.H3:
+            if self.family is Family.H3 and isinstance(self.details, H3Details):
                 knst = self.details.knst
                 order = knst.s_side + knst.t_side
                 if (
@@ -519,7 +523,9 @@ class Certificate:
                     switching_equivalent(m.relabel(perm), make_knst(knst.s, knst.t))
                     is not None
                 )
-            if self.family in (Family.H2, Family.H4):
+            if self.family in (Family.H2, Family.H4) and isinstance(
+                self.details, H2H4Details
+            ):
                 det = self.details
                 cut = (det.cut_vertex,)
                 if det.block1[:1] != cut or det.block2[:1] != cut:
@@ -541,7 +547,7 @@ class Certificate:
                     compare_min_root(f_cubic(det.s, det.t), NEG_GOLDEN)
                     is Trichotomy.GREATER
                 )
-            if self.family is Family.H1:
+            if self.family is Family.H1 and isinstance(self.details, H1Details):
                 record = load_builtin().by_id(self.details.catalog_id)
                 if record is None:
                     return False
@@ -600,13 +606,35 @@ FORBIDDEN_SUBGRAPHS: tuple[tuple[str, MixedGraph], ...] = (
 )
 
 
+def _witness_spectrum(sub: MixedGraph) -> tuple[Trichotomy, float]:
+    """Exact comparison against -(1+sqrt5)/2 and float lambda_min of ``sub``."""
+    summary = eigenvalues(sub)
+    return compare_lambda_min(summary.char_poly, NEG_GOLDEN), summary.lambda_min
+
+
+@lru_cache(maxsize=4096)
+def _small_witness_spectrum(
+    kinds: tuple[tuple[int, ...], ...]
+) -> tuple[Trichotomy, float]:
+    """``_witness_spectrum`` memoized on the kind table of a small witness."""
+    return _witness_spectrum(MixedGraph(len(kinds), kinds))
+
+
 def _witness_from_subgraph(
     m: MixedGraph, kind: str, pattern: str, vertices: tuple[int, ...]
 ) -> RejectWitness:
-    sub = m if kind == "threshold" else induced(m, vertices)
-    summary = eigenvalues(sub)
-    comparison = compare_lambda_min(summary.char_poly, NEG_GOLDEN)
-    return RejectWitness(kind, pattern, vertices, comparison, summary.lambda_min)
+    """Reject witness on ``vertices``; the whole graph for kind "threshold".
+
+    Triangle, quadrangle and forbidden-subgraph witnesses have at most five
+    vertices and few distinct kind tables, so their spectra are memoized; a
+    threshold witness is as large as the graph and is never cached.
+    """
+    if kind == "threshold":
+        comparison, lam = _witness_spectrum(m)
+    else:
+        kinds = tuple(tuple(m.kinds[u][v] for v in vertices) for u in vertices)
+        comparison, lam = _small_witness_spectrum(kinds)
+    return RejectWitness(kind, pattern, vertices, comparison, lam)
 
 
 def _match_catalog(m: MixedGraph, label: str) -> H1Details | None:

@@ -8,12 +8,13 @@ from Sturm chains evaluated with exact quadratic arithmetic.  Floating
 eigenvalues are for reporting and for cheap certified screening only.
 
 One Faddeev-LeVerrier loop computes every characteristic polynomial.  It
-works on a real integer matrix: the 2n x 2n embedding [[Re H, -Im H],
-[Im H, Re H]] of a Hermitian H, whose traces are twice the (real) traces of
-H's products and are halved, or an integer matrix as given.  The loop runs
-in float64 while a written bound certifies it exact (every product entry
-and trace below 2**52, every trace dividing evenly) and otherwise reruns on
-Python ints from the original entries.
+works on a stack of real integer matrices: 2n x 2n embeddings [[Re H, -Im H],
+[Im H, Re H]] of Hermitian H, whose traces are twice the (real) traces of
+H's products and are halved, or an integer matrix as given; a single matrix
+is a stack of one.  The loop runs in float64 while a written bound
+certifies the whole stack exact (every product entry and trace below 2**52,
+every trace dividing evenly) and otherwise reruns on Python ints from the
+original entries.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "EquitablePartition",
     "EquitableViolation",
     "char_poly",
+    "char_poly_rows",
     "char_poly_int_matrix",
     "eigenvalues",
     "compare_lambda_min",
@@ -53,61 +55,72 @@ _ENTRY_ARRAY = np.array(_ENTRY, dtype=np.complex128)
 
 def _faddeev_leverrier(
     x: np.ndarray, trace_scale: int, norm: float | None
-) -> list[int] | None:
-    """Faddeev-LeVerrier on the integer matrix ``x``; coefficients high to low.
+) -> np.ndarray | None:
+    """Faddeev-LeVerrier on a stack of integer matrices ``x`` of shape
+    (..., size, size); returns coefficient rows (..., steps + 1), high to low.
 
     With M_0 = I the loop forms M_k = X M_{k-1} + c_k I, where
-    c_k = -tr(X M_{k-1}) / (trace_scale * k), for x.shape[0] // trace_scale
+    c_k = -tr(X M_{k-1}) / (trace_scale * k), for steps = size // trace_scale
     steps.  ``trace_scale`` is 1 for a plain matrix and 2 for the real
-    embedding of a Hermitian matrix (see ``_char_poly_of``).
+    embedding of a Hermitian matrix (see ``_char_poly_rows``).  Traces and
+    diagonals go through a strided view of each product.  Each c_k is the
+    floor of the quotient, so every M_k stays an integer matrix; that every
+    trace divides evenly is checked once, after the loop.
 
-    With ``norm`` (an upper bound on the largest absolute row sum of x) the
-    loop runs in float64 and certifies itself: before each product,
-    norm * max|M| < 2**52 keeps every product and partial sum of X M an
-    integer below 2**52, exact in any summation order; after it,
-    size * max|X M| < 2**52 does the same for the trace, which must divide
-    evenly.  The new M then stays below 2**53.  Returns None as soon as a
-    check fails.  With ``norm=None``, x holds Python ints and the loop is
-    exact by construction.
+    With ``norm`` (an upper bound on the largest absolute row sum of every
+    matrix in the stack) the loop runs in float64 and certifies the whole
+    stack: before each product, norm * max|M| < 2**52 keeps every product and
+    partial sum of X M an integer below 2**52, exact in any summation order;
+    after it, size * max|X M| < 2**52 does the same for the traces.  The new
+    M then stays below 2**53; its bound for the next check uses
+    |c_k| <= size * max|X M| / (trace_scale * k) + 1.  Returns None as soon
+    as a check fails, or when a trace does not divide.  With ``norm=None``,
+    x holds Python ints and the loop is exact by construction.
     """
-    size = x.shape[0]
+    batch, size = x.shape[:-2], x.shape[-1]
+    steps = size // trace_scale
+    rows = np.empty(batch + (steps + 1,), dtype=x.dtype)
+    rows[..., 0] = 1
+    remainders = np.zeros_like(rows)
     m = np.eye(size, dtype=x.dtype)
-    bound = 1.0  # at least every |entry| of m
-    high_to_low = [1]
-    for k in range(1, size // trace_scale + 1):
+    bound = 1.0  # at least every |entry| of every m
+    for k in range(1, steps + 1):
         if norm is not None and norm * bound >= _EXACT_LIMIT:
             return None
         xm = x @ m
-        c, r = divmod(-xm.trace(), trace_scale * k)
+        diagonal = xm.reshape(batch + (-1,))[..., :: size + 1]
+        trace = diagonal.sum(axis=-1)  # a scalar for a single matrix
+        c = trace // -(trace_scale * k)
         if norm is not None:
             top = float(np.abs(xm).max())
-            if size * top >= _EXACT_LIMIT or r:
+            if size * top >= _EXACT_LIMIT:
                 return None
-            bound = top + abs(c)
-        elif r:
-            raise ArithmeticError("Faddeev-LeVerrier trace not divisible")
-        xm.flat[:: size + 1] += c
+            bound = top * (1 + size / (trace_scale * k)) + 1
+        diagonal += np.asarray(c, dtype=x.dtype)[..., None]
         m = xm
-        high_to_low.append(int(c))
-    return high_to_low
+        rows[..., k] = c
+        remainders[..., k] = trace + c * (trace_scale * k)
+    if remainders.any():
+        if norm is not None:
+            return None
+        raise ArithmeticError("Faddeev-LeVerrier trace not divisible")
+    return rows
 
 
-def _int_char_poly(a: np.ndarray, trace_scale: int = 1) -> IntPolynomial:
-    """Characteristic polynomial from the square integer matrix ``a``.
+def _int_rows(a: np.ndarray, trace_scale: int = 1) -> np.ndarray:
+    """Characteristic polynomial rows of a stack of square integer matrices.
 
     ``a`` holds int64 or Python-int (object) entries.  The certified float64
-    run comes first; if it cannot certify itself the same loop reruns on
-    Python ints copied from ``a``, never from the float copy.
+    run comes first and its rows come back as int64; if it cannot certify the
+    stack the same loop reruns on Python ints copied from ``a``, never from
+    the float copy, and the rows come back as Python ints (object).
     """
-    norm = np.abs(a).sum(axis=1).max(initial=0)
-    high_to_low = None
+    norm = np.abs(a).sum(axis=-1).max(initial=0)
     if norm < _EXACT_LIMIT:
-        high_to_low = _faddeev_leverrier(
-            a.astype(np.float64), trace_scale, float(norm)
-        )
-    if high_to_low is None:
-        high_to_low = _faddeev_leverrier(a.astype(object), trace_scale, None)
-    return IntPolynomial(high_to_low[::-1])
+        rows = _faddeev_leverrier(a.astype(np.float64), trace_scale, float(norm))
+        if rows is not None:
+            return rows.astype(np.int64)
+    return _faddeev_leverrier(a.astype(object), trace_scale, None)
 
 
 def _numpy_matrix(m: MixedGraph | HermitianMatrix) -> np.ndarray:
@@ -117,25 +130,42 @@ def _numpy_matrix(m: MixedGraph | HermitianMatrix) -> np.ndarray:
     return m.to_numpy()
 
 
-def _char_poly_of(h: np.ndarray) -> IntPolynomial:
-    """det(xI - H) via the real embedding E = [[Re H, -Im H], [Im H, Re H]].
+def _char_poly_rows(h: np.ndarray) -> np.ndarray:
+    """det(xI - H), high to low, for a stack of Hermitian H of shape (..., n, n).
 
-    E maps products to products and tr E(X) = 2 Re tr X.  Each
-    Faddeev-LeVerrier matrix M_k is a real polynomial in H, so H M_k is
-    Hermitian and its trace is real: tr(E(H) E(M_k)) = 2 tr(H M_k).  Running
-    n steps on E with every trace halved therefore yields char(H) itself.
+    Runs on the real embedding E = [[Re H, -Im H], [Im H, Re H]].  E maps
+    products to products and tr E(X) = 2 Re tr X.  Each Faddeev-LeVerrier
+    matrix M_k is a real polynomial in H, so H M_k is Hermitian and its trace
+    is real: tr(E(H) E(M_k)) = 2 tr(H M_k).  Running n steps on E with every
+    trace halved therefore yields char(H) itself.
     """
-    n = h.shape[0]
-    e = np.empty((2 * n, 2 * n), dtype=np.int64)
-    e[:n, :n] = e[n:, n:] = h.real
-    e[:n, n:] = -h.imag
-    e[n:, :n] = h.imag
-    return _int_char_poly(e, trace_scale=2)
+    n = h.shape[-1]
+    e = np.empty(h.shape[:-2] + (2 * n, 2 * n), dtype=np.int64)
+    e[..., :n, :n] = e[..., n:, n:] = h.real
+    e[..., :n, n:] = -h.imag
+    e[..., n:, :n] = h.imag
+    return _int_rows(e, trace_scale=2)
+
+
+def _poly(row: np.ndarray) -> IntPolynomial:
+    return IntPolynomial(row[::-1].tolist())
 
 
 def char_poly(m: MixedGraph | HermitianMatrix) -> IntPolynomial:
     """Characteristic polynomial det(xI - H), exact integer coefficients."""
-    return _char_poly_of(_numpy_matrix(m))
+    return _poly(_char_poly_rows(_numpy_matrix(m)))
+
+
+def char_poly_rows(graphs: Sequence[MixedGraph]) -> np.ndarray:
+    """Characteristic polynomials of graphs that share one n, in one batch.
+
+    Row i holds det(xI - H) of ``graphs[i]``, high to low: int64 when the
+    float64 certificate holds for the whole stack, else Python ints.
+    """
+    if not graphs:
+        raise ValueError("need at least one graph")
+    kinds = np.array([g.kinds for g in graphs], dtype=np.intp)
+    return _char_poly_rows(_ENTRY_ARRAY[kinds])
 
 
 def char_poly_int_matrix(rows: Sequence[Sequence[int]]) -> IntPolynomial:
@@ -144,7 +174,7 @@ def char_poly_int_matrix(rows: Sequence[Sequence[int]]) -> IntPolynomial:
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
     a = np.array([[int(x) for x in row] for row in rows], dtype=object)
-    return _int_char_poly(a.reshape(n, n))
+    return _poly(_int_rows(a.reshape(n, n)))
 
 
 @dataclass(frozen=True)
@@ -176,7 +206,7 @@ def eigenvalues(m: MixedGraph | HermitianMatrix) -> SpectralSummary:
     if n == 0:
         return SpectralSummary(0, (), IntPolynomial([1]))
     w = np.linalg.eigvalsh(h)
-    poly = _char_poly_of(h)
+    poly = _poly(_char_poly_rows(h))
     total = float(np.sum(w))
     if abs(total) > 1e-9 * max(1.0, float(np.max(np.abs(w)))) * n:
         raise RuntimeError(f"eigenvalue sum {total} violates zero trace")

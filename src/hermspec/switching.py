@@ -14,7 +14,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import _EXP_FROM_KIND, _KIND_FROM_EXP, EdgeKind, MixedGraph, underlying_graph
+from .graphs import (
+    _EXP_FROM_KIND,
+    _FLIP,
+    _KIND_FROM_EXP,
+    EdgeKind,
+    MixedGraph,
+    underlying_graph,
+)
 
 __all__ = [
     "SwitchDiagonal",
@@ -81,7 +88,7 @@ def _switched_table(m: MixedGraph, exps) -> list[list[int]]:
                 )
             ku = _KIND_FROM_EXP[e]
             table[u][v] = ku
-            table[v][u] = int(EdgeKind(ku).flipped())
+            table[v][u] = _FLIP[ku]
     return table
 
 
@@ -181,7 +188,7 @@ def random_switch(
             if k:
                 e = (_EXP_FROM_KIND[k] + g) % 4
                 table[v][w] = _KIND_FROM_EXP[e]
-                table[w][v] = int(EdgeKind(_KIND_FROM_EXP[e]).flipped())
+                table[w][v] = _FLIP[_KIND_FROM_EXP[e]]
     out = MixedGraph(n, tuple(tuple(r) for r in table))
     return out, SwitchDiagonal.from_exponents(exps)
 

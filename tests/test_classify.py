@@ -7,7 +7,8 @@ from dataclasses import replace
 import pytest
 
 from hermspec.catalog import load_builtin, sporadic_underlying
-from hermspec.census import enumerate_orientations
+import hermspec.classify as classify
+from hermspec.census import enumerate_connected_graphs, enumerate_orientations, orientation
 from hermspec.classify import (
     FORBIDDEN_SUBGRAPHS,
     Certificate,
@@ -312,6 +313,51 @@ def test_verify_returns_false_on_malformed_input():
     for vertices in [(0, 0, 1, 2), (0, 1, 2, 9), ()]:
         witness = replace(reject.witness, vertices=vertices)
         assert not replace(reject, witness=witness).verify(p4)
+
+
+def test_verify_returns_false_when_details_do_not_fit_family():
+    record = load_builtin().by_id("c4-01")
+    m = record.graph()
+    cert = classify_threshold(m)
+    assert cert.family is Family.H1 and cert.verify(m)
+    forged = [
+        replace(cert, details=None),
+        replace(cert, family=Family.H3),
+        replace(cert, family=Family.H2),
+        replace(cert, family=Family.H4),
+    ]
+    for bad in forged:
+        assert not bad.verify(m)
+
+
+def test_witness_memo_matches_uncached_spectra():
+    classify._small_witness_spectrum.cache_clear()
+    rng = random.Random(31)
+    graphs = enumerate_connected_graphs(5)
+    rejects = 0
+    for _ in range(300):
+        g = rng.choice(graphs)
+        m = orientation(g, rng.randrange(3 ** g.edge_count()))
+        cert = classify_threshold(m)
+        if cert.accepted:
+            continue
+        rejects += 1
+        w = cert.witness
+        assert w.kind != "threshold"
+        sub = induced(m, w.vertices)
+        assert w.comparison is compare_lambda_min(sub, NEG_GOLDEN)
+        assert w.lambda_min == eigenvalues(sub).lambda_min
+    info = classify._small_witness_spectrum.cache_info()
+    assert rejects > 200 and info.hits > 0 and info.misses > 0
+
+
+def test_threshold_witness_is_not_cached():
+    classify._small_witness_spectrum.cache_clear()
+    m = coalescence(complete_graph(4), 0, complete_graph(4), 0)  # s = t = 3
+    cert = classify_threshold(m)
+    assert not cert.accepted and cert.witness.kind == "threshold"
+    assert cert.verify(m)
+    assert classify._small_witness_spectrum.cache_info().currsize == 0
 
 
 def test_classify_accept_h1_catalog():

@@ -54,6 +54,25 @@ def test_kinds_table_consistency_enforced():
         MixedGraph(1, ((1,),))  # self-loop
 
 
+def test_kinds_table_validation_messages():
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        MixedGraph(2, ((0, 0), (0, 1)))
+    with pytest.raises(ValueError, match=r"bad kind 4 at pair \(0, 1\)"):
+        MixedGraph(2, ((0, 4), (4, 0)))
+    with pytest.raises(ValueError, match=r"bad kind -1 at pair \(0, 1\)"):
+        MixedGraph(2, ((0, -1), (1, 0)))
+    with pytest.raises(ValueError, match=r"inconsistent kinds at pair \(0, 1\)"):
+        MixedGraph(2, ((0, 2), (2, 0)))
+    with pytest.raises(ValueError, match=r"inconsistent kinds at pair \(1, 2\)"):
+        MixedGraph(3, ((0, 1, 0), (1, 0, 3), (0, 3, 0)))
+    for kinds in [((0, 1), (1,)), ((0, 1),), ((0, 1), (1, 0), (0, 0))]:
+        with pytest.raises(ValueError, match="kinds table must be n x n"):
+            MixedGraph(2, kinds)
+    for k in range(4):
+        flipped = int(EdgeKind(k).flipped())
+        assert MixedGraph(2, ((0, k), (flipped, 0))).kinds[1][0] == flipped
+
+
 def test_hermitian_entries():
     m = build(3, [(0, 1, "undirected"), (1, 2, "arc")])
     h = hermitian_matrix(m)

@@ -26,6 +26,7 @@ from hermspec.spectra import (
     EquitableViolation,
     char_poly,
     char_poly_int_matrix,
+    char_poly_rows,
     compare_lambda_min,
     eigenvalues,
     embed_real,
@@ -125,7 +126,7 @@ def test_float_and_integer_paths_agree():
         norm = float(np.abs(e).sum(axis=1).max())
         fast = _faddeev_leverrier(e.astype(np.float64), 2, norm)
         assert fast is not None
-        assert fast == _faddeev_leverrier(e.astype(object), 2, None)
+        assert fast.tolist() == _faddeev_leverrier(e.astype(object), 2, None).tolist()
 
 
 def test_char_poly_large_graph_uses_integer_path(monkeypatch):
@@ -139,6 +140,37 @@ def test_char_poly_large_graph_uses_integer_path(monkeypatch):
     assert char_poly(m) == p
     sq = char_poly_int_matrix(embed_real(hermitian_matrix(m)))
     assert sq.coeffs == (p * p).coeffs
+
+
+def test_batched_rows_match_scalar_char_poly():
+    rng = random.Random(21)
+    for n in range(1, 14):
+        graphs = [_random_mixed(rng, n, p=rng.uniform(0.2, 0.9)) for _ in range(6)]
+        rows = char_poly_rows(graphs)
+        assert rows.shape == (6, n + 1)
+        for g, row in zip(graphs, rows):
+            assert tuple(row[::-1].tolist()) == char_poly(g).coeffs
+    with pytest.raises(ValueError):
+        char_poly_rows([])
+    with pytest.raises(ValueError):
+        char_poly_rows([path_graph(2), path_graph(3)])
+
+
+def test_batched_rows_match_scalar_on_integer_rerun(monkeypatch):
+    # The scalar polynomials come from the certified float path.  With the
+    # certificate's limit lowered, every stack with an edge reruns on Python
+    # ints, and must give the same rows.
+    rng = random.Random(22)
+    stacks = [
+        [_random_mixed(rng, n, p=rng.uniform(0.2, 0.9)) for _ in range(4)]
+        for n in range(2, 14)
+    ]
+    expected = [[char_poly(g).coeffs for g in graphs] for graphs in stacks]
+    monkeypatch.setattr("hermspec.spectra._EXACT_LIMIT", 1.0)
+    for graphs, polys in zip(stacks, expected):
+        rows = char_poly_rows(graphs)
+        assert rows.dtype == object
+        assert [tuple(row[::-1].tolist()) for row in rows] == polys
 
 
 def test_embed_real_square_identity():
