@@ -12,10 +12,10 @@ Faddeev-LeVerrier call gives every characteristic polynomial in the block,
 compared once against -(1+sqrt5)/2 by the exact Sturm comparison, so every
 verdict stays exact while most orientations share a polynomial.
 
-The six-vertex complete graph has 3^15 = 14,348,907 orientations; these are
-handled by a vectorized path that evaluates the triangle-holonomy criterion
-and batched eigenvalue bounds in numpy, falling back to exact arithmetic
-for anything within a small margin of the threshold.
+The six-vertex complete graph has 3^15 = 14,348,907 orientations.  Its
+spectrum depends only on the switching class, which the holonomies of the
+ten triangles through vertex 0 fix, so the oracle decides the 4^10 classes
+exactly, one representative each, and looks every orientation's class up.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ import random
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, islice, permutations
 from multiprocessing import Pool
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .catalog import (
 )
 from .classify import _automorphisms, classify_threshold
 from .graphs import (
-    _ENTRY,
     _EXP_FROM_KIND,
     _FLIP,
     EdgeKind,
@@ -53,8 +53,8 @@ from .graphs import (
 )
 from .polynomials import IntPolynomial, Trichotomy
 from .quadratic import NEG_GOLDEN
-from .spectra import char_poly, char_poly_rows, compare_lambda_min, eigenvalues
-from .switching import switching_equivalent
+from .spectra import _char_poly_rows, char_poly, char_poly_rows, compare_lambda_min, eigenvalues
+from .switching import _UNIT_FROM_EXP, switching_equivalent
 
 __all__ = [
     "edge_list",
@@ -77,9 +77,6 @@ __all__ = [
 _KIND_OF_DIGIT = (
     int(EdgeKind.UNDIRECTED), int(EdgeKind.ARC_OUT), int(EdgeKind.ARC_IN)
 )
-
-#: The golden ratio threshold as a float, for numeric prescreens only.
-_GOLDEN_F = (1 + 5 ** 0.5) / 2
 
 #: Orientations per batched exact comparison.  Larger blocks find few more
 #: repeated polynomials but hold more matrices at once.
@@ -104,25 +101,29 @@ def orientation(g: MixedGraph, index: int) -> MixedGraph:
     edges = edge_list(g)
     if not 0 <= index < 3 ** len(edges):
         raise ValueError(f"orientation index {index} out of range")
-    kinds = [[0] * g.n for _ in range(g.n)]
+    return _orient(g.n, edges, index)
+
+
+def _orient(n: int, edges: tuple[tuple[int, int], ...], index: int) -> MixedGraph:
+    kinds = [[0] * n for _ in range(n)]
     rem = index
     for u, v in edges:
         kind = _KIND_OF_DIGIT[rem % 3]
         rem //= 3
         kinds[u][v] = kind
         kinds[v][u] = _FLIP[kind]
-    return MixedGraph(g.n, tuple(tuple(row) for row in kinds))
+    return MixedGraph(n, tuple(tuple(row) for row in kinds))
 
 
 def enumerate_orientations(g: MixedGraph):
     """Yield every orientation of an undirected graph (at most 16 edges)."""
     if not g.is_undirected():
         raise ValueError("can only orient an undirected graph")
-    m = g.edge_count()
-    if m > 16:
+    edges = edge_list(g)
+    if len(edges) > 16:
         raise ValueError("orientation enumeration limited to 16 edges")
-    for index in range(3 ** m):
-        yield orientation(g, index)
+    for index in range(3 ** len(edges)):
+        yield _orient(g.n, edges, index)
 
 
 def enumerate_connected_graphs(n: int) -> list[MixedGraph]:
@@ -232,15 +233,15 @@ def _blocks(graphs: Iterable[MixedGraph]) -> Iterator[list[MixedGraph]]:
         yield block
 
 
-def _exact_verdicts(block: list[MixedGraph]) -> list[Trichotomy]:
-    """Exact comparison of each graph's lambda_min against -(1+sqrt5)/2.
+def _decide(rows: np.ndarray) -> list[Trichotomy]:
+    """Exact comparison against -(1+sqrt5)/2 of the smallest root of each row.
 
-    The graphs share one n.  Their characteristic polynomials come from one
-    batched kernel call, and each distinct polynomial is decided once by the
-    exact Sturm comparison.  ``np.unique`` needs int64 rows, which the float
-    certificate gives for every graph the census meets (n <= 6).
+    Rows are characteristic polynomials, high to low, from one batched kernel
+    call; each distinct one is decided once by the exact Sturm comparison.
+    ``np.unique`` needs int64 rows, which the float certificate gives for
+    every graph the census meets (n <= 6).
     """
-    polys, inverse = np.unique(char_poly_rows(block), axis=0, return_inverse=True)
+    polys, inverse = np.unique(rows, axis=0, return_inverse=True)
     verdicts = [
         compare_lambda_min(IntPolynomial(row[::-1].tolist()), NEG_GOLDEN)
         for row in polys
@@ -264,7 +265,7 @@ def derive_scattered_catalog() -> Catalog:
         survivors = [
             m
             for block in _blocks(enumerate_orientations(g))
-            for m, exact in zip(block, _exact_verdicts(block))
+            for m, exact in zip(block, _decide(char_poly_rows(block)))
             if exact is Trichotomy.GREATER
         ]
         classes = iso_classes(survivors)
@@ -331,7 +332,6 @@ class K6Stats:
 
     total: int = 0
     accepted: int = 0
-    flagged: int = 0
     mismatches: int = 0
     subsample: int = 0
     subsample_mismatches: list[str] = field(default_factory=list)
@@ -395,7 +395,7 @@ class CensusReport:
         if self.k6 is not None:
             lines.append(
                 f"deep K_6: orientations={self.k6.total} accepted={self.k6.accepted}"
-                f" flagged={self.k6.flagged} mismatches={self.k6.mismatches}"
+                f" mismatches={self.k6.mismatches}"
                 f" subsample={self.k6.subsample}"
                 f" subsample-mismatches={len(self.k6.subsample_mismatches)}"
             )
@@ -415,7 +415,7 @@ def _tally(orientations: Iterable[MixedGraph]) -> LevelStats:
     """Classify each orientation and compare it exactly against -(1+sqrt5)/2.
 
     Every orientation must have the same n; they are taken in blocks for
-    ``_exact_verdicts``.  Counts accepts by family, rejects and exact-EQUAL
+    ``_decide``.  Counts accepts by family, rejects and exact-EQUAL
     boundaries (``n`` and ``underlying_graphs`` stay 0), and records the
     encoding of every orientation whose verdict disagrees with the exact
     comparison.  A disconnected orientation makes ``classify_threshold``
@@ -423,7 +423,7 @@ def _tally(orientations: Iterable[MixedGraph]) -> LevelStats:
     """
     stats = LevelStats(0)
     for block in _blocks(orientations):
-        for m, exact in zip(block, _exact_verdicts(block)):
+        for m, exact in zip(block, _decide(char_poly_rows(block))):
             cert = classify_threshold(m, confirm=False)
             stats.orientations += 1
             if cert.accepted:
@@ -443,70 +443,88 @@ def _tally_underlying(g: MixedGraph) -> LevelStats:
     return _tally(enumerate_orientations(g))
 
 
-# --- vectorized K_6 sweep -------------------------------------------------
+# --- K_6 sweep by switching class -----------------------------------------
 
 _K6_EDGES = tuple(combinations(range(6), 2))
 _K6_EDGE_POS = {e: i for i, e in enumerate(_K6_EDGES)}
+#: In combinations order, so the ten triangles through vertex 0 come first.
 _K6_TRIANGLES = tuple(combinations(range(6), 3))
 _K6_CHUNK = 3 ** 9  # 19,683 orientations per chunk, 3^6 chunks in total
+_K6_CLASSES = 4 ** 10
+_K6_CLASS_BLOCK = 4 ** 6
 
-#: i-exponent and Hermitian entry for orientation digits 0, 1, 2.
+#: i-exponent of orientation digits 0, 1, 2, and the unit i^h for h = 0..3.
 _DIGIT_EXP = np.array([_EXP_FROM_KIND[k] for k in _KIND_OF_DIGIT], dtype=np.int8)
-_DIGIT_VALUE = np.array([_ENTRY[k] for k in _KIND_OF_DIGIT], dtype=np.complex128)
+_UNIT = np.array(_UNIT_FROM_EXP)
 
 
-def _k6_chunk(start: int) -> tuple[int, list[int]]:
-    """Scan one chunk of K_6 orientations.
+def _k6_triangles(indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Triangle verdict and switching-class key of each K_6 orientation.
 
-    Returns (accepted, flagged indices).  An orientation is accepted when
-    all 20 of its triangles have holonomy one, decided in integer
-    arithmetic.  It is flagged when its float lambda_min lies within 1e-6 of
-    -(1+sqrt5)/2 or on the side that contradicts that verdict; the caller
-    decides the flagged ones exactly.
-
-    The unflagged ones rest on this bound: ``eigvalsh`` is backward stable,
-    so each computed eigenvalue is an exact eigenvalue of H + E with
-    ||E||_2 <= c * n * eps * ||H||_2 for a modest constant c.  By Weyl's
-    inequality it is then within that much of the true one.  Here n = 6,
-    eps = 2**-53 and ||H||_2 <= 5 (the largest absolute row sum), so the
-    error is about 1e-14, eight orders of magnitude below the margin.
+    The verdict holds when all 20 triangles (a, b, c) have holonomy one, i.e.
+    i-exponent 0 for H[a, b] H[b, c] H[c, a].  The key reads the holonomy
+    exponents of the ten triangles (0, a, b) as base-4 digits, least
+    significant first; they span the cycle space, so the key fixes the
+    switching class and with it the spectrum.
     """
-    count = min(_K6_CHUNK, 3 ** 15 - start)
-    idx = np.arange(start, start + count, dtype=np.int64)
-    digits = np.empty((count, 15), dtype=np.int8)
-    rem = idx.copy()
+    rem = np.array(indices, dtype=np.int64)
+    exps = np.empty((len(rem), 15), dtype=np.int16)
     for e in range(15):
-        digits[:, e] = rem % 3
+        exps[:, e] = _DIGIT_EXP[rem % 3]
         rem //= 3
-    exps = _DIGIT_EXP[digits].astype(np.int16)
     pos = _K6_EDGE_POS
-    accept = np.ones(count, dtype=bool)
-    for a, b, c in _K6_TRIANGLES:
-        hol = exps[:, pos[(a, b)]] + exps[:, pos[(b, c)]] - exps[:, pos[(a, c)]]
-        np.logical_and(accept, hol % 4 == 0, out=accept)
-    values = _DIGIT_VALUE[digits]
-    h = np.zeros((count, 6, 6), dtype=np.complex128)
-    for (u, v), e in pos.items():
-        h[:, u, v] = values[:, e]
-        h[:, v, u] = np.conj(values[:, e])
-    lam_min = np.linalg.eigvalsh(h)[:, 0]
-    margin = 1e-6
-    above = lam_min > -_GOLDEN_F + margin
-    below = lam_min < -_GOLDEN_F - margin
-    clear = (accept & above) | (~accept & ~above)
-    flagged = np.nonzero(~(clear & (above | below)))[0]
-    return int(accept.sum()), (idx[flagged]).tolist()
+    hol = np.stack(
+        [exps[:, pos[(a, b)]] + exps[:, pos[(b, c)]] - exps[:, pos[(a, c)]]
+         for a, b, c in _K6_TRIANGLES],
+        axis=1,
+    ) % 4
+    return ~hol.any(axis=1), hol[:, :10] @ 4 ** np.arange(10, dtype=np.int64)
+
+
+def _k6_class_matrices(keys: np.ndarray) -> np.ndarray:
+    """One Hermitian (6, 6) class representative per key.
+
+    It has entry 1 on the star at vertex 0 and i^h on (a, b), where h is the
+    key's digit for the triangle (0, a, b).  Switching by diag(i^-e_v), with
+    H[0, v] = i^e_v, takes every orientation of the class to it.  h = 2
+    gives -1, which no mixed graph has, but only the spectrum is used.
+    """
+    h = np.zeros((len(keys), 6, 6), dtype=np.complex128)
+    h[:, 0, 1:] = h[:, 1:, 0] = 1
+    for j, (a, b) in enumerate(combinations(range(1, 6), 2)):
+        h[:, a, b] = _UNIT[keys >> (2 * j) & 3]
+        h[:, b, a] = np.conj(h[:, a, b])
+    return h
+
+
+def _k6_class_block(start: int) -> list[int]:
+    """Keys in [start, start + _K6_CLASS_BLOCK) whose class has lambda_min
+    above -(1+sqrt5)/2, decided exactly by ``_decide`` (a pool task)."""
+    keys = np.arange(start, min(start + _K6_CLASS_BLOCK, _K6_CLASSES), dtype=np.int64)
+    verdicts = _decide(_char_poly_rows(_k6_class_matrices(keys)))
+    return [k for k, v in zip(keys.tolist(), verdicts) if v is Trichotomy.GREATER]
+
+
+def _k6_chunk(start: int, above: tuple[int, ...]) -> tuple[int, int]:
+    """Scan one chunk of K_6 orientations; returns (accepted, mismatches).
+
+    An orientation is accepted by its triangle verdict, and is a mismatch
+    when that verdict differs from whether its class key is in ``above``,
+    the keys of the classes that lie exactly above the threshold.
+    """
+    accept, keys = _k6_triangles(range(start, min(start + _K6_CHUNK, 3 ** 15)))
+    return int(accept.sum()), int((accept != np.isin(keys, above)).sum())
 
 
 def _k6_sweep(pmap: Callable, rng: random.Random, subsample: int) -> K6Stats:
+    blocks = pmap(_k6_class_block, range(0, _K6_CLASSES, _K6_CLASS_BLOCK))
+    above = tuple(key for keys in blocks for key in keys)
     stats = K6Stats(total=3 ** 15)
-    flagged: list[int] = []
-    for accepted, indices in pmap(_k6_chunk, range(0, 3 ** 15, _K6_CHUNK)):
+    chunks = pmap(partial(_k6_chunk, above=above), range(0, 3 ** 15, _K6_CHUNK))
+    for accepted, mismatches in chunks:
         stats.accepted += accepted
-        flagged.extend(indices)
-    stats.flagged = len(flagged)
+        stats.mismatches += mismatches
     k6 = complete_graph(6)
-    stats.mismatches = len(_tally(orientation(k6, i) for i in flagged).mismatches)
     drawn = _tally(orientation(k6, rng.randrange(3 ** 15)) for _ in range(subsample))
     stats.subsample = drawn.orientations
     stats.subsample_mismatches = drawn.mismatches
@@ -523,7 +541,6 @@ def _deep_family_graphs() -> list[tuple[str, MixedGraph]]:
 
 def verify_main_theorem(
     n_max: int = 5,
-    deep: bool = False,
     sample: int = 10000,
     seed: int = 0,
     jobs: int = 1,
@@ -531,16 +548,13 @@ def verify_main_theorem(
     """Check the structural classifier against exact eigenvalue comparisons.
 
     Exhausts every orientation of every connected underlying graph with up
-    to min(n_max, 5) vertices.  The six-vertex deep sweep (requested by
-    ``deep=True`` or ``n_max=6``) additionally exhausts the six-vertex
-    family graphs (K_6 via the vectorized path, the two clique
-    coalescences, K_{2,4} plus two edges) and runs ``sample`` seeded random
-    spot checks across all 112 connected six-vertex graphs.
+    to min(n_max, 5) vertices.  With ``n_max=6`` the six-vertex deep sweep
+    also exhausts the six-vertex family graphs (K_6 by switching class, the
+    two clique coalescences, K_{2,4} plus two edges) and runs ``sample``
+    seeded random spot checks across all 112 connected six-vertex graphs.
     """
     if not 1 <= n_max <= 6:
         raise ValueError("census covers 1 <= n_max <= 6")
-    if n_max == 6:
-        deep = True
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     t0 = time.monotonic()
@@ -562,7 +576,7 @@ def verify_main_theorem(
                 level.mismatches.extend(part.mismatches)
             level.mismatches.sort()
             levels.append(level)
-        if deep:
+        if n_max == 6:
             rng = random.Random(seed)
             labels, graphs = zip(*_deep_family_graphs())
             for label, part in zip(labels, pmap(_tally_underlying, graphs)):
@@ -583,7 +597,7 @@ def verify_main_theorem(
             )
     return CensusReport(
         n_max=n_max,
-        deep=deep,
+        deep=n_max == 6,
         levels=levels,
         deep_levels=deep_levels,
         k6=k6_stats,

@@ -38,7 +38,6 @@ from .graphs import (
     induced,
     is_connected,
     join,
-    make_knst,
     path_graph,
     star_graph,
     underlying_graph,
@@ -509,20 +508,7 @@ class Certificate:
         """
         if self.accepted:
             if self.family is Family.H3 and isinstance(self.details, H3Details):
-                knst = self.details.knst
-                order = knst.s_side + knst.t_side
-                if (
-                    sorted(order) != list(range(m.n))
-                    or (len(knst.s_side), len(knst.t_side)) != (knst.s, knst.t)
-                ):
-                    return False
-                perm = [0] * m.n
-                for pos, v in enumerate(order):
-                    perm[v] = pos
-                return (
-                    switching_equivalent(m.relabel(perm), make_knst(knst.s, knst.t))
-                    is not None
-                )
+                return recognize_knst(m) == self.details.knst
             if self.family in (Family.H2, Family.H4) and isinstance(
                 self.details, H2H4Details
             ):

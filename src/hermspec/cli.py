@@ -7,7 +7,8 @@ spectrum FILE   eigenvalues, characteristic polynomial and exact threshold
 classify FILE   structural verdict against the -(1+sqrt5)/2 threshold
                 (exit 0 accept, 1 reject, 2 error)
 equiv A B       switching equivalence witness between two mixed graphs
-verify          exhaustive classifier-vs-exact census (see --nmax, --deep)
+verify          exhaustive classifier-vs-exact census; --nmax 6 adds the
+                six-vertex deep sweep
 catalog         regenerate the scattered-orientation catalog
 
 All output is deterministic; randomized census sampling is controlled by
@@ -85,7 +86,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     report = verify_main_theorem(
         n_max=args.nmax,
-        deep=args.deep,
         sample=args.sample,
         seed=args.seed,
         jobs=args.jobs,
@@ -133,7 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustive classifier census")
     p.add_argument("--nmax", type=int, default=5, help="exhaust up to n vertices (<= 6)")
-    p.add_argument("--deep", action="store_true", help="include the six-vertex sweep")
     p.add_argument("--sample", type=int, default=10000, help="six-vertex random samples")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")

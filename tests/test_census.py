@@ -28,7 +28,7 @@ from hermspec.graphs import (
     path_graph,
     underlying_graph,
 )
-from hermspec.spectra import char_poly
+from hermspec.spectra import _char_poly_rows, char_poly
 
 
 def test_orientation_indexing():
@@ -146,3 +146,28 @@ def test_census_pool_matches_serial():
         return [line for line in report.text().splitlines() if not line.startswith("elapsed:")]
 
     assert body(verify_main_theorem(n_max=4, jobs=2)) == body(verify_main_theorem(n_max=4))
+
+
+def test_k6_class_representatives_share_the_spectrum():
+    # The key digits come from graphs._EXP_FROM_KIND and orientation() reads
+    # graphs._ENTRY; equal char polys tie the two tables together.
+    rng = random.Random(6)
+    indices = [rng.randrange(3 ** 15) for _ in range(600)]
+    _, keys = census._k6_triangles(indices)
+    rows = _char_poly_rows(census._k6_class_matrices(keys))
+    k6 = complete_graph(6)
+    for i, row in zip(indices, rows):
+        assert char_poly(orientation(k6, i)).coeffs == tuple(row[::-1].tolist())
+
+
+def test_k6_class_table_and_chunk():
+    assert census._k6_class_block(0) == [0]
+    # The first chunk holds 7 of the 63 K_6[s,t] forms, all of class 0.
+    assert census._k6_chunk(0, above=(0,)) == (7, 0)
+    assert census._k6_chunk(0, above=()) == (7, 7)
+    # Orientation 1 (one arc, 0 -> 1) fails its triangles; listing its class
+    # as above the threshold must show up as a mismatch.
+    _, (key,) = census._k6_triangles([1])
+    assert key == 1 + 4 + 16 + 64
+    accepted, mismatches = census._k6_chunk(0, above=(0, key))
+    assert accepted == 7 and mismatches >= 1

@@ -234,8 +234,7 @@ def test_classify_accept_h3():
     assert cert.comparison is Trichotomy.GREATER
     assert cert.summary() == "accept H3 s=4 t=3"
     assert cert.verify(make_knst(4, 3))
-    # K_7 itself would verify too (it is switching equivalent); a graph with
-    # a different underlying shape must not.
+    # A graph with a different underlying shape must not verify.
     assert not cert.verify(path_graph(7))
     single = classify_threshold(build(1, []))
     assert single.accepted and single.family is Family.H3
@@ -291,6 +290,23 @@ def test_verify_h3_requires_a_partition():
     assert not forge(3, 2, (0, 0, 1), (3, 4)).verify(m)
     assert not forge(3, 2, (0, 1), (3, 4)).verify(m)
     assert not forge(2, 3, (0, 1, 2), (3, 4)).verify(m)
+
+
+def test_verify_h3_requires_the_true_split():
+    # Every s/t split of K_n[s,t] is switching equivalent to K_n, so only the
+    # split the graph's arcs actually show may verify.
+    m = make_knst(4, 3)
+    cert = classify_threshold(m)
+    assert cert.verify(m)
+    for s_side, t_side in [
+        (tuple(range(7)), ()),
+        ((0, 1), (2, 3, 4, 5, 6)),
+        ((4, 5, 6), (0, 1, 2, 3)),
+    ]:
+        knst = KnstMatch(len(s_side), len(t_side), s_side, t_side)
+        assert not replace(cert, details=H3Details(knst)).verify(m)
+    assert not cert.verify(complete_graph(7))
+    assert not cert.verify(make_knst(3, 4))
 
 
 def test_verify_returns_false_on_malformed_input():
@@ -409,6 +425,31 @@ def test_classify_reject_witnesses():
     assert cert5.witness.kind == "threshold"
     assert cert5.witness.comparison is Trichotomy.LESS
     assert cert5.verify(big)
+
+
+def test_classify_invariant_under_random_switch():
+    # Switching keeps the spectrum, so it must keep the verdict and family.
+    rng = random.Random(44)
+    graphs = [
+        orientation(g, rng.randrange(3 ** g.edge_count()))
+        for n in range(2, 6)
+        for g in enumerate_connected_graphs(n)
+        for _ in range(4)
+    ]
+    graphs += [make_knst(s, t) for s, t in [(1, 1), (3, 2), (4, 3), (2, 5)]]
+    graphs += [
+        coalescence(make_knst(s1, t1), 0, make_knst(s2, t2), 0)
+        for s1, t1, s2, t2 in [(2, 1, 2, 0), (3, 1, 1, 1), (2, 2, 2, 1), (4, 2, 1, 2)]
+    ]
+    graphs += [record.graph() for record in load_builtin().records[::4]]
+    families = Counter()
+    for m in graphs:
+        cert = classify_threshold(m)
+        families[cert.family] += 1
+        for _ in range(3):
+            other = classify_threshold(random_switch(m, rng)[0])
+            assert (other.accepted, other.family) == (cert.accepted, cert.family)
+    assert set(families) == {None, Family.H1, Family.H2, Family.H3, Family.H4}
 
 
 def test_classify_input_validation():
