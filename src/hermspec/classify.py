@@ -42,7 +42,7 @@ from .graphs import (
     star_graph,
     underlying_graph,
 )
-from .polynomials import Trichotomy, compare_min_root
+from .polynomials import Trichotomy
 from .quadratic import NEG_GOLDEN, NEG_SQRT2
 from .spectra import compare_lambda_min, eigenvalues, f_cubic
 from .switching import SwitchDiagonal, apply_switch, switching_equivalent
@@ -238,11 +238,33 @@ def find_forbidden_triangle(m: MixedGraph) -> tuple[int, int, int] | None:
 
 
 def find_forbidden_quadrangle(m: MixedGraph) -> tuple[int, int, int, int] | None:
-    """First induced quadrangle whose holonomy is not -1."""
-    for vs in combinations(range(m.n), 4):
-        cyc = _cycle_order4(m, vs)
-        if cyc is not None and _holonomy_exp(m, *cyc) != 2:
-            return cyc
+    """First induced quadrangle whose holonomy is not -1.
+
+    Returns ``_cycle_order4(m, vs)`` for the lexicographically smallest
+    sorted vertex set ``vs`` that induces such a quadrangle, or None.
+    Quadrangles are listed from their diagonals: for a < c non-adjacent,
+    every non-adjacent pair b < d of common neighbours above a closes the
+    induced quadrangle a-b-c-d, whose smallest vertex is a.  The first a
+    with a forbidden quadrangle therefore holds the smallest set.
+    """
+    n = m.n
+    adj = [sum(1 << v for v in range(n) if row[v]) for row in m.kinds]
+    for a in range(n):
+        above = -1 << (a + 1)
+        found = []
+        for c in range(a + 1, n):
+            if adj[a] >> c & 1:
+                continue
+            common = adj[a] & adj[c] & above
+            if not common & (common - 1):  # fewer than two common neighbours
+                continue
+            mids = [v for v in range(a + 1, n) if common >> v & 1]
+            for i, b in enumerate(mids):
+                for d in mids[i + 1:]:
+                    if not adj[b] >> d & 1 and _holonomy_exp(m, a, b, c, d) != 2:
+                        found.append(tuple(sorted((a, b, c, d))))
+        if found:
+            return _cycle_order4(m, min(found))
     return None
 
 
@@ -530,7 +552,7 @@ class Certificate:
                     if recognize_knst(induced(m, block)) != knst:
                         return False
                 return (
-                    compare_min_root(f_cubic(det.s, det.t), NEG_GOLDEN)
+                    compare_lambda_min(f_cubic(det.s, det.t), NEG_GOLDEN)
                     is Trichotomy.GREATER
                 )
             if self.family is Family.H1 and isinstance(self.details, H1Details):
@@ -606,20 +628,34 @@ def _small_witness_spectrum(
     return _witness_spectrum(MixedGraph(len(kinds), kinds))
 
 
+@lru_cache(maxsize=128)
+def _cycle_pattern(kinds: tuple[tuple[int, ...], ...]) -> str:
+    """Triangle type or quadrangle tag of a kind table in cyclic order.
+
+    There are 27 mixed triangles and 81 mixed quadrangles of this form.
+    """
+    q = MixedGraph(len(kinds), kinds)
+    return triangle_type(q).value if q.n == 3 else quad_class(q).tag.value
+
+
 def _witness_from_subgraph(
-    m: MixedGraph, kind: str, pattern: str, vertices: tuple[int, ...]
+    m: MixedGraph, kind: str, vertices: tuple[int, ...], pattern: str | None = None
 ) -> RejectWitness:
     """Reject witness on ``vertices``; the whole graph for kind "threshold".
 
     Triangle, quadrangle and forbidden-subgraph witnesses have at most five
     vertices and few distinct kind tables, so their spectra are memoized; a
-    threshold witness is as large as the graph and is never cached.
+    threshold witness is as large as the graph and is never cached.  Without
+    ``pattern``, a triangle or quadrangle (in cyclic order) is named from its
+    kind table.
     """
     if kind == "threshold":
         comparison, lam = _witness_spectrum(m)
     else:
         kinds = tuple(tuple(m.kinds[u][v] for v in vertices) for u in vertices)
         comparison, lam = _small_witness_spectrum(kinds)
+        if pattern is None:
+            pattern = _cycle_pattern(kinds)
     return RejectWitness(kind, pattern, vertices, comparison, lam)
 
 
@@ -688,19 +724,13 @@ def classify_threshold(m: MixedGraph, confirm: bool = True) -> Certificate:
         raise ValueError("classification expects a connected graph")
     tri = find_forbidden_triangle(m)
     if tri is not None:
-        ttype = triangle_type(induced(m, tri))
         return Certificate(
-            False, None, None,
-            _witness_from_subgraph(m, "triangle", ttype.value, tri),
-            None, m.n,
+            False, None, None, _witness_from_subgraph(m, "triangle", tri), None, m.n
         )
     quad = find_forbidden_quadrangle(m)
     if quad is not None:
-        qtag = quad_class(induced(m, quad)).tag
         return Certificate(
-            False, None, None,
-            _witness_from_subgraph(m, "quadrangle", qtag.value, quad),
-            None, m.n,
+            False, None, None, _witness_from_subgraph(m, "quadrangle", quad), None, m.n
         )
     g = underlying_graph(m)
     fam = underlying_family(g)
@@ -710,7 +740,7 @@ def classify_threshold(m: MixedGraph, confirm: bool = True) -> Certificate:
             if hit is not None:
                 return Certificate(
                     False, None, None,
-                    _witness_from_subgraph(m, "forbidden-subgraph", name, hit),
+                    _witness_from_subgraph(m, "forbidden-subgraph", hit, name),
                     None, m.n,
                 )
         raise RuntimeError(
@@ -725,11 +755,11 @@ def classify_threshold(m: MixedGraph, confirm: bool = True) -> Certificate:
         return Certificate(True, Family.H3, H3Details(match), None, comparison, m.n)
     if fam.label == "two-cliques":
         c1, c2 = fam.parts
-        bound = compare_min_root(f_cubic(fam.s, fam.t), NEG_GOLDEN)
+        bound = compare_lambda_min(f_cubic(fam.s, fam.t), NEG_GOLDEN)
         if bound is not Trichotomy.GREATER:
             return Certificate(
                 False, None, None,
-                _witness_from_subgraph(m, "threshold", "two-cliques", tuple(range(m.n))),
+                _witness_from_subgraph(m, "threshold", tuple(range(m.n)), "two-cliques"),
                 None, m.n,
             )
         block1 = (fam.cut_vertex,) + c1

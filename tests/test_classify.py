@@ -3,11 +3,13 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
 from hermspec.catalog import load_builtin, sporadic_underlying
 import hermspec.classify as classify
+import hermspec.spectra as spectra
 from hermspec.census import enumerate_connected_graphs, enumerate_orientations, orientation
 from hermspec.classify import (
     FORBIDDEN_SUBGRAPHS,
@@ -44,13 +46,14 @@ from hermspec.graphs import (
     cycle_graph,
     disjoint_union,
     induced,
+    join,
     make_knst,
     path_graph,
     star_graph,
 )
 from hermspec.polynomials import Trichotomy
 from hermspec.quadratic import NEG_GOLDEN
-from hermspec.spectra import compare_lambda_min, eigenvalues
+from hermspec.spectra import compare_lambda_min, eigenvalues, f_cubic
 from hermspec.switching import SwitchDiagonal, random_switch
 
 
@@ -124,6 +127,91 @@ def test_forbidden_scans():
         [(0, 1, "arc"), (1, 2, "arc"), (2, 3, "undirected"), (0, 3, "undirected")],
     )
     assert all_quads_safe(safe_quad)
+
+
+def _quadrangle_by_subsets(m):
+    """Reference scan: the first 4-subset, in combinations order, that
+    induces a quadrangle whose holonomy is not -1."""
+    for vs in combinations(range(m.n), 4):
+        cyc = classify._cycle_order4(m, vs)
+        if cyc is not None and classify._holonomy_exp(m, *cyc) != 2:
+            return cyc
+    return None
+
+
+def _random_mixed(rng, n, density):
+    edges = []
+    for u, v in combinations(range(n), 2):
+        if rng.random() < density:
+            roll = rng.randrange(3)
+            edges.append((u, v, "undirected") if roll == 0 else
+                         (u, v, "arc") if roll == 1 else (v, u, "arc"))
+    return build(n, edges)
+
+
+def test_quadrangle_search_matches_subset_scan():
+    graphs = [
+        m for n in range(1, 6) for g in enumerate_connected_graphs(n)
+        for m in enumerate_orientations(g)
+    ]
+    rng = random.Random(47)
+    for _ in range(1500):
+        graphs.append(_random_mixed(rng, rng.randint(4, 12), rng.uniform(0.1, 0.9)))
+    for n in range(1, 13):
+        graphs.append(complete_graph(n))
+        graphs.append(random_switch(make_knst(n // 2, n - n // 2), rng)[0])
+    for half in range(2, 7):
+        kmm = join(build(half, []), build(half, []))
+        graphs.append(kmm)
+        for _ in range(20):
+            graphs.append(random_switch(kmm, rng)[0])
+            oriented = _random_mixed(rng, 2 * half, 1.0)
+            graphs.append(build(2 * half, [
+                (u, v, kind) for u, v, kind in oriented.edges()
+                if kmm.kinds[u][v] and rng.random() < 0.9
+            ]))
+    found = 0
+    for m in graphs:
+        want = _quadrangle_by_subsets(m)
+        assert find_forbidden_quadrangle(m) == want
+        found += want is not None
+    assert found > 1000
+
+
+def test_reject_patterns_named_from_kind_table():
+    seen = set()
+    for g in enumerate_connected_graphs(4):
+        for m in enumerate_orientations(g):
+            w = classify_threshold(m).witness
+            if w is None or w.kind not in ("triangle", "quadrangle"):
+                continue
+            sub = induced(m, w.vertices)
+            name = triangle_type(sub).value if w.kind == "triangle" else quad_class(sub).tag.value
+            assert w.pattern == name
+            seen.add(name)
+    assert len(seen) == 4 + 2  # forbidden triangle types, plus-one and imaginary
+
+
+def test_block_bound_runs_sturm_once_per_block_size(monkeypatch):
+    sturm_runs = []
+    sturm = spectra.compare_min_root
+
+    def counting(poly, c):
+        sturm_runs.append(poly)
+        return sturm(poly, c)
+
+    monkeypatch.setattr(spectra, "compare_min_root", counting)
+    spectra._compare_cached.cache_clear()
+    h4s = [
+        coalescence(make_knst(3, 1), 0, complete_graph(2), 0),
+        coalescence(make_knst(2, 2), 1, complete_graph(2), 1),
+    ]
+    for m in h4s:
+        cert = classify_threshold(m, confirm=False)
+        assert cert.family is Family.H4 and (cert.details.s, cert.details.t) == (3, 1)
+        assert cert.verify(m)
+    assert sturm_runs == [f_cubic(3, 1)]
+    spectra._compare_cached.cache_clear()
 
 
 def test_recognize_knst_positive():
