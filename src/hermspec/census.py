@@ -38,7 +38,7 @@ from .catalog import (
     SPORADIC_LABELS,
     sporadic_underlying,
 )
-from .classify import _automorphisms, classify_threshold
+from .classify import _automorphisms, _embeddings, classify_threshold
 from .graphs import (
     _EXP_FROM_KIND,
     _FLIP,
@@ -189,20 +189,18 @@ class DedupClass:
 def dedup_classes(graphs: list[MixedGraph]) -> list[DedupClass]:
     """Partition graphs under combined vertex relabeling and switching.
 
-    All inputs must share a vertex count n <= 8 (the test tries all n!
-    relabelings).  Classes are returned sorted by representative encoding;
-    the representative is the minimal encoding within the class.  Graphs
-    with different characteristic polynomials are never equivalent, which
-    prunes most pairwise tests.
+    All inputs must share a vertex count.  Switching never changes the
+    underlying graph, so the only relabelings tried are the isomorphisms
+    between underlying graphs.  Classes are returned sorted by
+    representative encoding; the representative is the minimal encoding
+    within the class.  Graphs with different characteristic polynomials are
+    never equivalent, which prunes most pairwise tests.
     """
     if not graphs:
         return []
     n = graphs[0].n
-    if n > 8:
-        raise ValueError("combined dedup limited to n <= 8")
     if any(g.n != n for g in graphs):
         raise ValueError("all graphs must share a vertex count")
-    perms = list(permutations(range(n)))
     buckets: dict[tuple[int, ...], list[list[MixedGraph]]] = {}
     for g in graphs:
         key = char_poly(g).coeffs
@@ -210,8 +208,8 @@ def dedup_classes(graphs: list[MixedGraph]) -> list[DedupClass]:
         for members in classes:
             rep = members[0]
             if any(
-                switching_equivalent(g.relabel(list(p)), rep) is not None
-                for p in perms
+                switching_equivalent(g.relabel(p), rep) is not None
+                for p in _embeddings(rep, g)
             ):
                 members.append(g)
                 break

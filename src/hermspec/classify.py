@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
+from typing import Iterator
 
 from .catalog import load_builtin, sporadic_underlying
 from .graphs import (
@@ -33,7 +34,6 @@ from .graphs import (
     build,
     complete_graph,
     connected_components,
-    decode,
     disjoint_union,
     induced,
     is_connected,
@@ -334,39 +334,51 @@ def recognize_knst(m: MixedGraph) -> KnstMatch | NotKnst:
     return KnstMatch(len(s_side), len(t_side), tuple(s_side), tuple(t_side))
 
 
+def _embeddings(g: MixedGraph, pattern: MixedGraph) -> Iterator[tuple[int, ...]]:
+    """Every induced embedding of ``pattern``'s underlying graph in ``g``'s.
+
+    An embedding lists distinct g-vertices, one per pattern vertex, adjacent
+    exactly where the pattern's are.  Pattern vertex 0, 1, ... is assigned in
+    turn, trying g-vertices in ascending order, so embeddings come out in
+    lexicographic order; ``_embeddings(g, g)`` yields the automorphisms of g's
+    underlying graph in ``itertools.permutations`` order.
+    """
+    k, n = pattern.n, g.n
+    chosen: list[int] = []
+    cand = 0
+    while True:
+        i = len(chosen)
+        if i == k or cand == n:
+            if i == k:
+                yield tuple(chosen)
+            if not chosen:
+                return
+            cand = chosen.pop() + 1
+            continue
+        if cand not in chosen:
+            row, kc = pattern.kinds[i], g.kinds[cand]
+            for j, cj in enumerate(chosen):
+                if (row[j] != 0) != (kc[cj] != 0):
+                    break
+            else:
+                chosen.append(cand)
+                cand = 0
+                continue
+        cand += 1
+
+
 def find_induced(g: MixedGraph, pattern: MixedGraph) -> tuple[int, ...] | None:
     """Vertices of an induced undirected subgraph isomorphic to ``pattern``.
 
     Both graphs must be undirected; the pattern is limited to 6 vertices.
-    Returns g-vertices ordered to match the pattern's labels, or None.
+    Returns the lexicographically first embedding: g-vertices ordered to
+    match the pattern's labels, or None.
     """
     if pattern.n > 6:
         raise ValueError("pattern limited to 6 vertices")
     if not g.is_undirected() or not pattern.is_undirected():
         raise ValueError("induced-subgraph search works on undirected graphs")
-    k, n = pattern.n, g.n
-    chosen: list[int] = []
-
-    def extend() -> bool:
-        i = len(chosen)
-        if i == k:
-            return True
-        for cand in range(n):
-            if cand in chosen:
-                continue
-            ok = True
-            for j, cj in enumerate(chosen):
-                if (pattern.kinds[i][j] != 0) != (g.kinds[cand][cj] != 0):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(cand)
-                if extend():
-                    return True
-                chosen.pop()
-        return False
-
-    return tuple(chosen) if extend() else None
+    return next(_embeddings(g, pattern), None)
 
 
 @dataclass(frozen=True)
@@ -511,6 +523,11 @@ class H3Details:
     knst: KnstMatch
 
 
+def _all_ints(values: tuple) -> bool:
+    """Whether every value can stand as a vertex index."""
+    return all(isinstance(v, int) for v in values)
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Verdict of classify_threshold with re-checkable evidence."""
@@ -526,7 +543,7 @@ class Certificate:
         """Re-check the certificate against the graph it was issued for.
 
         Returns False, never raises, for a malformed certificate, such as
-        details of another family's type.
+        details of another family's type or a vertex index that is not an int.
         """
         if self.accepted:
             if self.family is Family.H3 and isinstance(self.details, H3Details):
@@ -535,6 +552,8 @@ class Certificate:
                 self.details, H2H4Details
             ):
                 det = self.details
+                if not _all_ints((det.cut_vertex, *det.block1, *det.block2)):
+                    return False
                 cut = (det.cut_vertex,)
                 if det.block1[:1] != cut or det.block2[:1] != cut:
                     return False
@@ -557,7 +576,7 @@ class Certificate:
                 )
             if self.family is Family.H1 and isinstance(self.details, H1Details):
                 record = load_builtin().by_id(self.details.catalog_id)
-                if record is None:
+                if record is None or not _all_ints(self.details.perm):
                     return False
                 try:
                     relabeled = m.relabel(list(self.details.perm))
@@ -566,7 +585,7 @@ class Certificate:
                     return False
                 return switched == record.graph()
             return False
-        if self.witness is None:
+        if self.witness is None or not _all_ints(self.witness.vertices):
             return False
         try:
             if self.witness.kind == "threshold":
@@ -662,7 +681,7 @@ def _witness_from_subgraph(
 def _match_catalog(m: MixedGraph, label: str) -> H1Details | None:
     catalog = load_builtin()
     canon = catalog.underlying_graph(label)
-    iso = find_induced(underlying_graph(m), underlying_graph(canon))
+    iso = find_induced(underlying_graph(m), canon)
     if iso is None:
         return None
     # iso maps canon labels to m vertices; invert to relabel m onto canon.
@@ -672,7 +691,7 @@ def _match_catalog(m: MixedGraph, label: str) -> H1Details | None:
     relabeled = m.relabel(base)
     for record in catalog.by_underlying(label):
         target = record.graph()
-        for aut in _automorphisms(underlying_graph(canon)):
+        for aut in _automorphisms(canon):
             candidate = relabeled.relabel(list(aut))
             d = switching_equivalent(candidate, target)
             if d is not None:
@@ -682,28 +701,12 @@ def _match_catalog(m: MixedGraph, label: str) -> H1Details | None:
 
 
 @lru_cache(maxsize=256)
-def _automorphisms_cached(encoded: str, n: int) -> tuple[tuple[int, ...], ...]:
-    g = decode(n, encoded)
-    outs = []
-    for perm in permutations(range(n)):
-        ok = True
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (g.kinds[u][v] != 0) != (g.kinds[perm[u]][perm[v]] != 0):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            outs.append(perm)
-    return tuple(outs)
-
-
 def _automorphisms(g: MixedGraph) -> tuple[tuple[int, ...], ...]:
-    """All adjacency-preserving relabelings of an undirected graph (n <= 8)."""
-    if g.n > 8:
-        raise ValueError("automorphism enumeration limited to n <= 8")
-    return _automorphisms_cached(g.encode(), g.n)
+    """Automorphisms of g's underlying graph in ``itertools.permutations`` order.
+
+    The order fixes which one ``_match_catalog`` puts into an H1 ``perm``.
+    """
+    return tuple(_embeddings(g, g))
 
 
 def classify_threshold(m: MixedGraph, confirm: bool = True) -> Certificate:

@@ -17,7 +17,7 @@ their tail.
 
 from __future__ import annotations
 
-from .graphs import EdgeKind, MixedGraph, build
+from .graphs import EdgeKind, MixedGraph
 
 __all__ = ["MgParseError", "parse_mgfile", "serialize_mgfile"]
 
@@ -37,8 +37,7 @@ def _strip(raw: str) -> str:
 def parse_mgfile(text: str) -> MixedGraph:
     lines = text.splitlines()
     n: int | None = None
-    header_line = 0
-    edges: list[tuple[int, int, EdgeKind]] = []
+    table: list[list[int]] = []
     seen: dict[tuple[int, int], int] = {}
     for i, raw in enumerate(lines, start=1):
         content = _strip(raw)
@@ -54,7 +53,7 @@ def parse_mgfile(text: str) -> MixedGraph:
                 raise MgParseError(i, f"bad vertex count {parts[1]!r}") from None
             if n < 0:
                 raise MgParseError(i, "vertex count must be nonnegative")
-            header_line = i
+            table = [[0] * n for _ in range(n)]
             continue
         parts = content.split()
         if len(parts) != 3 or parts[1] not in ("--", "->"):
@@ -74,15 +73,12 @@ def parse_mgfile(text: str) -> MixedGraph:
             )
         seen[key] = i
         if parts[1] == "--":
-            edges.append((u, v, EdgeKind.UNDIRECTED))
+            table[u][v] = table[v][u] = int(EdgeKind.UNDIRECTED)
         else:
-            edges.append((u, v, EdgeKind.ARC_OUT))
+            table[u][v], table[v][u] = int(EdgeKind.ARC_OUT), int(EdgeKind.ARC_IN)
     if n is None:
         raise MgParseError(max(len(lines), 1), "missing 'mixedgraph <n>' header")
-    try:
-        return build(n, edges)
-    except ValueError as exc:  # pragma: no cover - guarded by checks above
-        raise MgParseError(header_line, str(exc)) from None
+    return MixedGraph(n, tuple(tuple(row) for row in table))
 
 
 def serialize_mgfile(m: MixedGraph) -> str:

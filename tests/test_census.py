@@ -93,9 +93,10 @@ def test_dedup_classes_triangles_and_quads():
 
 
 def test_dedup_classes_knst_all_equivalent():
-    graphs = [make_knst(s, 5 - s) for s in range(6)]
-    out = dedup_classes(graphs)
-    assert len(out) == 1 and len(out[0].members) == 6
+    for n in (5, 9):
+        graphs = [make_knst(s, n - s) for s in range(n + 1)]
+        out = dedup_classes(graphs)
+        assert len(out) == 1 and len(out[0].members) == n + 1
 
 
 def test_dedup_classes_validation():

@@ -282,6 +282,23 @@ def test_find_induced():
         find_induced(complete_graph(7), complete_graph(7))
 
 
+def test_automorphisms_match_permutation_filter():
+    from itertools import permutations
+
+    graphs = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
+    graphs += list(sporadic_underlying().values())
+    for g in graphs:
+        n = g.n
+        want = tuple(
+            p for p in permutations(range(n))
+            if all(
+                (g.kinds[u][v] != 0) == (g.kinds[p[u]][p[v]] != 0)
+                for u in range(n) for v in range(u + 1, n)
+            )
+        )
+        assert classify._automorphisms(g) == want
+
+
 def test_cograph_join_split():
     split = cograph_join_split(cycle_graph(4))
     assert isinstance(split, JoinSplit)
@@ -407,14 +424,27 @@ def test_verify_returns_false_on_malformed_input():
         replace(cert.details, diagonal=SwitchDiagonal.identity(m.n - 1)),
         # -1 at vertex 0 turns its undirected edges into -1 entries.
         replace(cert.details, diagonal=SwitchDiagonal([-1] + [1] * (m.n - 1))),
+        replace(cert.details, perm=tuple(float(v) for v in cert.details.perm)),
     ]
     for details in bad_details:
         assert not replace(cert, details=details).verify(m)
 
+    h4 = coalescence(complete_graph(4), 0, complete_graph(2), 0)
+    cert = classify_threshold(h4)
+    assert cert.family is Family.H4 and cert.verify(h4)
+    det = cert.details
+    bad_details = [
+        replace(det, cut_vertex=float(det.cut_vertex)),
+        replace(det, block1=det.block1[:1] + (float(det.block1[1]),) + det.block1[2:]),
+        replace(det, block2=det.block2[:1] + (str(det.block2[1]),)),
+    ]
+    for details in bad_details:
+        assert not replace(cert, details=details).verify(h4)
+
     p4 = path_graph(4)
     reject = classify_threshold(p4)
     assert reject.witness.vertices == (0, 1, 2, 3) and reject.verify(p4)
-    for vertices in [(0, 0, 1, 2), (0, 1, 2, 9), ()]:
+    for vertices in [(0, 0, 1, 2), (0, 1, 2, 9), (), (0.0, 1, 2, 3), ("0", 1, 2, 3)]:
         witness = replace(reject.witness, vertices=vertices)
         assert not replace(reject, witness=witness).verify(p4)
 
