@@ -6,16 +6,21 @@ to five vertices, plus targeted six-vertex sweeps), compares the structural
 classifier against the exact eigenvalue comparison for every single graph,
 and derives the pinned catalog of scattered orientations from scratch.
 
-The oracle decides graphs in blocks of 3^5 of one vertex count.  One batched
-Faddeev-LeVerrier call gives every characteristic polynomial in the block,
-``np.unique`` finds the distinct ones, and each distinct polynomial is
-compared once against -(1+sqrt5)/2 by the exact Sturm comparison, so every
-verdict stays exact while most orientations share a polynomial.
+The spectrum of a mixed graph depends only on its switching class, which the
+holonomies around a cycle basis fix (Reff, LAA 436 (2012); Guo & Mohar, JGT
+85 (2017)).  Every exhaustive sweep over one underlying graph therefore keys
+each orientation by the holonomies of its cotree edges, with respect to a
+BFS spanning tree from vertex 0, and decides each class once: one batched
+Faddeev-LeVerrier call over class representatives gives their characteristic
+polynomials, ``np.unique`` finds the distinct ones, and each distinct
+polynomial is compared once against -(1+sqrt5)/2 by the exact Sturm
+comparison.  Random samples, which share few classes, are decided the same
+way in blocks of orientations.
 
-The six-vertex complete graph has 3^15 = 14,348,907 orientations.  Its
-spectrum depends only on the switching class, which the holonomies of the
-ten triangles through vertex 0 fix, so the oracle decides the 4^10 classes
-exactly, one representative each, and looks every orientation's class up.
+The six-vertex complete graph has 3^15 = 14,348,907 orientations, too many
+to build one by one, so its sweep decides all 4^10 classes in pool blocks
+and reads each orientation's key, the holonomies of the ten triangles
+through vertex 0, in numpy.
 """
 
 from __future__ import annotations
@@ -81,6 +86,10 @@ _KIND_OF_DIGIT = (
 #: Orientations per batched exact comparison.  Larger blocks find few more
 #: repeated polynomials but hold more matrices at once.
 _BLOCK = 3 ** 5
+
+#: i-exponent of orientation digits 0, 1, 2, and the unit i^h for h = 0..3.
+_DIGIT_EXP = np.array([_EXP_FROM_KIND[k] for k in _KIND_OF_DIGIT], dtype=np.int8)
+_UNIT = np.array(_UNIT_FROM_EXP)
 
 
 def edge_list(g: MixedGraph) -> tuple[tuple[int, int], ...]:
@@ -224,13 +233,6 @@ def dedup_classes(graphs: list[MixedGraph]) -> list[DedupClass]:
     return out
 
 
-def _blocks(graphs: Iterable[MixedGraph]) -> Iterator[list[MixedGraph]]:
-    """Consecutive lists of at most ``_BLOCK`` graphs, drawn lazily."""
-    it = iter(graphs)
-    while block := list(islice(it, _BLOCK)):
-        yield block
-
-
 def _decide(rows: np.ndarray) -> list[Trichotomy]:
     """Exact comparison against -(1+sqrt5)/2 of the smallest root of each row.
 
@@ -247,11 +249,112 @@ def _decide(rows: np.ndarray) -> list[Trichotomy]:
     return [verdicts[i] for i in inverse.ravel()]
 
 
+def _decided(graphs: Iterable[MixedGraph]) -> Iterator[tuple[MixedGraph, Trichotomy]]:
+    """Each graph with its exact verdict, decided in blocks of ``_BLOCK``.
+
+    For samples, which share few switching classes; the graphs must share
+    one vertex count.
+    """
+    it = iter(graphs)
+    while block := list(islice(it, _BLOCK)):
+        yield from zip(block, _decide(char_poly_rows(block)))
+
+
+_Edges = tuple[tuple[int, int], ...]
+
+
+def _spanning_tree(g: MixedGraph) -> tuple[_Edges, _Edges]:
+    """BFS spanning tree of a connected g from vertex 0, and its cotree.
+
+    Tree edges are (parent, child) pairs in visiting order; the cotree is
+    every other edge as (u < v), in ``edge_list`` order.
+    """
+    seen = {0}
+    tree = []
+    queue = [0]
+    for u in queue:
+        for v in g.neighbors(u):
+            if v not in seen:
+                seen.add(v)
+                tree.append((u, v))
+                queue.append(v)
+    in_tree = {(min(e), max(e)) for e in tree}
+    return tuple(tree), tuple(e for e in edge_list(g) if e not in in_tree)
+
+
+def _edge_exponents(indices: Iterable[int], m: int) -> np.ndarray:
+    """i-exponent of H[u, v] on each of m edges (u, v), u < v, in
+    ``edge_list`` order, one row per orientation index."""
+    rem = np.array(indices, dtype=np.int64)
+    exps = np.empty((len(rem), m), dtype=np.int16)
+    for e in range(m):
+        exps[:, e] = _DIGIT_EXP[rem % 3]
+        rem //= 3
+    return exps
+
+
+def _class_keys(g: MixedGraph, tree: _Edges, cotree: _Edges, indices: Iterable[int]) -> np.ndarray:
+    """Switching-class key of each orientation index of g.
+
+    With e(a, b) the i-exponent of H[a, b] and pot[v] the sum of those
+    exponents along the tree path from vertex 0 to v, cotree edge j = (a, b)
+    has holonomy pot[a] + e(a, b) - pot[b] (mod 4), read as base-4 digit j,
+    least significant first.  The cotree edges close a cycle basis, so the
+    key fixes the switching class and with it the spectrum.
+    """
+    pos = {e: i for i, e in enumerate(edge_list(g))}
+    exps = _edge_exponents(indices, len(pos))
+    pot = np.zeros((len(exps), g.n), dtype=np.int16)
+    for p, v in tree:
+        pot[:, v] = pot[:, p] + (exps[:, pos[p, v]] if p < v else -exps[:, pos[v, p]])
+    keys = np.zeros(len(exps), dtype=np.int64)
+    for j, (a, b) in enumerate(cotree):
+        keys += ((pot[:, a] + exps[:, pos[a, b]] - pot[:, b]) % 4).astype(np.int64) << 2 * j
+    return keys
+
+
+def _class_matrices(n: int, tree: _Edges, cotree: _Edges, keys: np.ndarray) -> np.ndarray:
+    """One Hermitian (n, n) class representative per key of ``_class_keys``.
+
+    It has entry 1 on every tree edge and i^h on cotree edge (a, b), where h
+    is the key's digit for that edge.  Switching by diag(i^pot) takes every
+    orientation of the class to it.  h = 2 gives -1, which no mixed graph
+    has, but only the spectrum is used.
+    """
+    h = np.zeros((len(keys), n, n), dtype=np.complex128)
+    for p, v in tree:
+        h[:, p, v] = h[:, v, p] = 1
+    for j, (a, b) in enumerate(cotree):
+        h[:, a, b] = _UNIT[keys >> 2 * j & 3]
+        h[:, b, a] = np.conj(h[:, a, b])
+    return h
+
+
+def _class_verdicts(g: MixedGraph, memo: dict[int, Trichotomy]) -> Iterator[Trichotomy]:
+    """The exact verdict of every orientation of g, in index order.
+
+    Orientations are keyed in chunks of ``_BLOCK`` indices by ``_class_keys``;
+    each key not yet in ``memo`` is decided once by ``_decide``, on its class
+    representative, and stored there, so ``memo`` ends up holding one verdict
+    per switching class of g.
+    """
+    tree, cotree = _spanning_tree(g)
+    total = orientation_count(g)
+    for start in range(0, total, _BLOCK):
+        keys = _class_keys(g, tree, cotree, range(start, min(start + _BLOCK, total)))
+        fresh = [k for k in np.unique(keys).tolist() if k not in memo]
+        if fresh:
+            rows = _char_poly_rows(_class_matrices(g.n, tree, cotree, np.array(fresh)))
+            memo.update(zip(fresh, _decide(rows)))
+        yield from map(memo.__getitem__, keys.tolist())
+
+
 def derive_scattered_catalog() -> Catalog:
     """Recompute the scattered-orientation catalog from scratch.
 
     For each of the four sporadic underlying graphs, every orientation is
-    tested with the exact eigenvalue comparison; survivors are grouped into
+    tested with the exact eigenvalue comparison of its switching class, and
+    only the survivors are built; they are grouped into
     isomorphism classes and the lexicographically smallest encoding of each
     class becomes the pinned representative.  The result is deterministic,
     so regeneration must reproduce the shipped file byte for byte.
@@ -261,9 +364,8 @@ def derive_scattered_catalog() -> Catalog:
     for label in SPORADIC_LABELS:
         g = sporadic_underlying()[label]
         survivors = [
-            m
-            for block in _blocks(enumerate_orientations(g))
-            for m, exact in zip(block, _decide(char_poly_rows(block)))
+            orientation(g, i)
+            for i, exact in enumerate(_class_verdicts(g, {}))
             if exact is Trichotomy.GREATER
         ]
         classes = iso_classes(survivors)
@@ -307,6 +409,7 @@ class LevelStats:
     n: int
     underlying_graphs: int = 0
     orientations: int = 0
+    classes: int = 0  # switching classes decided by the exact oracle
     accepts: dict[str, int] = field(default_factory=dict)
     rejects: int = 0
     boundary_equal: int = 0
@@ -322,6 +425,7 @@ class DeepStats:
     accepted: int = 0
     boundary_equal: int = 0
     mismatches: list[str] = field(default_factory=list)
+    classes: int = 0  # switching classes decided by the exact oracle
 
 
 @dataclass
@@ -409,36 +513,40 @@ class CensusReport:
         return "\n".join(lines)
 
 
-def _tally(orientations: Iterable[MixedGraph]) -> LevelStats:
-    """Classify each orientation and compare it exactly against -(1+sqrt5)/2.
+def _tally(decided: Iterable[tuple[MixedGraph, Trichotomy]]) -> LevelStats:
+    """Classify each orientation and compare it with its exact verdict.
 
-    Every orientation must have the same n; they are taken in blocks for
-    ``_decide``.  Counts accepts by family, rejects and exact-EQUAL
-    boundaries (``n`` and ``underlying_graphs`` stay 0), and records the
-    encoding of every orientation whose verdict disagrees with the exact
-    comparison.  A disconnected orientation makes ``classify_threshold``
-    raise ValueError.
+    ``decided`` pairs each orientation with the exact comparison of its
+    smallest eigenvalue against -(1+sqrt5)/2, from ``_class_verdicts`` or
+    ``_decided``.  Counts accepts by family, rejects and exact-EQUAL
+    boundaries (``n``, ``underlying_graphs`` and ``classes`` stay 0), and
+    records the encoding of every orientation whose verdict disagrees with
+    the exact comparison.  A disconnected orientation makes
+    ``classify_threshold`` raise ValueError.
     """
     stats = LevelStats(0)
-    for block in _blocks(orientations):
-        for m, exact in zip(block, _decide(char_poly_rows(block))):
-            cert = classify_threshold(m, confirm=False)
-            stats.orientations += 1
-            if cert.accepted:
-                family = cert.family.value
-                stats.accepts[family] = stats.accepts.get(family, 0) + 1
-            else:
-                stats.rejects += 1
-            if exact is Trichotomy.EQUAL:
-                stats.boundary_equal += 1
-            if cert.accepted != (exact is Trichotomy.GREATER):
-                stats.mismatches.append(m.encode())
+    for m, exact in decided:
+        cert = classify_threshold(m, confirm=False)
+        stats.orientations += 1
+        if cert.accepted:
+            family = cert.family.value
+            stats.accepts[family] = stats.accepts.get(family, 0) + 1
+        else:
+            stats.rejects += 1
+        if exact is Trichotomy.EQUAL:
+            stats.boundary_equal += 1
+        if cert.accepted != (exact is Trichotomy.GREATER):
+            stats.mismatches.append(m.encode())
     return stats
 
 
 def _tally_underlying(g: MixedGraph) -> LevelStats:
-    """``_tally`` over every orientation of one underlying graph (a pool task)."""
-    return _tally(enumerate_orientations(g))
+    """``_tally`` over every orientation of one underlying graph, decided
+    once per switching class (a pool task)."""
+    memo: dict[int, Trichotomy] = {}
+    stats = _tally(zip(enumerate_orientations(g), _class_verdicts(g, memo)))
+    stats.classes = len(memo)
+    return stats
 
 
 # --- K_6 sweep by switching class -----------------------------------------
@@ -450,10 +558,9 @@ _K6_TRIANGLES = tuple(combinations(range(6), 3))
 _K6_CHUNK = 3 ** 9  # 19,683 orientations per chunk, 3^6 chunks in total
 _K6_CLASSES = 4 ** 10
 _K6_CLASS_BLOCK = 4 ** 6
-
-#: i-exponent of orientation digits 0, 1, 2, and the unit i^h for h = 0..3.
-_DIGIT_EXP = np.array([_EXP_FROM_KIND[k] for k in _KIND_OF_DIGIT], dtype=np.int8)
-_UNIT = np.array(_UNIT_FROM_EXP)
+#: The star at vertex 0 and the ten edges (a, b) closing the triangles
+#: (0, a, b), so ``_class_keys`` on K_6 is the key of ``_k6_triangles``.
+_K6_TREE, _K6_COTREE = _spanning_tree(complete_graph(6))
 
 
 def _k6_triangles(indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -465,11 +572,7 @@ def _k6_triangles(indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     significant first; they span the cycle space, so the key fixes the
     switching class and with it the spectrum.
     """
-    rem = np.array(indices, dtype=np.int64)
-    exps = np.empty((len(rem), 15), dtype=np.int16)
-    for e in range(15):
-        exps[:, e] = _DIGIT_EXP[rem % 3]
-        rem //= 3
+    exps = _edge_exponents(indices, 15)
     pos = _K6_EDGE_POS
     hol = np.stack(
         [exps[:, pos[(a, b)]] + exps[:, pos[(b, c)]] - exps[:, pos[(a, c)]]
@@ -479,27 +582,11 @@ def _k6_triangles(indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     return ~hol.any(axis=1), hol[:, :10] @ 4 ** np.arange(10, dtype=np.int64)
 
 
-def _k6_class_matrices(keys: np.ndarray) -> np.ndarray:
-    """One Hermitian (6, 6) class representative per key.
-
-    It has entry 1 on the star at vertex 0 and i^h on (a, b), where h is the
-    key's digit for the triangle (0, a, b).  Switching by diag(i^-e_v), with
-    H[0, v] = i^e_v, takes every orientation of the class to it.  h = 2
-    gives -1, which no mixed graph has, but only the spectrum is used.
-    """
-    h = np.zeros((len(keys), 6, 6), dtype=np.complex128)
-    h[:, 0, 1:] = h[:, 1:, 0] = 1
-    for j, (a, b) in enumerate(combinations(range(1, 6), 2)):
-        h[:, a, b] = _UNIT[keys >> (2 * j) & 3]
-        h[:, b, a] = np.conj(h[:, a, b])
-    return h
-
-
 def _k6_class_block(start: int) -> list[int]:
     """Keys in [start, start + _K6_CLASS_BLOCK) whose class has lambda_min
     above -(1+sqrt5)/2, decided exactly by ``_decide`` (a pool task)."""
     keys = np.arange(start, min(start + _K6_CLASS_BLOCK, _K6_CLASSES), dtype=np.int64)
-    verdicts = _decide(_char_poly_rows(_k6_class_matrices(keys)))
+    verdicts = _decide(_char_poly_rows(_class_matrices(6, _K6_TREE, _K6_COTREE, keys)))
     return [k for k, v in zip(keys.tolist(), verdicts) if v is Trichotomy.GREATER]
 
 
@@ -523,7 +610,7 @@ def _k6_sweep(pmap: Callable, rng: random.Random, subsample: int) -> K6Stats:
         stats.accepted += accepted
         stats.mismatches += mismatches
     k6 = complete_graph(6)
-    drawn = _tally(orientation(k6, rng.randrange(3 ** 15)) for _ in range(subsample))
+    drawn = _tally(_decided(orientation(k6, rng.randrange(3 ** 15)) for _ in range(subsample)))
     stats.subsample = drawn.orientations
     stats.subsample_mismatches = drawn.mismatches
     return stats
@@ -567,6 +654,7 @@ def verify_main_theorem(
             level = LevelStats(n, underlying_graphs=len(graphs))
             for part in pmap(_tally_underlying, graphs):
                 level.orientations += part.orientations
+                level.classes += part.classes
                 for family, count in part.accepts.items():
                     level.accepts[family] = level.accepts.get(family, 0) + count
                 level.rejects += part.rejects
@@ -581,14 +669,16 @@ def verify_main_theorem(
                 deep_levels.append(
                     DeepStats(
                         label, part.orientations, sum(part.accepts.values()),
-                        part.boundary_equal, part.mismatches,
+                        part.boundary_equal, part.mismatches, part.classes,
                     )
                 )
             k6_stats = _k6_sweep(pmap, rng, subsample=max(sample, 10000))
             six = enumerate_connected_graphs(6)
             # Each sample draws its graph first, then one of its orientations.
             picks = (six[rng.randrange(len(six))] for _ in range(sample))
-            part = _tally(orientation(g, rng.randrange(orientation_count(g))) for g in picks)
+            part = _tally(
+                _decided(orientation(g, rng.randrange(orientation_count(g))) for g in picks)
+            )
             sample_stats = SampleStats(
                 part.orientations, sum(part.accepts.values()),
                 part.boundary_equal, part.mismatches,

@@ -310,11 +310,15 @@ def recognize_knst(m: MixedGraph) -> KnstMatch | NotKnst:
         return NotKnst("forbidden-triangle", tri)
     if n == 1:
         return KnstMatch(1, 0, (0,), ())
-    arcs = [(u, v) for u, v, k in m.edges() if k == EdgeKind.ARC_OUT]
-    if not arcs:
+    arc = next(
+        ((u, v) for u in range(n) for v in range(u + 1, n)
+         if m.kinds[u][v] != EdgeKind.UNDIRECTED),
+        None,
+    )
+    if arc is None:
         return KnstMatch(n, 0, tuple(range(n)), ())
     # Any arc tail sits on the s side, its head on the t side.
-    tail, head = arcs[0]
+    tail, head = arc if m.kinds[arc[0]][arc[1]] == EdgeKind.ARC_OUT else arc[::-1]
     s_side = sorted(
         w for w in range(n) if w == tail or m.kinds[tail][w] == EdgeKind.UNDIRECTED
     )
@@ -524,8 +528,8 @@ class H3Details:
 
 
 def _all_ints(values: tuple) -> bool:
-    """Whether every value can stand as a vertex index."""
-    return all(isinstance(v, int) for v in values)
+    """Whether ``values`` is a tuple of values that can stand as vertex indices."""
+    return isinstance(values, tuple) and all(isinstance(v, int) for v in values)
 
 
 @dataclass(frozen=True)
@@ -552,7 +556,7 @@ class Certificate:
                 self.details, H2H4Details
             ):
                 det = self.details
-                if not _all_ints((det.cut_vertex, *det.block1, *det.block2)):
+                if not all(map(_all_ints, ((det.cut_vertex,), det.block1, det.block2))):
                     return False
                 cut = (det.cut_vertex,)
                 if det.block1[:1] != cut or det.block2[:1] != cut:
@@ -577,6 +581,8 @@ class Certificate:
             if self.family is Family.H1 and isinstance(self.details, H1Details):
                 record = load_builtin().by_id(self.details.catalog_id)
                 if record is None or not _all_ints(self.details.perm):
+                    return False
+                if not isinstance(self.details.diagonal, SwitchDiagonal):
                     return False
                 try:
                     relabeled = m.relabel(list(self.details.perm))

@@ -175,6 +175,9 @@ def test_criterion_7_deep_six_vertex_sweep():
     assert deep["K_2.K_5"].accepted == 93 and deep["K_2.K_5"].orientations == 3 ** 11
     assert deep["K_3.K_4"].accepted == 105 and deep["K_3.K_4"].orientations == 3 ** 9
     assert deep["k24-plus-2edges"].accepted == 60
+    # Switching classes decided: 4^(cotree edges), except that no mixed
+    # graph reaches the class of -A(K_5), every triangle with holonomy -1.
+    assert [dl.classes for dl in report.deep_levels] == [4 ** 6 - 1, 4 ** 4, 4 ** 5]
     assert not any(dl.mismatches for dl in report.deep_levels)
     assert report.k6 is not None
     assert report.k6.total == 3 ** 15 == 14348907

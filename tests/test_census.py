@@ -28,7 +28,7 @@ from hermspec.graphs import (
     path_graph,
     underlying_graph,
 )
-from hermspec.spectra import _char_poly_rows, char_poly
+from hermspec.spectra import _char_poly_rows, char_poly, char_poly_rows
 
 
 def test_orientation_indexing():
@@ -146,7 +146,42 @@ def test_census_pool_matches_serial():
     def body(report):
         return [line for line in report.text().splitlines() if not line.startswith("elapsed:")]
 
-    assert body(verify_main_theorem(n_max=4, jobs=2)) == body(verify_main_theorem(n_max=4))
+    pooled = verify_main_theorem(n_max=4, jobs=2)
+    serial = verify_main_theorem(n_max=4)
+    assert body(pooled) == body(serial)
+    assert [lv.classes for lv in pooled.levels] == [lv.classes for lv in serial.levels]
+    assert [lv.classes for lv in serial.levels] == [1, 1, 5, 90]
+
+
+def test_class_representatives_share_the_spectrum():
+    # Every orientation of every connected graph with n <= 5 has the char
+    # poly of its switching-class representative.
+    for n in range(1, 6):
+        for g in enumerate_connected_graphs(n):
+            tree, cotree = census._spanning_tree(g)
+            assert len(tree) == n - 1 and len(tree) + len(cotree) == g.edge_count()
+            total = orientation_count(g)
+            for start in range(0, total, census._BLOCK):
+                indices = range(start, min(start + census._BLOCK, total))
+                keys = census._class_keys(g, tree, cotree, indices)
+                rows = _char_poly_rows(census._class_matrices(n, tree, cotree, keys))
+                ref = char_poly_rows([orientation(g, i) for i in indices])
+                assert (rows == ref).all(), (g.encode(), start)
+
+
+def test_class_verdicts_match_block_decide():
+    for label, g in census._deep_family_graphs()[1:]:
+        memo = {}
+        verdicts = list(census._class_verdicts(g, memo))
+        ref = [exact for _, exact in census._decided(enumerate_orientations(g))]
+        assert verdicts == ref, label
+        assert len(memo) == {"K_3.K_4": 256, "k24-plus-2edges": 1024}[label]
+    # On K_6 the star at vertex 0 is the BFS tree, so the generic key is the
+    # triangle key of the K_6 sweep.
+    rng = random.Random(9)
+    indices = [rng.randrange(3 ** 15) for _ in range(600)]
+    keys = census._class_keys(complete_graph(6), census._K6_TREE, census._K6_COTREE, indices)
+    assert (keys == census._k6_triangles(indices)[1]).all()
 
 
 def test_k6_class_representatives_share_the_spectrum():
@@ -155,7 +190,7 @@ def test_k6_class_representatives_share_the_spectrum():
     rng = random.Random(6)
     indices = [rng.randrange(3 ** 15) for _ in range(600)]
     _, keys = census._k6_triangles(indices)
-    rows = _char_poly_rows(census._k6_class_matrices(keys))
+    rows = _char_poly_rows(census._class_matrices(6, census._K6_TREE, census._K6_COTREE, keys))
     k6 = complete_graph(6)
     for i, row in zip(indices, rows):
         assert char_poly(orientation(k6, i)).coeffs == tuple(row[::-1].tolist())

@@ -266,6 +266,49 @@ def test_recognize_knst_all_relabelings_of_k42():
                 assert g.kind(x, y).name == "ARC_OUT"
 
 
+def _recognize_knst_reference(m):
+    """``recognize_knst`` with its first arc taken from ``m.edges()``."""
+    n = m.n
+    for u, v in combinations(range(n), 2):
+        if not m.kinds[u][v]:
+            return NotKnst("not-complete", (u, v))
+    tri = find_forbidden_triangle(m)
+    if tri is not None:
+        return NotKnst("forbidden-triangle", tri)
+    if n == 1:
+        return KnstMatch(1, 0, (0,), ())
+    arcs = [(u, v) for u, v, k in m.edges() if k.name == "ARC_OUT"]
+    if not arcs:
+        return KnstMatch(n, 0, tuple(range(n)), ())
+    tail, head = arcs[0]
+    row = [m.kind(tail, w).name for w in range(n)]
+    s_side = [w for w in range(n) if w == tail or row[w] == "UNDIRECTED"]
+    t_side = [w for w in range(n) if row[w] == "ARC_OUT"]
+    if len(s_side) + len(t_side) != n:
+        return NotKnst("forbidden-triangle", (tail, head, row.index("ARC_IN")))
+    for side in (s_side, t_side):
+        for x, y in combinations(side, 2):
+            if m.kind(x, y).name != "UNDIRECTED":
+                pivot = tail if tail not in (x, y) else head
+                return NotKnst("forbidden-triangle", (pivot, x, y))
+    for x in s_side:
+        for y in t_side:
+            if m.kind(x, y).name != "ARC_OUT":
+                return NotKnst("forbidden-triangle", (x, y, tail if x != tail else head))
+    return KnstMatch(len(s_side), len(t_side), tuple(s_side), tuple(t_side))
+
+
+def test_recognize_knst_matches_edges_reference():
+    matches = 0
+    for n in range(1, 6):
+        for g in enumerate_connected_graphs(n):
+            for m in enumerate_orientations(g):
+                got = recognize_knst(m)
+                assert got == _recognize_knst_reference(m), m.encode()
+                matches += isinstance(got, KnstMatch)
+    assert matches == 1 + 3 + 7 + 15 + 31  # the H3 accepts of the census
+
+
 def test_find_induced():
     hit = find_induced(cycle_graph(5), path_graph(4))
     assert hit is not None
@@ -425,6 +468,8 @@ def test_verify_returns_false_on_malformed_input():
         # -1 at vertex 0 turns its undirected edges into -1 entries.
         replace(cert.details, diagonal=SwitchDiagonal([-1] + [1] * (m.n - 1))),
         replace(cert.details, perm=tuple(float(v) for v in cert.details.perm)),
+        replace(cert.details, perm=None),
+        replace(cert.details, diagonal=None),
     ]
     for details in bad_details:
         assert not replace(cert, details=details).verify(m)
@@ -437,6 +482,8 @@ def test_verify_returns_false_on_malformed_input():
         replace(det, cut_vertex=float(det.cut_vertex)),
         replace(det, block1=det.block1[:1] + (float(det.block1[1]),) + det.block1[2:]),
         replace(det, block2=det.block2[:1] + (str(det.block2[1]),)),
+        replace(det, block1=None),
+        replace(det, block2=None),
     ]
     for details in bad_details:
         assert not replace(cert, details=details).verify(h4)
@@ -444,7 +491,7 @@ def test_verify_returns_false_on_malformed_input():
     p4 = path_graph(4)
     reject = classify_threshold(p4)
     assert reject.witness.vertices == (0, 1, 2, 3) and reject.verify(p4)
-    for vertices in [(0, 0, 1, 2), (0, 1, 2, 9), (), (0.0, 1, 2, 3), ("0", 1, 2, 3)]:
+    for vertices in [(0, 0, 1, 2), (0, 1, 2, 9), (), (0.0, 1, 2, 3), ("0", 1, 2, 3), None]:
         witness = replace(reject.witness, vertices=vertices)
         assert not replace(reject, witness=witness).verify(p4)
 
