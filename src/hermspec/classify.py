@@ -548,6 +548,9 @@ class Certificate:
 
         Returns False, never raises, for a malformed certificate, such as
         details of another family's type or a vertex index that is not an int.
+        A reject witness must also be what it says it is: a triangle or
+        quadrangle of the named type, the named forbidden subgraph, or the
+        whole graph on a two-cliques shape, with its lambda_min within 1e-9.
         """
         if self.accepted:
             if self.family is Family.H3 and isinstance(self.details, H3Details):
@@ -591,17 +594,38 @@ class Certificate:
                     return False
                 return switched == record.graph()
             return False
-        if self.witness is None or not _all_ints(self.witness.vertices):
+        w = self.witness
+        if not isinstance(w, RejectWitness) or not _all_ints(w.vertices):
             return False
         try:
-            if self.witness.kind == "threshold":
-                sub = m
+            if w.kind == "threshold":
+                if w.vertices != tuple(range(m.n)) or w.pattern != "two-cliques":
+                    return False
+                fam = underlying_family(underlying_graph(m))
+                if fam is None or fam.label != "two-cliques":
+                    return False
+                comparison, lam = _witness_spectrum(m)
             else:
-                sub = induced(m, self.witness.vertices)
-            verdict = compare_lambda_min(sub, NEG_GOLDEN)
-        except ValueError:  # repeated, out-of-range or no witness vertices
+                sub = induced(m, w.vertices)
+                if w.kind in ("triangle", "quadrangle"):
+                    size = 3 if w.kind == "triangle" else 4
+                    if sub.n != size or _cycle_pattern(sub.kinds) != w.pattern:
+                        return False
+                elif w.kind == "forbidden-subgraph":
+                    named = [p for name, p in FORBIDDEN_SUBGRAPHS if name == w.pattern]
+                    if named != [underlying_graph(sub)]:
+                        return False
+                else:
+                    return False
+                comparison, lam = _small_witness_spectrum(sub.kinds)
+        except ValueError:  # bad vertices, not a cycle, or a disconnected graph
             return False
-        return verdict is self.witness.comparison and verdict is not Trichotomy.GREATER
+        return (
+            comparison is w.comparison
+            and comparison is not Trichotomy.GREATER
+            and isinstance(w.lambda_min, (int, float))
+            and abs(lam - w.lambda_min) <= 1e-9
+        )
 
     def summary(self) -> str:
         if self.accepted:

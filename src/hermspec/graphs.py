@@ -54,11 +54,7 @@ class EdgeKind(IntEnum):
 
     def flipped(self) -> "EdgeKind":
         """The same connection seen from the other endpoint."""
-        if self is EdgeKind.ARC_OUT:
-            return EdgeKind.ARC_IN
-        if self is EdgeKind.ARC_IN:
-            return EdgeKind.ARC_OUT
-        return self
+        return EdgeKind(_FLIP[self])
 
 
 # Hermitian entry for each EdgeKind value, indexed by kind.
@@ -179,7 +175,7 @@ def _empty_table(n: int) -> list[list[int]]:
 
 def _set_pair(table: list[list[int]], u: int, v: int, kind: EdgeKind) -> None:
     table[u][v] = int(kind)
-    table[v][u] = int(kind.flipped())
+    table[v][u] = _FLIP[kind]
 
 
 def build(n: int, edges: Iterable[tuple[int, int, str | EdgeKind]]) -> MixedGraph:

@@ -83,11 +83,6 @@ def parse_mgfile(text: str) -> MixedGraph:
 
 def serialize_mgfile(m: MixedGraph) -> str:
     lines = [f"mixedgraph {m.n}"]
-    for u, v, kind in m.edges():
-        if kind == EdgeKind.UNDIRECTED:
-            lines.append(f"{u} -- {v}")
-        elif kind == EdgeKind.ARC_OUT:
-            lines.append(f"{u} -> {v}")
-        else:
-            lines.append(f"{v} -> {u}")
+    for u, v, kind in m.edges():  # arcs come tail first, as ARC_OUT
+        lines.append(f"{u} -- {v}" if kind == EdgeKind.UNDIRECTED else f"{u} -> {v}")
     return "\n".join(lines) + "\n"

@@ -5,8 +5,10 @@ Conjugating the Hermitian adjacency matrix by a diagonal matrix of units in
 the Hermitian matrix of a mixed graph (no entry lands on -1), the two graphs
 are called switching equivalent.  This module provides the switch operation,
 a linear-time equivalence decision with witness, edge-cut based switches,
-perfect elimination orderings, and the constructive normalization of chordal
-mixed graphs whose triangles all have holonomy one.
+perfect elimination orderings, and the normalization of chordal mixed graphs
+whose triangles all have holonomy one: their triangles span the cycle space,
+so such a graph is balanced, and the equivalence search switches it onto its
+underlying graph.
 """
 
 from __future__ import annotations
@@ -207,6 +209,15 @@ class Cut:
     direction: str
 
 
+def _crossing(
+    m: MixedGraph, side_u, side_w
+) -> tuple[tuple[int, int, EdgeKind], ...]:
+    """Edges between the sides as (u in side_u, w in side_w, kind from u)."""
+    return tuple(
+        (u, w, EdgeKind(m.kinds[u][w])) for u in side_u for w in side_w if m.kinds[u][w]
+    )
+
+
 def coincident_cuts(m: MixedGraph) -> list[Cut]:
     """All coincident cuts from vertex bipartitions (vertex 0 kept in side_u).
 
@@ -220,27 +231,20 @@ def coincident_cuts(m: MixedGraph) -> list[Cut]:
     cuts = []
     rest = list(range(1, m.n))
     for mask in range(2 ** (m.n - 1)):
-        side_u = [0] + [v for i, v in enumerate(rest) if mask >> i & 1]
-        side_w = [v for i, v in enumerate(rest) if not mask >> i & 1]
+        side_u = (0,) + tuple(v for i, v in enumerate(rest) if mask >> i & 1)
+        side_w = tuple(v for i, v in enumerate(rest) if not mask >> i & 1)
         if not side_w:
             continue
-        crossing = []
-        kinds_seen = set()
-        for u in side_u:
-            for w in side_w:
-                k = m.kinds[u][w]
-                if k:
-                    kinds_seen.add(k)
-                    crossing.append((u, w, EdgeKind(k)))
-        if not crossing or len(kinds_seen) != 1:
+        crossing = _crossing(m, side_u, side_w)
+        kinds = {k for _, _, k in crossing}
+        if len(kinds) != 1:
             continue
-        k = kinds_seen.pop()
         direction = {
-            int(EdgeKind.UNDIRECTED): "undirected",
-            int(EdgeKind.ARC_OUT): "forward",
-            int(EdgeKind.ARC_IN): "backward",
-        }[int(k)]
-        cuts.append(Cut(tuple(side_u), tuple(side_w), tuple(crossing), direction))
+            EdgeKind.UNDIRECTED: "undirected",
+            EdgeKind.ARC_OUT: "forward",
+            EdgeKind.ARC_IN: "backward",
+        }[kinds.pop()]
+        cuts.append(Cut(side_u, side_w, crossing, direction))
     return cuts
 
 
@@ -256,24 +260,17 @@ def x_switch(m: MixedGraph, cut: Cut) -> MixedGraph:
     sides = set(cut.side_u) | set(cut.side_w)
     if sides != set(range(m.n)) or set(cut.side_u) & set(cut.side_w):
         raise ValueError("cut sides must bipartition the vertex set")
-    expected = []
-    kinds_seen = set()
-    for u in cut.side_u:
-        for w in cut.side_w:
-            k = m.kinds[u][w]
-            if k:
-                kinds_seen.add(k)
-                expected.append((u, w, EdgeKind(k)))
-    if not expected or len(kinds_seen) != 1:
+    crossing = _crossing(m, cut.side_u, cut.side_w)
+    kinds = {k for _, _, k in crossing}
+    if len(kinds) != 1:
         raise ValueError("cut is not coincident in this graph")
-    if tuple(expected) != cut.crossing:
+    if crossing != cut.crossing:
         raise ValueError("cut does not match this graph")
-    k = kinds_seen.pop()
     unit = {
-        int(EdgeKind.ARC_OUT): 1j,      # i rotates i -> 1
-        int(EdgeKind.ARC_IN): -1j,      # -i rotates -i -> 1
-        int(EdgeKind.UNDIRECTED): -1j,  # -i rotates 1 -> i (forward)
-    }[int(k)]
+        EdgeKind.ARC_OUT: 1j,      # i rotates i -> 1
+        EdgeKind.ARC_IN: -1j,      # -i rotates -i -> 1
+        EdgeKind.UNDIRECTED: -1j,  # -i rotates 1 -> i (forward)
+    }[kinds.pop()]
     units = [1] * m.n
     for w in cut.side_w:
         units[w] = unit
@@ -377,7 +374,6 @@ def perfect_elimination_ordering(
             if not picked[w] and _adjacent(g, best, w):
                 weights[w] += 1
     peo = tuple(reversed(selection))
-    position = {v: i for i, v in enumerate(peo)}
     for i, v in enumerate(peo):
         later = [w for w in peo[i + 1 :] if _adjacent(g, v, w)]
         for a in range(len(later)):
@@ -396,101 +392,28 @@ def normalize_chordal(m: MixedGraph) -> SwitchDiagonal:
     """Diagonal switching a chordal mixed graph onto its underlying graph.
 
     Works when the underlying graph is chordal and every triangle has
-    holonomy one.  Vertices are inserted in reverse perfect elimination
-    order while maintaining a bipartition (U, W) of the processed part of
-    the partially switched graph: edges inside U and inside W are
-    undirected and every crossing edge is an arc from U to W.  A new vertex
-    sees a clique, so its edges toward U share one value alpha and toward W
-    one value beta with alpha * conj(beta) = -i; the valid patterns
-    (alpha, beta) = (1, i) and (-i, 1) put it in U or W respectively.  A
-    final X-switch on (U, W) makes everything undirected.
+    holonomy one.  The triangles of a chordal graph span its cycle space, so
+    then every cycle has holonomy one: the gain graph is balanced and
+    switches onto its underlying graph (Reff, LAA 436 (2012); Guo & Mohar,
+    JGT 85 (2017)).  ``switching_equivalent`` finds that diagonal along a
+    spanning tree.
 
-    Raises NotChordalError or BadTriangleError with witnesses.
+    Raises NotChordalError with a chordless cycle, checked first, or
+    BadTriangleError with the first triangle whose holonomy is not one.
     """
     g = underlying_graph(m)
     peo = perfect_elimination_ordering(g)
     if isinstance(peo, ChordlessCycle):
         raise NotChordalError(peo)
-    n = m.n
-    exps = [0] * n
-    in_u = [False] * n
-    in_w = [False] * n
-    processed: list[int] = []
-    for v in reversed(peo):
-        q_u = [w for w in processed if in_u[w] and _adjacent(m, v, w)]
-        q_w = [w for w in processed if in_w[w] and _adjacent(m, v, w)]
-        # Edge value exponents each neighbor would see if e_v were 0.
-        a = b = None
-        for w in q_u:
-            t = (_EXP_FROM_KIND[m.kinds[v][w]] - exps[w]) % 4
-            if a is None:
-                a = t
-            elif t != a:
-                raise BadTriangleError((v, q_u[0], w))
-        for w in q_w:
-            t = (_EXP_FROM_KIND[m.kinds[v][w]] - exps[w]) % 4
-            if b is None:
-                b = t
-            elif t != b:
-                raise BadTriangleError((v, q_w[0], w))
-        if a is not None and b is not None and (b - a) % 4 != 1:
-            # Cross triangle (v, u, w) with crossing arc u -> w has holonomy
-            # i^(a + 1 - b) != 1.
-            raise BadTriangleError((v, q_u[0], q_w[0]))
-        has_w = any(in_w[w] for w in processed)
-        if a is None and b is None:
-            in_u[v] = True  # isolated within the processed part
-        elif not has_w:
-            # Whole processed part is undirected (W empty), q_w is empty.
-            if a == 0:
-                in_u[v] = True
-            elif a == 1:
-                # v sends arcs to all its neighbors: v forms its own side and
-                # everything processed becomes W.
-                for w in processed:
-                    in_w[w] = in_u[w] or in_w[w]
-                    in_u[w] = False
-                in_u[v] = True
-            elif a == 3:
-                in_w[v] = True  # all arcs point at v: v starts the W side
-            else:
-                # a == 2: the accumulated diagonal anti-aligned the pencil;
-                # rotate v instead (this case is unreachable without the
-                # accumulated units, see the module docstring).
-                exps[v] = 2
-                in_u[v] = True
-        else:
-            if a is None:
-                if b == 0:
-                    in_w[v] = True
-                elif b == 1:
-                    in_u[v] = True
-                else:
-                    exps[v] = (1 - b) % 4  # rotate so v -> W arcs remain
-                    in_u[v] = True
-            elif b is None:
-                if a == 0:
-                    in_u[v] = True
-                elif a == 3:
-                    in_w[v] = True  # arcs U -> v keep the cut orientation
-                else:
-                    exps[v] = (-a) % 4
-                    in_u[v] = True
-            else:
-                # Both sides present; (a, b) rotates onto (0, 1) or (3, 0).
-                if a == 0:
-                    in_u[v] = True
-                elif b == 0:
-                    in_w[v] = True
-                else:
-                    exps[v] = (-a) % 4
-                    in_u[v] = True
-        processed.append(v)
-    # Final X-switch: multiplying W by i turns every crossing arc undirected.
-    for v in range(n):
-        if in_w[v]:
-            exps[v] = (exps[v] + 1) % 4
-    d = SwitchDiagonal.from_exponents(exps)
-    if apply_switch(m, d) != g:
-        raise AssertionError("normalization did not reach the underlying graph")
-    return d
+    d = switching_equivalent(m, g)
+    if d is not None:
+        return d
+    from .classify import find_forbidden_triangle  # local import to avoid a module cycle
+
+    triangle = find_forbidden_triangle(m)
+    if triangle is None:
+        raise AssertionError(
+            "chordal graph with unit-holonomy triangles is not switching "
+            "equivalent to its underlying graph"
+        )
+    raise BadTriangleError(triangle)

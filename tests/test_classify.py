@@ -496,6 +496,56 @@ def test_verify_returns_false_on_malformed_input():
         assert not replace(reject, witness=witness).verify(p4)
 
 
+def test_verify_checks_what_a_reject_witness_names():
+    k3_21 = build(3, [(0, 1, "arc"), (1, 2, "arc"), (0, 2, "undirected")])
+    c4 = cycle_graph(4)
+    p5 = path_graph(5)
+    two_cliques = coalescence(complete_graph(5), 0, complete_graph(3), 0)
+    p4 = path_graph(4)
+    forged = []
+    for m in (k3_21, c4, p5, two_cliques, p4):
+        cert = classify_threshold(m)
+        assert not cert.accepted and cert.verify(m)
+        w = cert.witness
+        forged += [
+            (m, replace(cert, witness=replace(w, lambda_min=5.0))),
+            (m, replace(cert, witness=replace(w, lambda_min="-2"))),
+            (m, replace(cert, witness=replace(w, kind="induced"))),
+            (m, replace(cert, witness=replace(w, pattern="K3"))),
+        ]
+    assert classify_threshold(k3_21).witness.pattern == "K3_21"
+    assert classify_threshold(c4).witness.pattern == "plus-one"
+    for m, kind, pattern, vertices in [
+        (k3_21, "quadrangle", "K3_21", (0, 1, 2)),
+        (k3_21, "forbidden-subgraph", "K3_21", (0, 1, 2)),
+        (c4, "quadrangle", "C4_1", (0, 1, 2, 3)),
+        (c4, "triangle", "plus-one", (0, 1, 2, 3)),
+        (c4, "forbidden-subgraph", "P_4", (0, 1, 2, 3)),
+        # P_5's induced P_4 sits on the threshold, but it is no K_{1,3}.
+        (p5, "forbidden-subgraph", "K_{1,3}", (1, 2, 3, 4)),
+        (p5, "threshold", "two-cliques", (0, 1, 2, 3, 4)),
+        (two_cliques, "threshold", "two-cliques", (0,)),
+        (two_cliques, "threshold", "P_4", tuple(range(7))),
+        (p4, "threshold", "two-cliques", (0, 1, 2, 3)),
+    ]:
+        cert = classify_threshold(m)
+        witness = replace(cert.witness, kind=kind, pattern=pattern, vertices=vertices)
+        forged.append((m, replace(cert, witness=witness)))
+    forged.append((p4, replace(classify_threshold(p4), witness=("forbidden-subgraph",))))
+    for m, bad in forged:
+        assert bad.verify(m) is False, bad.witness
+
+    rejects = 0
+    for n in range(1, 5):
+        for g in enumerate_connected_graphs(n):
+            for m in enumerate_orientations(g):
+                cert = classify_threshold(m)
+                if not cert.accepted:
+                    rejects += 1
+                    assert cert.verify(m), m.encode()
+    assert rejects == 1135
+
+
 def test_verify_returns_false_when_details_do_not_fit_family():
     record = load_builtin().by_id("c4-01")
     m = record.graph()

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
+from hermspec.census import orientation
+from hermspec.classify import find_forbidden_triangle
 from hermspec.graphs import (
     EdgeKind,
     build,
     complete_graph,
     cycle_graph,
+    disjoint_union,
+    hermitian_matrix,
     make_knst,
     path_graph,
     underlying_graph,
@@ -27,6 +32,7 @@ from hermspec.switching import (
     x_switch,
 )
 from hermspec.switching import ChordlessCycle
+from prop_suites import random_chordal
 
 
 def _random_mixed(rng: random.Random, n: int, p: float = 0.6):
@@ -162,3 +168,37 @@ def test_normalize_chordal_witnesses():
     with pytest.raises(BadTriangleError) as err2:
         normalize_chordal(spun)
     assert sorted(err2.value.triangle) == [0, 1, 2]
+
+
+def test_normalize_chordal_contract():
+    # Seeded chordal inputs, connected or two components, both balanced
+    # (switched from undirected) and randomly oriented.
+    rng = random.Random(34)
+    bases = []
+    for n in range(1, 10):
+        bases += [random_chordal(rng, n) for _ in range(120)]
+    for _ in range(600):
+        pair = (random_chordal(rng, rng.randrange(1, 7)) for _ in range(2))
+        bases.append(disjoint_union(*pair))
+    graphs = []
+    for i, g in enumerate(bases):
+        if i % 2:
+            graphs.append(random_switch(g, rng)[0])
+        else:
+            graphs.append(orientation(g, rng.randrange(3 ** g.edge_count())))
+    outcomes = Counter()
+    for m in graphs:
+        try:
+            d = normalize_chordal(m)
+        except BadTriangleError as err:
+            assert find_forbidden_triangle(m) is not None, m.encode()
+            u, v, w = err.triangle
+            h = hermitian_matrix(m).entries
+            assert h[u][v] and h[v][w] and h[w][u], m.encode()
+            assert h[u][v] * h[v][w] * h[w][u] != 1, m.encode()
+            outcomes["bad-triangle"] += 1
+        else:
+            assert find_forbidden_triangle(m) is None, m.encode()
+            assert apply_switch(m, d) == underlying_graph(m), m.encode()
+            outcomes["diagonal"] += 1
+    assert outcomes["bad-triangle"] > 300 and outcomes["diagonal"] > 600
