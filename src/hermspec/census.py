@@ -13,9 +13,15 @@ each orientation by the holonomies of its cotree edges, with respect to a
 BFS spanning tree from vertex 0, and decides each class once: one batched
 Faddeev-LeVerrier call over class representatives gives their characteristic
 polynomials, ``np.unique`` finds the distinct ones, and each distinct
-polynomial is compared once against -(1+sqrt5)/2 by the exact Sturm
-comparison.  Random samples, which share few classes, are decided the same
-way in blocks of orientations.
+polynomial is compared once against -(1+sqrt5)/2 by the exact integer
+Taylor-shift test, ``taylor_compare_min_root``.  The classifier decides by
+Sturm chains, so oracle and classifier reach their verdicts by different
+exact methods.  Random samples, which share few classes, are decided the
+same way in blocks of orientations.
+
+Orientations are built from per-vertex row tables: row u of an
+orientation's kind table depends only on the digits of u's incident edges,
+so each distinct row is built once per underlying graph and shared.
 
 The six-vertex complete graph has 3^15 = 14,348,907 orientations, too many
 to build one by one, so its sweep decides all 4^10 classes in pool blocks
@@ -29,7 +35,7 @@ import random
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, islice, permutations
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, Sequence
@@ -56,9 +62,9 @@ from .graphs import (
     is_connected,
     underlying_graph,
 )
-from .polynomials import IntPolynomial, Trichotomy
+from .polynomials import Trichotomy, taylor_compare_min_root
 from .quadratic import NEG_GOLDEN
-from .spectra import _char_poly_rows, char_poly, char_poly_rows, compare_lambda_min, eigenvalues
+from .spectra import _char_poly_rows, char_poly, char_poly_rows, eigenvalues
 from .switching import _UNIT_FROM_EXP, switching_equivalent
 
 __all__ = [
@@ -88,7 +94,7 @@ _KIND_OF_DIGIT = (
 _BLOCK = 3 ** 5
 
 #: i-exponent of orientation digits 0, 1, 2, and the unit i^h for h = 0..3.
-_DIGIT_EXP = np.array([_EXP_FROM_KIND[k] for k in _KIND_OF_DIGIT], dtype=np.int8)
+_DIGIT_EXP = np.array([_EXP_FROM_KIND[k] for k in _KIND_OF_DIGIT], dtype=np.int16)
 _UNIT = np.array(_UNIT_FROM_EXP)
 
 
@@ -101,38 +107,93 @@ def orientation_count(g: MixedGraph) -> int:
     return 3 ** g.edge_count()
 
 
+class _Rows(dict):
+    """Kind-table rows of vertex u, keyed by the base-3 number that the
+    digits of u's incident edges form (the edge to u's j-th neighbor gives
+    digit j); each row is built on first use."""
+
+    def __init__(self, n: int, u: int, neighbors: tuple[int, ...]) -> None:
+        super().__init__()
+        self.n, self.u, self.neighbors = n, u, neighbors
+
+    def __missing__(self, key: int) -> tuple[int, ...]:
+        row = [0] * self.n
+        rem = key
+        for v in self.neighbors:
+            rem, digit = divmod(rem, 3)
+            kind = _KIND_OF_DIGIT[digit]
+            row[v] = kind if self.u < v else _FLIP[kind]
+        out = self[key] = tuple(row)
+        return out
+
+
+_Links = tuple[tuple[int, int, int, int], ...]
+
+
+#: One entry per underlying graph; the n=6 sample alone meets 112 graphs.
+@lru_cache(maxsize=256)
+def _row_tables(g: MixedGraph) -> tuple[_Links, tuple[_Rows, ...]]:
+    """Row tables of an undirected graph g, shared by its orientations.
+
+    Row u of an orientation depends only on the digits of u's incident
+    edges, so each distinct row is built once per graph.  Returns one
+    (u, v, wu, wv) per edge in ``edge_list`` order, where edge digit x adds
+    x * wu to u's row key and x * wv to v's, and the ``_Rows`` of each
+    vertex.
+    """
+    if not g.is_undirected():
+        raise ValueError("can only orient an undirected graph")
+    neighbors = [g.neighbors(u) for u in range(g.n)]
+    links = tuple(
+        (u, v, 3 ** neighbors[u].index(v), 3 ** neighbors[v].index(u))
+        for u, v in edge_list(g)
+    )
+    return links, tuple(_Rows(g.n, u, neighbors[u]) for u in range(g.n))
+
+
 def orientation(g: MixedGraph, index: int) -> MixedGraph:
     """The index-th orientation of an undirected graph.
 
     Index digits in base 3 follow ``edge_list`` order, least significant
     first: 0 leaves the edge undirected, 1 directs it low->high, 2 high->low.
+    A graph that already has an arc raises ValueError.
     """
-    edges = edge_list(g)
-    if not 0 <= index < 3 ** len(edges):
+    links, rows = _row_tables(g)
+    if not 0 <= index < 3 ** len(links):
         raise ValueError(f"orientation index {index} out of range")
-    return _orient(g.n, edges, index)
-
-
-def _orient(n: int, edges: tuple[tuple[int, int], ...], index: int) -> MixedGraph:
-    kinds = [[0] * n for _ in range(n)]
+    keys = [0] * g.n
     rem = index
-    for u, v in edges:
-        kind = _KIND_OF_DIGIT[rem % 3]
-        rem //= 3
-        kinds[u][v] = kind
-        kinds[v][u] = _FLIP[kind]
-    return MixedGraph(n, tuple(tuple(row) for row in kinds))
+    for u, v, wu, wv in links:
+        rem, digit = divmod(rem, 3)
+        keys[u] += digit * wu
+        keys[v] += digit * wv
+    return MixedGraph(g.n, tuple(map(_Rows.__getitem__, rows, keys)))
 
 
-def enumerate_orientations(g: MixedGraph):
-    """Yield every orientation of an undirected graph (at most 16 edges)."""
-    if not g.is_undirected():
-        raise ValueError("can only orient an undirected graph")
-    edges = edge_list(g)
-    if len(edges) > 16:
+def _oriented(g: MixedGraph, indices: Sequence[int]) -> Iterator[MixedGraph]:
+    """The orientations of g at ``indices``, in order.
+
+    Each block of ``_BLOCK`` indices has its base-3 digits read once in
+    numpy, which gives every vertex's row key at once; indices and keys are
+    int64, which covers every graph with at most 39 edges.
+    """
+    links, rows = _row_tables(g)
+    weights = np.zeros((len(links), g.n), dtype=np.int64)
+    for e, (u, v, wu, wv) in enumerate(links):
+        weights[e, u], weights[e, v] = wu, wv
+    for start in range(0, len(indices), _BLOCK):
+        keys = _digits(indices[start:start + _BLOCK], len(links)) @ weights
+        for row_keys in keys.tolist():
+            yield MixedGraph(g.n, tuple(map(_Rows.__getitem__, rows, row_keys)))
+
+
+def enumerate_orientations(g: MixedGraph) -> Iterator[MixedGraph]:
+    """Yield every orientation of an undirected graph (at most 16 edges),
+    in index order."""
+    links, _ = _row_tables(g)
+    if len(links) > 16:
         raise ValueError("orientation enumeration limited to 16 edges")
-    for index in range(3 ** len(edges)):
-        yield _orient(g.n, edges, index)
+    yield from _oriented(g, range(3 ** len(links)))
 
 
 def enumerate_connected_graphs(n: int) -> list[MixedGraph]:
@@ -237,15 +298,15 @@ def _decide(rows: np.ndarray) -> list[Trichotomy]:
     """Exact comparison against -(1+sqrt5)/2 of the smallest root of each row.
 
     Rows are characteristic polynomials, high to low, from one batched kernel
-    call; each distinct one is decided once by the exact Sturm comparison.
-    ``np.unique`` needs int64 rows, which the float certificate gives for
-    every graph the census meets (n <= 6).
+    call; each distinct one is decided once by ``taylor_compare_min_root``,
+    which is exact for them because a Hermitian matrix has only real
+    eigenvalues.  The classifier decides by Sturm chains instead, so the
+    oracle shares no root-location code with what it checks.  ``np.unique``
+    needs int64 rows, which the float certificate gives for every graph the
+    census meets (n <= 6).
     """
     polys, inverse = np.unique(rows, axis=0, return_inverse=True)
-    verdicts = [
-        compare_lambda_min(IntPolynomial(row[::-1].tolist()), NEG_GOLDEN)
-        for row in polys
-    ]
+    verdicts = [taylor_compare_min_root(row.tolist(), NEG_GOLDEN) for row in polys]
     return [verdicts[i] for i in inverse.ravel()]
 
 
@@ -282,15 +343,21 @@ def _spanning_tree(g: MixedGraph) -> tuple[_Edges, _Edges]:
     return tuple(tree), tuple(e for e in edge_list(g) if e not in in_tree)
 
 
+def _digits(indices: Iterable[int], m: int) -> np.ndarray:
+    """Base-3 digits of each orientation index on m edges, in ``edge_list``
+    order, one row per index."""
+    rem = np.array(indices, dtype=np.int64)
+    digits = np.empty((len(rem), m), dtype=np.int8)
+    for e in range(m):
+        digits[:, e] = rem % 3
+        rem //= 3
+    return digits
+
+
 def _edge_exponents(indices: Iterable[int], m: int) -> np.ndarray:
     """i-exponent of H[u, v] on each of m edges (u, v), u < v, in
     ``edge_list`` order, one row per orientation index."""
-    rem = np.array(indices, dtype=np.int64)
-    exps = np.empty((len(rem), m), dtype=np.int16)
-    for e in range(m):
-        exps[:, e] = _DIGIT_EXP[rem % 3]
-        rem //= 3
-    return exps
+    return _DIGIT_EXP[_digits(indices, m)]
 
 
 def _class_keys(g: MixedGraph, tree: _Edges, cotree: _Edges, indices: Iterable[int]) -> np.ndarray:
@@ -610,7 +677,7 @@ def _k6_sweep(pmap: Callable, rng: random.Random, subsample: int) -> K6Stats:
         stats.accepted += accepted
         stats.mismatches += mismatches
     k6 = complete_graph(6)
-    drawn = _tally(_decided(orientation(k6, rng.randrange(3 ** 15)) for _ in range(subsample)))
+    drawn = _tally(_decided(_oriented(k6, [rng.randrange(3 ** 15) for _ in range(subsample)])))
     stats.subsample = drawn.orientations
     stats.subsample_mismatches = drawn.mismatches
     return stats

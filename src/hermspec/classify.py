@@ -449,6 +449,11 @@ def underlying_family(g: MixedGraph) -> FamilyMatch | None:
         raise ValueError("underlying_family expects an undirected graph")
     if not is_connected(g):
         raise ValueError("underlying_family expects a connected graph")
+    return _family_of(g)
+
+
+def _family_of(g: MixedGraph) -> FamilyMatch | None:
+    """``underlying_family`` of a g already known undirected and connected."""
     n = g.n
     if all(g.kinds[u][v] for u in range(n) for v in range(u + 1, n)):
         return FamilyMatch("complete", s=max(n - 1, 0), t=0)
@@ -766,7 +771,7 @@ def classify_threshold(m: MixedGraph, confirm: bool = True) -> Certificate:
             False, None, None, _witness_from_subgraph(m, "quadrangle", quad), None, m.n
         )
     g = underlying_graph(m)
-    fam = underlying_family(g)
+    fam = _family_of(g)
     if fam is None:
         for name, pattern in FORBIDDEN_SUBGRAPHS:
             hit = find_induced(g, pattern)

@@ -65,6 +65,8 @@ _EXP_FROM_KIND = (None, 0, 1, 3)
 _KIND_FROM_EXP = {0: int(EdgeKind.UNDIRECTED), 1: int(EdgeKind.ARC_OUT), 3: int(EdgeKind.ARC_IN)}
 # EdgeKind.flipped() as a table indexed by kind, for hot loops.
 _FLIP = (0, 1, 3, 2)
+# The kind of the same pair in the underlying graph, indexed by kind.
+_UNDIRECTED_FROM_KIND = (0, 1, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -248,10 +250,7 @@ def hermitian_matrix(m: MixedGraph) -> HermitianMatrix:
 
 def underlying_graph(m: MixedGraph) -> MixedGraph:
     """Forget orientation: every connection becomes undirected."""
-    table = tuple(
-        tuple(int(EdgeKind.UNDIRECTED) if k != EdgeKind.NONE else 0 for k in row)
-        for row in m.kinds
-    )
+    table = tuple(tuple(map(_UNDIRECTED_FROM_KIND.__getitem__, row)) for row in m.kinds)
     return MixedGraph(m.n, table)
 
 

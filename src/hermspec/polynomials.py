@@ -1,10 +1,19 @@
-"""Integer polynomials and exact root location via Sturm chains.
+"""Integer polynomials and exact root location.
 
 The only root queries the package needs are of the form "how does the
 smallest real root of an integer polynomial compare to an algebraic
-threshold c", with c rational or quadratic (a + b sqrt d).  Both are decided
-exactly: the Sturm chain is computed over Fraction coefficients and its sign
-sequence is evaluated with QuadraticNumber arithmetic.
+threshold c", with c rational or quadratic (a + b sqrt d).  Two exact
+methods answer them:
+
+* ``compare_min_root``, for any integer polynomial, computes a Sturm chain
+  over Fraction coefficients and evaluates its sign sequence with
+  QuadraticNumber arithmetic.  The classifier, its certificates and its
+  witnesses decide by it.
+* ``taylor_compare_min_root``, for polynomials with only real roots such as
+  characteristic polynomials of Hermitian matrices, shifts the polynomial to
+  c in integer arithmetic and reads the signs of its Taylor coefficients by
+  Descartes' rule.  The census oracle decides by it, so the oracle and the
+  classifier reach their verdicts by different exact methods.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .quadratic import QuadraticNumber
@@ -21,6 +31,7 @@ __all__ = [
     "Trichotomy",
     "compare_min_root",
     "count_roots_at_most",
+    "taylor_compare_min_root",
 ]
 
 Scalar = Union[int, float, complex, Fraction, QuadraticNumber]
@@ -282,4 +293,61 @@ def compare_min_root(
         return Trichotomy.GREATER
     if leq == 1 and _eval_frac_poly(_to_frac(p.coeffs), _as_quadratic(c)).sign() == 0:
         return Trichotomy.EQUAL
+    return Trichotomy.LESS
+
+
+def _pair_sign(a: int, b: int, d: int) -> int:
+    """Sign of a + b sqrt d for integers a, b and a non-square d > 0."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    # Opposite signs: |a| against |b| sqrt d, never equal as d is no square.
+    return sa if a * a > d * b * b else sb
+
+
+def taylor_compare_min_root(
+    coeffs: Sequence[int], c: QuadraticNumber | int | Fraction
+) -> Trichotomy:
+    """Compare the smallest root of a real-rooted integer polynomial with c.
+
+    ``coeffs`` run from the leading coefficient down to the constant term,
+    as Python or numpy integers.  With c = (u + v sqrt d) / w in integers,
+    P(x) = w^deg p(x / w) has integer coefficients and w times the roots of
+    p.  Horner passes over integer pairs (a, b), standing for a + b sqrt d,
+    shift P by u + v sqrt d, so the pairs become the coefficients of
+    q(y) = P(y + u + v sqrt d), whose roots are those of P less w c.
+
+    Descartes' rule of signs is exact for a polynomial with only real roots
+    (Basu, Pollack & Roy, *Algorithms in Real Algebraic Geometry*, ch. 2).
+    The zero low-order coefficients of q count the multiplicity of c as a
+    root; when the rest alternate strictly in sign, no root lies below c,
+    which gives EQUAL if c is a root and GREATER if not.  Any other sign
+    pattern gives LESS.  GREATER and EQUAL are sound for every polynomial;
+    LESS is sound only when every root of p is real, as for the
+    characteristic polynomial of a Hermitian matrix.
+    """
+    cs = [int(x) for x in coeffs]
+    while cs and cs[0] == 0:
+        cs.pop(0)
+    if not cs:
+        raise ValueError("zero polynomial has no smallest root")
+    cq = _as_quadratic(c)
+    w = lcm(cq.a.denominator, cq.b.denominator)
+    u, v, d = int(cq.a * w), int(cq.b * w), cq.d
+    deg = len(cs) - 1
+    a = [x * w ** k for k, x in enumerate(cs)]
+    b = [0] * len(a)
+    for i in range(deg):
+        for j in range(1, deg - i + 1):
+            x, y = a[j - 1], b[j - 1]
+            a[j] += u * x + d * v * y
+            b[j] += u * y + v * x
+    signs = [_pair_sign(x, y, d) for x, y in zip(a, b)]
+    is_root = signs[-1] == 0
+    while signs[-1] == 0:
+        signs.pop()
+    if all(s * t == -1 for s, t in zip(signs, signs[1:])):
+        return Trichotomy.EQUAL if is_root else Trichotomy.GREATER
     return Trichotomy.LESS

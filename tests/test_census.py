@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import hermspec.census as census
@@ -20,6 +22,7 @@ from hermspec.census import (
 from hermspec.classify import Family
 from hermspec.graphs import (
     EdgeKind,
+    MixedGraph,
     build,
     complete_graph,
     cycle_graph,
@@ -28,6 +31,8 @@ from hermspec.graphs import (
     path_graph,
     underlying_graph,
 )
+from hermspec.polynomials import IntPolynomial, Trichotomy, compare_min_root, taylor_compare_min_root
+from hermspec.quadratic import NEG_GOLDEN, NEG_SQRT2, NEG_SQRT3
 from hermspec.spectra import _char_poly_rows, char_poly, char_poly_rows
 
 
@@ -54,6 +59,42 @@ def test_enumerate_orientations_validation():
         list(enumerate_orientations(make_knst(1, 1)))
     with pytest.raises(ValueError):
         list(enumerate_orientations(complete_graph(7)))  # 21 edges
+    # edge_list reads the arc 1 -> 0 as the pair (1, 0), which no digit
+    # order of orientation() covers.
+    with pytest.raises(ValueError):
+        orientation(build(2, [(1, 0, "arc")]), 1)
+
+
+#: (kind of (u, v), kind of (v, u)) for orientation digits 0, 1, 2 on u < v.
+_DIGIT_KINDS = tuple(
+    (int(k), int(k.flipped())) for k in (EdgeKind.UNDIRECTED, EdgeKind.ARC_OUT, EdgeKind.ARC_IN)
+)
+
+
+def _kinds_edge_by_edge(g: MixedGraph, index: int) -> tuple[tuple[int, ...], ...]:
+    """Reference kind table of ``orientation(g, index)``, set one edge at a time."""
+    kinds = [[0] * g.n for _ in range(g.n)]
+    rem = index
+    for u, v in edge_list(g):
+        rem, digit = divmod(rem, 3)
+        kinds[u][v], kinds[v][u] = _DIGIT_KINDS[digit]
+    return tuple(map(tuple, kinds))
+
+
+def test_orientations_match_edge_by_edge_reference():
+    graphs = [g for n in range(1, 6) for g in enumerate_connected_graphs(n)]
+    graphs += [g for _, g in census._deep_family_graphs()]
+    for g in graphs:
+        built = list(enumerate_orientations(g))
+        indices = range(orientation_count(g))
+        assert [m.kinds for m in built] == [_kinds_edge_by_edge(g, i) for i in indices]
+        assert built == [orientation(g, i) for i in indices], g.encode()
+    k6 = complete_graph(6)
+    rng = random.Random(66)
+    indices = [rng.randrange(3 ** 15) for _ in range(600)]
+    ref = [_kinds_edge_by_edge(k6, i) for i in indices]
+    assert [m.kinds for m in census._oriented(k6, indices)] == ref
+    assert [orientation(k6, i).kinds for i in indices] == ref
 
 
 def test_enumerate_connected_graphs_counts():
@@ -207,3 +248,33 @@ def test_k6_class_table_and_chunk():
     assert key == 1 + 4 + 16 + 64
     accepted, mismatches = census._k6_chunk(0, above=(0, key))
     assert accepted == 7 and mismatches >= 1
+
+
+def _class_polys(g: MixedGraph, tree, cotree, keys) -> set[tuple[int, ...]]:
+    rows = _char_poly_rows(census._class_matrices(g.n, tree, cotree, keys))
+    return set(map(tuple, np.unique(rows, axis=0).tolist()))
+
+
+def test_taylor_oracle_matches_sturm_on_class_polynomials():
+    # The census oracle decides by the Taylor test, the classifier by Sturm
+    # chains; both must agree on every polynomial the census meets.
+    census_polys = set()
+    for n in range(1, 6):
+        for g in enumerate_connected_graphs(n):
+            tree, cotree = census._spanning_tree(g)
+            keys = census._class_keys(g, tree, cotree, range(orientation_count(g)))
+            census_polys |= _class_polys(g, tree, cotree, np.unique(keys))
+    k6_polys = set()
+    for start in range(0, census._K6_CLASSES, census._K6_CLASS_BLOCK):
+        keys = np.arange(start, start + census._K6_CLASS_BLOCK, dtype=np.int64)
+        k6_polys |= _class_polys(complete_graph(6), census._K6_TREE, census._K6_COTREE, keys)
+    golden = Counter()
+    for row in census_polys | k6_polys:
+        p = IntPolynomial(row[::-1])
+        for c in (NEG_GOLDEN, NEG_SQRT2, NEG_SQRT3):
+            exact = compare_min_root(p, c)
+            assert taylor_compare_min_root(row, c) is exact, (row, c)
+            if c is NEG_GOLDEN and row in census_polys:
+                golden[exact] += 1
+    assert (len(census_polys), len(k6_polys)) == (278, 480)
+    assert golden == {Trichotomy.LESS: 262, Trichotomy.GREATER: 12, Trichotomy.EQUAL: 4}

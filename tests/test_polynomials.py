@@ -11,8 +11,11 @@ from hermspec.polynomials import (
     Trichotomy,
     compare_min_root,
     count_roots_at_most,
+    taylor_compare_min_root,
 )
-from hermspec.quadratic import NEG_GOLDEN, NEG_SQRT2, QuadraticNumber
+from hermspec.quadratic import NEG_GOLDEN, NEG_SQRT2, NEG_SQRT3, QuadraticNumber
+from hermspec.spectra import char_poly
+from prop_suites import random_mixed
 
 
 def test_normalization_and_basics():
@@ -79,6 +82,41 @@ def test_compare_min_root_known_cases():
     assert compare_min_root(golden_min, NEG_GOLDEN) is Trichotomy.EQUAL
     with pytest.raises(ValueError):
         compare_min_root(IntPolynomial([0]), 0)
+
+
+def test_taylor_compare_min_root_known_cases():
+    taylor = taylor_compare_min_root  # coefficients high to low
+    assert taylor([1, 0, -2], NEG_SQRT2) is Trichotomy.EQUAL
+    assert taylor([1, 0, -2], Fraction(-3, 2)) is Trichotomy.GREATER
+    assert taylor([1, 0, -2], -1) is Trichotomy.LESS
+    # (x^2 - 2)^2: the double root at -sqrt2 leaves two zero coefficients.
+    assert taylor([1, 0, -4, 0, 4], NEG_SQRT2) is Trichotomy.EQUAL
+    # (x^2 - 2)(x + 2): -2 lies below the root at -sqrt2.
+    assert taylor([1, 2, -2, -4], NEG_SQRT2) is Trichotomy.LESS
+    assert taylor([1, 1, -1], NEG_GOLDEN) is Trichotomy.EQUAL
+    assert taylor([1, -1, -1], NEG_GOLDEN) is Trichotomy.GREATER
+    # int64 rows as the census passes them; leading zeros are dropped.
+    assert taylor(np.array([0, 1, 0, -3], dtype=np.int64), NEG_SQRT3) is Trichotomy.EQUAL
+    assert taylor([7], NEG_GOLDEN) is Trichotomy.GREATER
+    with pytest.raises(ValueError):
+        taylor([0, 0], 0)
+
+
+def test_taylor_matches_sturm_on_random_graphs():
+    # Characteristic polynomials of Hermitian matrices have only real roots,
+    # where the Taylor test must agree with the Sturm comparison.
+    rng = random.Random(1105)
+    polys = {
+        char_poly(random_mixed(rng, rng.randrange(2, 13), rng.choice((0.2, 0.4, 0.7))))
+        for _ in range(1500)
+    }
+    equal = 0
+    for p in polys:
+        for c in (NEG_GOLDEN, NEG_SQRT2, NEG_SQRT3):
+            exact = compare_min_root(p, c)
+            assert taylor_compare_min_root(p.coeffs[::-1], c) is exact, (p.coeffs, c)
+            equal += exact is Trichotomy.EQUAL
+    assert (len(polys), equal) == (939, 53)
 
 
 def _distinct_real_roots(coeffs: tuple[int, ...]) -> list[float]:
