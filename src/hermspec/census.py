@@ -49,7 +49,7 @@ from .catalog import (
     SPORADIC_LABELS,
     sporadic_underlying,
 )
-from .classify import _automorphisms, _embeddings, classify_threshold
+from .classify import _automorphisms, _check_classifiable, _classify, _embeddings
 from .graphs import (
     _EXP_FROM_KIND,
     _FLIP,
@@ -110,7 +110,12 @@ def orientation_count(g: MixedGraph) -> int:
 class _Rows(dict):
     """Kind-table rows of vertex u, keyed by the base-3 number that the
     digits of u's incident edges form (the edge to u's j-th neighbor gives
-    digit j); each row is built on first use."""
+    digit j); each row is built on first use.
+
+    Row u sets pair (u, v) to the kind of the digit of edge uv and row v
+    sets (v, u) to its flip, so rows picked with one orientation's keys
+    form a valid kind table, which ``orientation`` and ``_oriented`` build
+    into a MixedGraph without re-validating it."""
 
     def __init__(self, n: int, u: int, neighbors: tuple[int, ...]) -> None:
         super().__init__()
@@ -167,7 +172,7 @@ def orientation(g: MixedGraph, index: int) -> MixedGraph:
         rem, digit = divmod(rem, 3)
         keys[u] += digit * wu
         keys[v] += digit * wv
-    return MixedGraph(g.n, tuple(map(_Rows.__getitem__, rows, keys)))
+    return MixedGraph._trusted(g.n, tuple(map(_Rows.__getitem__, rows, keys)))
 
 
 def _oriented(g: MixedGraph, indices: Sequence[int]) -> Iterator[MixedGraph]:
@@ -184,7 +189,7 @@ def _oriented(g: MixedGraph, indices: Sequence[int]) -> Iterator[MixedGraph]:
     for start in range(0, len(indices), _BLOCK):
         keys = _digits(indices[start:start + _BLOCK], len(links)) @ weights
         for row_keys in keys.tolist():
-            yield MixedGraph(g.n, tuple(map(_Rows.__getitem__, rows, row_keys)))
+            yield MixedGraph._trusted(g.n, tuple(map(_Rows.__getitem__, rows, row_keys)))
 
 
 def enumerate_orientations(g: MixedGraph) -> Iterator[MixedGraph]:
@@ -588,12 +593,18 @@ def _tally(decided: Iterable[tuple[MixedGraph, Trichotomy]]) -> LevelStats:
     ``_decided``.  Counts accepts by family, rejects and exact-EQUAL
     boundaries (``n``, ``underlying_graphs`` and ``classes`` stay 0), and
     records the encoding of every orientation whose verdict disagrees with
-    the exact comparison.  A disconnected orientation makes
-    ``classify_threshold`` raise ValueError.
+    the exact comparison.
+
+    Each orientation goes to ``classify_threshold``'s body without its
+    connectivity check, so every one must orient a nonempty connected
+    underlying graph: ``_tally_underlying`` checks its graph once, and the
+    K_6 subsample and the n=6 sample orient ``complete_graph(6)`` and the
+    output of ``enumerate_connected_graphs``, which keeps only connected
+    graphs.
     """
     stats = LevelStats(0)
     for m, exact in decided:
-        cert = classify_threshold(m, confirm=False)
+        cert = _classify(m, confirm=False)
         stats.orientations += 1
         if cert.accepted:
             family = cert.family.value
@@ -609,7 +620,9 @@ def _tally(decided: Iterable[tuple[MixedGraph, Trichotomy]]) -> LevelStats:
 
 def _tally_underlying(g: MixedGraph) -> LevelStats:
     """``_tally`` over every orientation of one underlying graph, decided
-    once per switching class (a pool task)."""
+    once per switching class (a pool task).  Raises ValueError when g is
+    empty or disconnected."""
+    _check_classifiable(g)
     memo: dict[int, Trichotomy] = {}
     stats = _tally(zip(enumerate_orientations(g), _class_verdicts(g, memo)))
     stats.classes = len(memo)

@@ -87,17 +87,37 @@ class MixedGraph:
             raise ValueError("vertex count must be nonnegative")
         if len(self.kinds) != self.n or any(len(row) != self.n for row in self.kinds):
             raise ValueError("kinds table must be n x n")
-        for u in range(self.n):
-            if self.kinds[u][u] != EdgeKind.NONE:
+        n, kinds = self.n, self.kinds
+        for u, row in enumerate(kinds):
+            if not isinstance(row[u], int):
+                raise ValueError(f"bad kind {row[u]!r} at pair ({u}, {u})")
+            if row[u] != EdgeKind.NONE:
                 raise ValueError(f"self-loop at vertex {u}")
-            for v in range(u + 1, self.n):
-                k = self.kinds[u][v]
-                if not 0 <= k <= 3:
+            for v in range(u + 1, n):
+                k, back = row[v], kinds[v][u]
+                if not isinstance(k, int) or not 0 <= k <= 3:
                     raise ValueError(f"bad kind {k!r} at pair ({u}, {v})")
-                if self.kinds[v][u] != _FLIP[k]:
+                if back != _FLIP[k]:
                     raise ValueError(f"inconsistent kinds at pair ({u}, {v})")
+                if not isinstance(back, int):  # equal to an int, such as 1.0
+                    raise ValueError(f"bad kind {back!r} at pair ({v}, {u})")
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("labels length must equal n")
+
+    @classmethod
+    def _trusted(cls, n: int, kinds: tuple[tuple[int, ...], ...]) -> "MixedGraph":
+        """A graph on a table that is valid by construction, built without
+        ``__post_init__``.
+
+        Only for tables taken from validated graphs by an operation that
+        keeps them valid (restriction, relabeling, forgetting orientation)
+        or built symmetric from the kind alphabet; every other table goes
+        through the public constructor.
+        """
+        g = object.__new__(cls)
+        attrs = g.__dict__
+        attrs["n"], attrs["kinds"], attrs["labels"] = n, kinds, None
+        return g
 
     # -- basic queries ----------------------------------------------------
 
@@ -140,7 +160,7 @@ class MixedGraph:
             row = self.kinds[u]
             for v in range(self.n):
                 table[pu][perm[v]] = row[v]
-        return MixedGraph(self.n, tuple(tuple(r) for r in table))
+        return MixedGraph._trusted(self.n, tuple(tuple(r) for r in table))
 
     def encode(self) -> str:
         """Row-major kind digits; a total order key for canonical choices."""
@@ -251,7 +271,7 @@ def hermitian_matrix(m: MixedGraph) -> HermitianMatrix:
 def underlying_graph(m: MixedGraph) -> MixedGraph:
     """Forget orientation: every connection becomes undirected."""
     table = tuple(tuple(map(_UNDIRECTED_FROM_KIND.__getitem__, row)) for row in m.kinds)
-    return MixedGraph(m.n, table)
+    return MixedGraph._trusted(m.n, table)
 
 
 def induced(m: MixedGraph, vertices: Sequence[int] | Iterable[int]) -> MixedGraph:
@@ -268,7 +288,7 @@ def induced(m: MixedGraph, vertices: Sequence[int] | Iterable[int]) -> MixedGrap
         if not 0 <= v < m.n:
             raise ValueError(f"vertex {v} out of range")
     table = tuple(tuple(m.kinds[u][v] for v in vs) for u in vs)
-    return MixedGraph(len(vs), table)
+    return MixedGraph._trusted(len(vs), table)
 
 
 def coalescence(m1: MixedGraph, u: int, m2: MixedGraph, v: int) -> MixedGraph:

@@ -26,6 +26,7 @@ from hermspec.graphs import (
     build,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     is_connected,
     make_knst,
     path_graph,
@@ -97,6 +98,21 @@ def test_orientations_match_edge_by_edge_reference():
     assert [orientation(k6, i).kinds for i in indices] == ref
 
 
+def test_orientations_pass_the_public_check():
+    # Orientations are built from row tables without re-validation; every
+    # one must still be a table the public constructor accepts.
+    for n in range(1, 6):
+        for g in enumerate_connected_graphs(n):
+            for m in enumerate_orientations(g):
+                assert MixedGraph(m.n, m.kinds) == m and type(m.kinds) is tuple
+    six = enumerate_connected_graphs(6)
+    rng = random.Random(1206)
+    for _ in range(2000):
+        g = rng.choice(six)
+        m = orientation(g, rng.randrange(orientation_count(g)))
+        assert MixedGraph(m.n, m.kinds) == m and type(m.kinds) is tuple
+
+
 def test_enumerate_connected_graphs_counts():
     for n, count in [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112)]:
         graphs = enumerate_connected_graphs(n)
@@ -164,18 +180,23 @@ def test_verify_validation():
         verify_main_theorem(n_max=0)
     with pytest.raises(ValueError):
         verify_main_theorem(n_max=2, jobs=0)
+    # The census checks connectivity once per underlying graph, not per
+    # orientation.
+    for g in (disjoint_union(complete_graph(2), complete_graph(2)), build(0, [])):
+        with pytest.raises(ValueError):
+            census._tally_underlying(g)
 
 
 def test_census_reports_classifier_errors(monkeypatch):
-    real = census.classify_threshold
+    real = census._classify
 
-    def rejects_h4(m, confirm=True):
-        cert = real(m, confirm=confirm)
+    def rejects_h4(m, confirm):
+        cert = real(m, confirm)
         if cert.family is Family.H4:
             return replace(cert, accepted=False, family=None, details=None)
         return cert
 
-    monkeypatch.setattr(census, "classify_threshold", rejects_h4)
+    monkeypatch.setattr(census, "_classify", rejects_h4)
     report = verify_main_theorem(n_max=3)
     assert not report.ok
     assert [len(lv.mismatches) for lv in report.levels] == [0, 0, 9]

@@ -562,6 +562,7 @@ def test_verify_returns_false_when_details_do_not_fit_family():
 
 
 def test_witness_memo_matches_uncached_spectra():
+    classify._cycle_certificate.cache_clear()
     classify._small_witness_spectrum.cache_clear()
     rng = random.Random(31)
     graphs = enumerate_connected_graphs(5)
@@ -580,6 +581,28 @@ def test_witness_memo_matches_uncached_spectra():
         assert w.lambda_min == eigenvalues(sub).lambda_min
     info = classify._small_witness_spectrum.cache_info()
     assert rejects > 200 and info.hits > 0 and info.misses > 0
+
+
+def test_cycle_certificate_memo_matches_unmemoized_witness():
+    classify._cycle_certificate.cache_clear()
+    exits = Counter()
+    for n in range(1, 6):
+        for g in enumerate_connected_graphs(n):
+            for m in enumerate_orientations(g):
+                tri = find_forbidden_triangle(m)
+                quad = None if tri else find_forbidden_quadrangle(m)
+                if tri is None and quad is None:
+                    continue
+                kind = "triangle" if tri else "quadrangle"
+                witness = classify._witness_from_subgraph(m, kind, tri or quad)
+                cert = classify_threshold(m)
+                assert cert == Certificate(False, None, None, witness, None, m.n)
+                assert cert.verify(m)
+                exits[kind] += 1
+    assert exits == {"triangle": 104320, "quadrangle": 1268}
+    # 220 distinct triangle and 284 distinct quadrangle certificates.
+    info = classify._cycle_certificate.cache_info()
+    assert (info.misses, info.hits) == (504, 105588 - 504)
 
 
 def test_threshold_witness_is_not_cached():

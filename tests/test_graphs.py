@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from prop_suites import random_mixed
 
 from hermspec.graphs import (
     EdgeKind,
@@ -61,6 +62,12 @@ def test_kinds_table_validation_messages():
         MixedGraph(2, ((0, 4), (4, 0)))
     with pytest.raises(ValueError, match=r"bad kind -1 at pair \(0, 1\)"):
         MixedGraph(2, ((0, -1), (1, 0)))
+    with pytest.raises(ValueError, match=r"bad kind 1\.5 at pair \(0, 1\)"):
+        MixedGraph(2, ((0, 1.5), (1.5, 0)))
+    with pytest.raises(ValueError, match=r"bad kind '1' at pair \(0, 1\)"):
+        MixedGraph(2, ((0, "1"), ("1", 0)))
+    with pytest.raises(ValueError, match=r"bad kind 1\.0 at pair \(1, 0\)"):
+        MixedGraph(2, ((0, 1), (1.0, 0)))
     with pytest.raises(ValueError, match=r"inconsistent kinds at pair \(0, 1\)"):
         MixedGraph(2, ((0, 2), (2, 0)))
     with pytest.raises(ValueError, match=r"inconsistent kinds at pair \(1, 2\)"):
@@ -71,6 +78,23 @@ def test_kinds_table_validation_messages():
     for k in range(4):
         flipped = int(EdgeKind(k).flipped())
         assert MixedGraph(2, ((0, k), (flipped, 0))).kinds[1][0] == flipped
+
+
+def test_derived_graphs_pass_the_public_check():
+    # induced, relabel and underlying_graph skip re-validation; their
+    # tables must still be what the public constructor accepts.
+    rng = random.Random(1207)
+    for _ in range(400):
+        n = rng.randrange(0, 9)
+        m = random_mixed(rng, n, p=rng.uniform(0.1, 0.9))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        picked = rng.sample(range(n), rng.randrange(n + 1))
+        for out in (
+            induced(m, picked), induced(m, set(picked)), m.relabel(perm), underlying_graph(m)
+        ):
+            assert type(out.kinds) is tuple and all(type(row) is tuple for row in out.kinds)
+            assert MixedGraph(out.n, out.kinds) == out and out.labels is None
 
 
 def test_hermitian_entries():
