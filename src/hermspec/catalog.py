@@ -16,7 +16,7 @@ reproduce it byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from .graphs import (
@@ -70,6 +70,12 @@ class CatalogRecord:
     lambda_min: float
 
     def graph(self) -> MixedGraph:
+        return self._graph
+
+    @cached_property
+    def _graph(self) -> MixedGraph:
+        """Decoded once per record; the cache sits outside the fields, so
+        ``==`` and ``hash`` ignore it."""
         return decode(self.n, self.encoded)
 
 

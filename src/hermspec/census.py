@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from itertools import combinations, islice, permutations
 from multiprocessing import Pool
@@ -78,9 +78,7 @@ __all__ = [
     "dedup_classes",
     "derive_scattered_catalog",
     "LevelStats",
-    "DeepStats",
     "K6Stats",
-    "SampleStats",
     "CensusReport",
     "verify_main_theorem",
 ]
@@ -476,7 +474,12 @@ def derive_scattered_catalog() -> Catalog:
 
 @dataclass
 class LevelStats:
-    """Exhaustive sweep over all orientations of all connected n-vertex graphs."""
+    """Classifier-vs-exact tally of one census sweep.
+
+    One record serves every sweep: an exhaustive level over all connected
+    n-vertex graphs, one six-vertex deep family graph (named by ``label``)
+    and the n=6 random sample.
+    """
 
     n: int
     underlying_graphs: int = 0
@@ -486,18 +489,11 @@ class LevelStats:
     rejects: int = 0
     boundary_equal: int = 0
     mismatches: list[str] = field(default_factory=list)
+    label: str = ""
 
-
-@dataclass
-class DeepStats:
-    """Exhaustive sweep over one six-vertex family underlying graph."""
-
-    label: str
-    orientations: int = 0
-    accepted: int = 0
-    boundary_equal: int = 0
-    mismatches: list[str] = field(default_factory=list)
-    classes: int = 0  # switching classes decided by the exact oracle
+    @property
+    def accepted(self) -> int:
+        return sum(self.accepts.values())
 
 
 @dataclass
@@ -512,73 +508,62 @@ class K6Stats:
 
 
 @dataclass
-class SampleStats:
-    """Randomized classifier-vs-exact spot checks on six-vertex graphs."""
-
-    samples: int = 0
-    accepted: int = 0
-    boundary_equal: int = 0
-    mismatches: list[str] = field(default_factory=list)
-
-
-@dataclass
 class CensusReport:
     n_max: int
-    deep: bool
     levels: list[LevelStats]
-    deep_levels: list[DeepStats]
+    deep_levels: list[LevelStats]
     k6: K6Stats | None
-    sample: SampleStats | None
+    sample: LevelStats | None
     elapsed_seconds: float
 
     @property
     def ok(self) -> bool:
-        if any(lv.mismatches for lv in self.levels):
+        tallies = [*self.levels, *self.deep_levels, *([self.sample] if self.sample else [])]
+        if any(t.mismatches for t in tallies):
             return False
-        if any(dl.mismatches for dl in self.deep_levels):
-            return False
-        if self.k6 is not None and (self.k6.mismatches or self.k6.subsample_mismatches):
-            return False
-        if self.sample is not None and self.sample.mismatches:
-            return False
-        return True
+        return self.k6 is None or not (self.k6.mismatches or self.k6.subsample_mismatches)
 
     def text(self) -> str:
         lines = [
             f"census: exhaustive classifier check up to {self.n_max} vertices"
-            + (" with six-vertex deep sweep" if self.deep else ""),
+            + (" with six-vertex deep sweep" if self.n_max == 6 else ""),
         ]
+
+        def add(line: str, mismatches: list[str]) -> None:
+            lines.append(line)
+            lines.extend(f"  mismatch {enc}" for enc in mismatches[:10])
+
         for lv in self.levels:
             fams = " ".join(f"{k}={v}" for k, v in sorted(lv.accepts.items()))
-            lines.append(
+            add(
                 f"n={lv.n}: underlying={lv.underlying_graphs}"
                 f" orientations={lv.orientations} accepts[{fams}]"
                 f" rejects={lv.rejects} boundary-equal={lv.boundary_equal}"
-                f" mismatches={len(lv.mismatches)}"
+                f" mismatches={len(lv.mismatches)}",
+                lv.mismatches,
             )
-            for enc in lv.mismatches[:10]:
-                lines.append(f"  mismatch {enc}")
         for dl in self.deep_levels:
-            lines.append(
+            add(
                 f"deep {dl.label}: orientations={dl.orientations}"
                 f" accepted={dl.accepted} boundary-equal={dl.boundary_equal}"
-                f" mismatches={len(dl.mismatches)}"
+                f" mismatches={len(dl.mismatches)}",
+                dl.mismatches,
             )
-            for enc in dl.mismatches[:10]:
-                lines.append(f"  mismatch {enc}")
         if self.k6 is not None:
-            lines.append(
+            add(
                 f"deep K_6: orientations={self.k6.total} accepted={self.k6.accepted}"
                 f" mismatches={self.k6.mismatches}"
                 f" subsample={self.k6.subsample}"
-                f" subsample-mismatches={len(self.k6.subsample_mismatches)}"
+                f" subsample-mismatches={len(self.k6.subsample_mismatches)}",
+                self.k6.subsample_mismatches,
             )
         if self.sample is not None:
-            lines.append(
-                f"sampled n=6: samples={self.sample.samples}"
+            add(
+                f"sampled n=6: samples={self.sample.orientations}"
                 f" accepted={self.sample.accepted}"
                 f" boundary-equal={self.sample.boundary_equal}"
-                f" mismatches={len(self.sample.mismatches)}"
+                f" mismatches={len(self.sample.mismatches)}",
+                self.sample.mismatches,
             )
         lines.append(f"result: {'PASS' if self.ok else 'FAIL'}")
         lines.append(f"elapsed: {self.elapsed_seconds:.1f}s")
@@ -591,9 +576,11 @@ def _tally(decided: Iterable[tuple[MixedGraph, Trichotomy]]) -> LevelStats:
     ``decided`` pairs each orientation with the exact comparison of its
     smallest eigenvalue against -(1+sqrt5)/2, from ``_class_verdicts`` or
     ``_decided``.  Counts accepts by family, rejects and exact-EQUAL
-    boundaries (``n``, ``underlying_graphs`` and ``classes`` stay 0), and
-    records the encoding of every orientation whose verdict disagrees with
-    the exact comparison.
+    boundaries, and records the encoding of every orientation whose verdict
+    disagrees with the exact comparison.  ``n``, ``underlying_graphs``,
+    ``classes`` and ``label`` are left for the caller: ``_tally_underlying``
+    fills the first three, ``verify_main_theorem`` sets ``n`` of the n=6
+    sample and ``label`` of each deep family graph.
 
     Each orientation goes to ``classify_threshold``'s body without its
     connectivity check, so every one must orient a nonempty connected
@@ -625,7 +612,23 @@ def _tally_underlying(g: MixedGraph) -> LevelStats:
     _check_classifiable(g)
     memo: dict[int, Trichotomy] = {}
     stats = _tally(zip(enumerate_orientations(g), _class_verdicts(g, memo)))
-    stats.classes = len(memo)
+    stats.n, stats.underlying_graphs, stats.classes = g.n, 1, len(memo)
+    return stats
+
+
+def _merged(stats: LevelStats, parts: Iterable[LevelStats]) -> LevelStats:
+    """``stats`` with the counts and mismatches of every part added in;
+    mismatches end up sorted."""
+    for part in parts:
+        stats.underlying_graphs += part.underlying_graphs
+        stats.orientations += part.orientations
+        stats.classes += part.classes
+        for family, count in part.accepts.items():
+            stats.accepts[family] = stats.accepts.get(family, 0) + count
+        stats.rejects += part.rejects
+        stats.boundary_equal += part.boundary_equal
+        stats.mismatches.extend(part.mismatches)
+    stats.mismatches.sort()
     return stats
 
 
@@ -713,59 +716,45 @@ def verify_main_theorem(
     """Check the structural classifier against exact eigenvalue comparisons.
 
     Exhausts every orientation of every connected underlying graph with up
-    to min(n_max, 5) vertices.  With ``n_max=6`` the six-vertex deep sweep
-    also exhausts the six-vertex family graphs (K_6 by switching class, the
-    two clique coalescences, K_{2,4} plus two edges) and runs ``sample``
-    seeded random spot checks across all 112 connected six-vertex graphs.
+    to min(n_max, 5) vertices, one ``LevelStats`` per vertex count, merged
+    from one ``_tally_underlying`` per graph.  With ``n_max=6`` the
+    six-vertex deep sweep also exhausts the six-vertex family graphs (K_6 by
+    switching class in ``K6Stats``, and one ``LevelStats`` each for the two
+    clique coalescences and K_{2,4} plus two edges) and runs ``sample``
+    seeded random spot checks across all 112 connected six-vertex graphs,
+    tallied in one more ``LevelStats``.
     """
     if not 1 <= n_max <= 6:
         raise ValueError("census covers 1 <= n_max <= 6")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     t0 = time.monotonic()
-    levels: list[LevelStats] = []
-    deep_levels: list[DeepStats] = []
+    deep_levels: list[LevelStats] = []
     k6_stats: K6Stats | None = None
-    sample_stats: SampleStats | None = None
+    sample_stats: LevelStats | None = None
     with Pool(jobs) if jobs > 1 else nullcontext() as pool:
         pmap = pool.map if pool is not None else map
-        for n in range(1, min(n_max, 5) + 1):
-            graphs = enumerate_connected_graphs(n)
-            level = LevelStats(n, underlying_graphs=len(graphs))
-            for part in pmap(_tally_underlying, graphs):
-                level.orientations += part.orientations
-                level.classes += part.classes
-                for family, count in part.accepts.items():
-                    level.accepts[family] = level.accepts.get(family, 0) + count
-                level.rejects += part.rejects
-                level.boundary_equal += part.boundary_equal
-                level.mismatches.extend(part.mismatches)
-            level.mismatches.sort()
-            levels.append(level)
+        levels = [
+            _merged(LevelStats(n), pmap(_tally_underlying, enumerate_connected_graphs(n)))
+            for n in range(1, min(n_max, 5) + 1)
+        ]
         if n_max == 6:
             rng = random.Random(seed)
             labels, graphs = zip(*_deep_family_graphs())
-            for label, part in zip(labels, pmap(_tally_underlying, graphs)):
-                deep_levels.append(
-                    DeepStats(
-                        label, part.orientations, sum(part.accepts.values()),
-                        part.boundary_equal, part.mismatches, part.classes,
-                    )
-                )
+            deep_levels = [
+                replace(part, label=label)
+                for label, part in zip(labels, pmap(_tally_underlying, graphs))
+            ]
             k6_stats = _k6_sweep(pmap, rng, subsample=max(sample, 10000))
             six = enumerate_connected_graphs(6)
             # Each sample draws its graph first, then one of its orientations.
             picks = (six[rng.randrange(len(six))] for _ in range(sample))
-            part = _tally(
-                _decided(orientation(g, rng.randrange(orientation_count(g))) for g in picks)
-            )
-            sample_stats = SampleStats(
-                part.orientations, sum(part.accepts.values()),
-                part.boundary_equal, part.mismatches,
+            sample_stats = replace(
+                _tally(_decided(orientation(g, rng.randrange(orientation_count(g))) for g in picks)),
+                n=6,
             )
     return CensusReport(
         n_max=n_max,
-        deep=n_max == 6,
         levels=levels,
         deep_levels=deep_levels,
         k6=k6_stats,

@@ -46,7 +46,7 @@ from .graphs import (
 from .polynomials import Trichotomy
 from .quadratic import NEG_GOLDEN, NEG_SQRT2
 from .spectra import compare_lambda_min, eigenvalues, f_cubic
-from .switching import SwitchDiagonal, apply_switch, switching_equivalent
+from .switching import _UNIT_FROM_EXP, SwitchDiagonal, apply_switch, switching_equivalent
 
 __all__ = [
     "TriangleType",
@@ -204,7 +204,7 @@ def quad_class(q: MixedGraph) -> QuadClass:
         raise ValueError("underlying graph is not a quadrangle")
     a, b, c, d = cyc
     exp = _holonomy_exp(q, *cyc)
-    hol = (1 + 0j, 1j, -1 + 0j, -1j)[exp]
+    hol = _UNIT_FROM_EXP[exp]
     if exp == 0:
         return QuadClass(QuadTag.PLUS_ONE, hol, cyc)
     if exp != 2:

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import _ENTRY, HermitianMatrix, MixedGraph, hermitian_matrix, induced
-from .polynomials import IntPolynomial, Trichotomy, compare_min_root
+from .polynomials import IntPolynomial, Trichotomy, _as_quadratic, compare_min_root
 from .quadratic import QuadraticNumber
 
 __all__ = [
@@ -238,9 +238,7 @@ def compare_lambda_min(
         poly = char_poly(m)
     if poly.degree == 0:
         raise ValueError("empty graph has no smallest eigenvalue")
-    if not isinstance(c, QuadraticNumber):
-        c = QuadraticNumber(Fraction(c), 0, 2)
-    return _compare_cached(poly, c)
+    return _compare_cached(poly, _as_quadratic(c))
 
 
 def interlacing_holds(

@@ -165,34 +165,17 @@ def random_switch(
     n = m.n
     if steps is None:
         steps = 3 * n + 5
-    table = [list(row) for row in m.kinds]
     exps = [0] * n
     for _ in range(steps):
         if n == 0:
             break
         v = rng.randrange(n)
-        allowed = []
-        for g in range(4):
-            ok = True
-            for w in range(n):
-                k = table[v][w]
-                if k and (_EXP_FROM_KIND[k] + g) % 4 == 2:
-                    ok = False
-                    break
-            if ok:
-                allowed.append(g)
-        g = rng.choice(allowed)
-        if g == 0:
-            continue
+        # i-exponents of v's edges under the switch so far; the step adds g.
+        now = [(_EXP_FROM_KIND[k] + exps[v] - exps[w]) % 4 for w, k in enumerate(m.kinds[v]) if k]
+        g = rng.choice([g for g in range(4) if all((e + g) % 4 != 2 for e in now)])
         exps[v] = (exps[v] + g) % 4
-        for w in range(n):
-            k = table[v][w]
-            if k:
-                e = (_EXP_FROM_KIND[k] + g) % 4
-                table[v][w] = _KIND_FROM_EXP[e]
-                table[w][v] = _FLIP[_KIND_FROM_EXP[e]]
-    out = MixedGraph(n, tuple(tuple(r) for r in table))
-    return out, SwitchDiagonal.from_exponents(exps)
+    d = SwitchDiagonal.from_exponents(exps)
+    return apply_switch(m, d), d
 
 
 @dataclass(frozen=True)

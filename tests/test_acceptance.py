@@ -185,7 +185,7 @@ def test_criterion_7_deep_six_vertex_sweep():
     assert report.k6.mismatches == 0
     assert report.k6.subsample >= 10000
     assert not report.k6.subsample_mismatches
-    assert report.sample is not None and report.sample.samples == 10000
+    assert report.sample is not None and report.sample.orientations == 10000
     assert not report.sample.mismatches
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0

@@ -9,7 +9,7 @@ from hermspec.catalog import (
     serialize_catalog,
     sporadic_underlying,
 )
-from hermspec.graphs import underlying_graph
+from hermspec.graphs import decode, underlying_graph
 from hermspec.polynomials import IntPolynomial
 from hermspec.spectra import char_poly, eigenvalues
 
@@ -85,3 +85,14 @@ def test_parse_rejects_malformed_input():
     tampered = good.replace("total records=37", "total records=36")
     with pytest.raises(ValueError):
         parse_catalog(tampered)
+
+
+def test_record_graph_is_decoded_once():
+    for record in load_builtin().records:
+        g = record.graph()
+        assert record.graph() is g
+        assert g == decode(record.n, record.encoded)
+    # The cached graph is not a field: equality and hashing see only fields.
+    fresh = parse_catalog(serialize_catalog(load_builtin())).records[0]
+    assert fresh == load_builtin().records[0]
+    assert hash(fresh) == hash(load_builtin().records[0])

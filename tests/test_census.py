@@ -9,7 +9,10 @@ import pytest
 
 import hermspec.census as census
 from hermspec.census import (
+    CensusReport,
     DedupClass,
+    K6Stats,
+    LevelStats,
     dedup_classes,
     edge_list,
     enumerate_connected_graphs,
@@ -213,6 +216,75 @@ def test_census_pool_matches_serial():
     assert body(pooled) == body(serial)
     assert [lv.classes for lv in pooled.levels] == [lv.classes for lv in serial.levels]
     assert [lv.classes for lv in serial.levels] == [1, 1, 5, 90]
+
+
+_N4_TEXT = """\
+census: exhaustive classifier check up to 4 vertices
+n=1: underlying=1 orientations=1 accepts[H3=1] rejects=0 boundary-equal=0 mismatches=0
+n=2: underlying=1 orientations=3 accepts[H3=3] rejects=0 boundary-equal=0 mismatches=0
+n=3: underlying=2 orientations=36 accepts[H3=7 H4=9] rejects=20 boundary-equal=0 mismatches=0
+n=4: underlying=6 orientations=1188 accepts[H1=37 H3=15 H4=21] rejects=1115 boundary-equal=27 mismatches=0
+result: PASS"""
+
+_N6_TEXT = """\
+census: exhaustive classifier check up to 6 vertices with six-vertex deep sweep
+n=1: underlying=1 orientations=1 accepts[H3=1] rejects=0 boundary-equal=0 mismatches=0
+n=2: underlying=1 orientations=3 accepts[H3=3] rejects=0 boundary-equal=0 mismatches=0
+n=3: underlying=2 orientations=36 accepts[H3=7 H4=9] rejects=20 boundary-equal=0 mismatches=0
+n=4: underlying=6 orientations=1188 accepts[H1=37 H3=15 H4=21] rejects=1115 boundary-equal=27 mismatches=0
+n=5: underlying=21 orientations=105705 accepts[H1=36 H2=49 H3=31 H4=45] rejects=105544 boundary-equal=165 mismatches=0
+deep K_2.K_5: orientations=177147 accepted=93 boundary-equal=0 mismatches=0
+deep K_3.K_4: orientations=19683 accepted=105 boundary-equal=0 mismatches=0
+deep k24-plus-2edges: orientations=59049 accepted=60 boundary-equal=0 mismatches=0
+deep K_6: orientations=14348907 accepted=63 mismatches=0 subsample=10000 subsample-mismatches=0
+sampled n=6: samples=10000 accepted=0 boundary-equal=38 mismatches=0
+result: PASS"""
+
+
+def test_report_text_is_pinned():
+    def body(report):
+        return "\n".join(
+            line for line in report.text().splitlines() if not line.startswith("elapsed:")
+        )
+
+    small = verify_main_theorem(n_max=4)
+    assert body(small) == _N4_TEXT
+
+    # The --nmax 6 report, with the counts of a clean run.
+    n5 = LevelStats(
+        5, 21, 105705, accepts={"H1": 36, "H2": 49, "H3": 31, "H4": 45},
+        rejects=105544, boundary_equal=165,
+    )
+
+    def deep(orientations, accepts, label):
+        return LevelStats(6, 1, orientations, accepts=accepts, label=label)
+
+    report = CensusReport(
+        n_max=6,
+        levels=[*small.levels, n5],
+        deep_levels=[
+            deep(3 ** 11, {"H4": 93}, "K_2.K_5"),
+            deep(3 ** 9, {"H2": 105}, "K_3.K_4"),
+            deep(3 ** 10, {"H1": 60}, "k24-plus-2edges"),
+        ],
+        k6=K6Stats(total=3 ** 15, accepted=63, subsample=10000),
+        sample=LevelStats(6, orientations=10000, rejects=10000, boundary_equal=38),
+        elapsed_seconds=18.4,
+    )
+    assert report.ok
+    assert body(report) == _N6_TEXT
+
+    # Sample and K_6 subsample mismatches fail the run and are named.
+    enc = orientation(complete_graph(6), 5).encode()
+    for failing in (
+        replace(report, sample=replace(report.sample, mismatches=[enc])),
+        replace(report, k6=replace(report.k6, subsample_mismatches=[enc])),
+    ):
+        assert not failing.ok
+        lines = body(failing).splitlines()
+        assert lines[-1] == "result: FAIL"
+        assert lines.count(f"  mismatch {enc}") == 1
+        assert lines[lines.index(f"  mismatch {enc}") - 1].endswith("mismatches=1")
 
 
 def test_class_representatives_share_the_spectrum():
