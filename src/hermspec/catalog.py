@@ -179,36 +179,39 @@ def parse_catalog(text: str) -> Catalog:
             continue
         tokens = line.split()
         tag = tokens[0]
-        if tag == "version":
-            version = int(tokens[1])
-        elif tag == "record":
-            f = _fields(tokens[2:])
-            records.append(
-                CatalogRecord(
-                    rec_id=tokens[1],
-                    underlying=f["underlying"],
-                    n=int(f["n"]),
-                    encoded=f["kinds"],
-                    char_coeffs=tuple(int(c) for c in f["charpoly"].split(",")),
-                    lambda_min=float(f["lambda"]),
+        try:
+            if tag == "version":
+                version = int(tokens[1])
+            elif tag == "record":
+                f = _fields(tokens[2:])
+                records.append(
+                    CatalogRecord(
+                        rec_id=tokens[1],
+                        underlying=f["underlying"],
+                        n=int(f["n"]),
+                        encoded=f["kinds"],
+                        char_coeffs=tuple(int(c) for c in f["charpoly"].split(",")),
+                        lambda_min=float(f["lambda"]),
+                    )
                 )
-            )
-        elif tag == "count":
-            f = _fields(tokens[2:])
-            rows.append(
-                ReconciliationRow(
-                    underlying=tokens[1],
-                    labeled=int(f["labeled"]),
-                    iso_classes=int(f["iso"]),
-                    converse_classes=int(f["converse"]),
-                    switch_iso_classes=int(f["switch-iso"]),
+            elif tag == "count":
+                f = _fields(tokens[2:])
+                rows.append(
+                    ReconciliationRow(
+                        underlying=tokens[1],
+                        labeled=int(f["labeled"]),
+                        iso_classes=int(f["iso"]),
+                        converse_classes=int(f["converse"]),
+                        switch_iso_classes=int(f["switch-iso"]),
+                    )
                 )
-            )
-        elif tag == "total":
-            f = _fields(tokens[1:])
-            total_line = (int(f["records"]), int(f["iso"]))
-        else:
-            raise ValueError(f"unknown catalog line {line!r}")
+            elif tag == "total":
+                f = _fields(tokens[1:])
+                total_line = (int(f["records"]), int(f["iso"]))
+            else:
+                raise ValueError(f"unknown catalog line {line!r}")
+        except (IndexError, KeyError):  # a token or field is missing
+            raise ValueError(f"malformed catalog line {line!r}") from None
     if version is None:
         raise ValueError("catalog file missing version line")
     catalog = Catalog(version, tuple(records), tuple(rows))

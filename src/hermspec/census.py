@@ -591,7 +591,7 @@ def _tally(decided: Iterable[tuple[MixedGraph, Trichotomy]]) -> LevelStats:
     """
     stats = LevelStats(0)
     for m, exact in decided:
-        cert = _classify(m, confirm=False)
+        cert = _classify(m)
         stats.orientations += 1
         if cert.accepted:
             family = cert.family.value

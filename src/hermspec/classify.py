@@ -540,25 +540,30 @@ def _all_ints(values: tuple) -> bool:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Verdict of classify_threshold with re-checkable evidence."""
+    """Verdict of classify_threshold with re-checkable evidence.
+
+    An accept fills ``family`` and ``details`` and leaves ``witness`` None;
+    a reject fills ``witness`` only.  ``verify`` checks every field.
+    """
 
     accepted: bool
     family: Family | None
     details: H1Details | H2H4Details | H3Details | None
     witness: RejectWitness | None
-    comparison: Trichotomy | None
-    n: int
 
     def verify(self, m: MixedGraph) -> bool:
         """Re-check the certificate against the graph it was issued for.
 
         Returns False, never raises, for a malformed certificate, such as
-        details of another family's type or a vertex index that is not an int.
+        details of another family's type, a vertex index that is not an int,
+        or a slot filled that the verdict leaves empty.
         A reject witness must also be what it says it is: a triangle or
         quadrangle of the named type, the named forbidden subgraph, or the
         whole graph on a two-cliques shape, with its lambda_min within 1e-9.
         """
         if self.accepted:
+            if self.witness is not None:
+                return False
             if self.family is Family.H3 and isinstance(self.details, H3Details):
                 return recognize_knst(m) == self.details.knst
             if self.family in (Family.H2, Family.H4) and isinstance(
@@ -599,6 +604,8 @@ class Certificate:
                 except ValueError:  # not a permutation, or not applicable
                     return False
                 return switched == record.graph()
+            return False
+        if self.family is not None or self.details is not None:
             return False
         w = self.witness
         if not isinstance(w, RejectWitness) or not _all_ints(w.vertices):
@@ -693,21 +700,20 @@ def _cycle_pattern(kinds: tuple[tuple[int, ...], ...]) -> str:
     return triangle_type(q).value if q.n == 3 else quad_class(q).tag.value
 
 
-#: The n <= 5 census meets 504 keys; larger graphs, as ``hermspec classify``
+#: The n <= 5 census meets 363 keys; larger graphs, as ``hermspec classify``
 #: sees them, share few, so a bigger memo mostly holds memory.
 @lru_cache(maxsize=1024)
-def _cycle_certificate(
-    n: int, cycle: tuple[int, ...], along: tuple[int, ...]
-) -> Certificate:
+def _cycle_certificate(cycle: tuple[int, ...], along: tuple[int, ...]) -> Certificate:
     """Reject certificate of a forbidden triangle or induced quadrangle.
 
-    ``cycle`` lists the witness vertices in cyclic order and ``along`` the
-    kind of each pair (cycle[i], cycle[i + 1]).  A triangle has no other
-    pairs and an induced quadrangle has no chords, so ``along`` fixes the
-    witness's kind table and with it the pattern, comparison and lambda_min
-    that ``_witness_from_subgraph`` would give.  On n <= 5 the census meets
-    220 distinct triangle certificates in 104,320 triangle rejects, and the
-    frozen objects are shared between them.
+    Keyed on ``(cycle, along)``: ``cycle`` lists the witness vertices in
+    cyclic order and ``along`` the kind of each pair (cycle[i], cycle[i + 1]).
+    A triangle has no other pairs and an induced quadrangle has no chords,
+    so ``along`` fixes the witness's kind table and with it the pattern,
+    comparison and lambda_min that ``_witness_from_subgraph`` would give.
+    The certificate does not depend on the graph's order, so graphs of every
+    size share it: on n <= 5 the census meets 140 distinct triangle
+    certificates in 104,320 triangle rejects.
     """
     size = len(cycle)
     table = [[0] * size for _ in range(size)]
@@ -720,7 +726,7 @@ def _cycle_certificate(
         "triangle" if size == 3 else "quadrangle",
         _cycle_pattern(kinds), cycle, comparison, lam,
     )
-    return Certificate(False, None, None, witness, None, n)
+    return Certificate(False, None, None, witness)
 
 
 def _witness_from_subgraph(
@@ -776,7 +782,7 @@ def _automorphisms(g: MixedGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(_embeddings(g, g))
 
 
-def classify_threshold(m: MixedGraph, confirm: bool = True) -> Certificate:
+def classify_threshold(m: MixedGraph) -> Certificate:
     """Decide whether the smallest eigenvalue exceeds -(1+sqrt5)/2, structurally.
 
     Pipeline: reject on any triangle with holonomy != 1 or quadrangle with
@@ -784,14 +790,10 @@ def classify_threshold(m: MixedGraph, confirm: bool = True) -> Certificate:
     rejects); otherwise match the underlying graph against the families and
     either build an acceptance certificate or find a forbidden subgraph.
 
-    With ``confirm=True`` (default) accepted certificates also carry the
-    exact comparison of the full graph as a cross-check; the census turns
-    this off and re-verifies externally.
-
     Raises ValueError on an empty or disconnected graph.
     """
     _check_classifiable(m)
-    return _classify(m, confirm)
+    return _classify(m)
 
 
 def _check_classifiable(m: MixedGraph) -> None:
@@ -802,7 +804,7 @@ def _check_classifiable(m: MixedGraph) -> None:
         raise ValueError("classification expects a connected graph")
 
 
-def _classify(m: MixedGraph, confirm: bool) -> Certificate:
+def _classify(m: MixedGraph) -> Certificate:
     """``classify_threshold`` of an m already known nonempty and connected.
 
     The census checks that once per underlying graph, since orienting a
@@ -812,11 +814,11 @@ def _classify(m: MixedGraph, confirm: bool) -> Certificate:
     tri = find_forbidden_triangle(m)
     if tri is not None:
         u, v, w = tri
-        return _cycle_certificate(m.n, tri, (k[u][v], k[v][w], k[w][u]))
+        return _cycle_certificate(tri, (k[u][v], k[v][w], k[w][u]))
     quad = find_forbidden_quadrangle(m)
     if quad is not None:
         a, b, c, d = quad
-        return _cycle_certificate(m.n, quad, (k[a][b], k[b][c], k[c][d], k[d][a]))
+        return _cycle_certificate(quad, (k[a][b], k[b][c], k[c][d], k[d][a]))
     g = underlying_graph(m)
     fam = _family_of(g)
     if fam is None:
@@ -826,7 +828,6 @@ def _classify(m: MixedGraph, confirm: bool) -> Certificate:
                 return Certificate(
                     False, None, None,
                     _witness_from_subgraph(m, "forbidden-subgraph", hit, name),
-                    None, m.n,
                 )
         raise RuntimeError(
             "graph outside all families contains no forbidden subgraph; "
@@ -836,8 +837,7 @@ def _classify(m: MixedGraph, confirm: bool) -> Certificate:
         match = recognize_knst(m)
         if not isinstance(match, KnstMatch):
             raise RuntimeError("complete graph with safe triangles must be K_n[s,t]")
-        comparison = compare_lambda_min(m, NEG_GOLDEN) if confirm else None
-        return Certificate(True, Family.H3, H3Details(match), None, comparison, m.n)
+        return Certificate(True, Family.H3, H3Details(match), None)
     if fam.label == "two-cliques":
         c1, c2 = fam.parts
         bound = compare_lambda_min(f_cubic(fam.s, fam.t), NEG_GOLDEN)
@@ -845,7 +845,6 @@ def _classify(m: MixedGraph, confirm: bool) -> Certificate:
             return Certificate(
                 False, None, None,
                 _witness_from_subgraph(m, "threshold", tuple(range(m.n)), "two-cliques"),
-                None, m.n,
             )
         block1 = (fam.cut_vertex,) + c1
         block2 = (fam.cut_vertex,) + c2
@@ -854,20 +853,15 @@ def _classify(m: MixedGraph, confirm: bool) -> Certificate:
         if not isinstance(k1, KnstMatch) or not isinstance(k2, KnstMatch):
             raise RuntimeError("clique block with safe triangles must be K_n[s,t]")
         family = Family.H4 if fam.t == 1 else Family.H2
-        comparison = compare_lambda_min(m, NEG_GOLDEN) if confirm else None
-        return Certificate(
-            True, family,
-            H2H4Details(fam.cut_vertex, block1, block2, k1, k2, fam.s, fam.t),
-            None, comparison, m.n,
-        )
+        details = H2H4Details(fam.cut_vertex, block1, block2, k1, k2, fam.s, fam.t)
+        return Certificate(True, family, details, None)
     details = _match_catalog(m, fam.label)
     if details is None:
         raise RuntimeError(
             f"orientation of {fam.label} passed the local checks "
             "but is missing from the catalog"
         )
-    comparison = compare_lambda_min(m, NEG_GOLDEN) if confirm else None
-    return Certificate(True, Family.H1, details, None, comparison, m.n)
+    return Certificate(True, Family.H1, details, None)
 
 
 @dataclass(frozen=True)

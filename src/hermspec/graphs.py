@@ -209,13 +209,14 @@ def build(n: int, edges: Iterable[tuple[int, int, str | EdgeKind]]) -> MixedGrap
         Number of vertices (labeled 0..n-1).
     edges:
         Triples ``(u, v, kind)`` where kind is ``"undirected"`` or ``"arc"``
-        (arc oriented u -> v), or an EdgeKind.
+        (arc oriented u -> v), or an EdgeKind other than NONE.
 
     Raises
     ------
     ValueError
-        On loops, out-of-range endpoints, or a vertex pair listed twice in
-        either order (double arcs and parallel edges are rejected).
+        On loops, out-of-range endpoints, an unknown kind or EdgeKind.NONE,
+        or a vertex pair listed twice in either order (double arcs and
+        parallel edges are rejected).
     """
     table = _empty_table(n)
     seen: set[tuple[int, int]] = set()
@@ -228,7 +229,7 @@ def build(n: int, edges: Iterable[tuple[int, int, str | EdgeKind]]) -> MixedGrap
         if key in seen:
             raise ValueError(f"pair listed twice: ({u}, {v})")
         seen.add(key)
-        if isinstance(kind, EdgeKind):
+        if isinstance(kind, EdgeKind) and kind != EdgeKind.NONE:
             k = kind
             if k == EdgeKind.ARC_IN:
                 u, v, k = v, u, EdgeKind.ARC_OUT

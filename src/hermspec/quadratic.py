@@ -48,9 +48,6 @@ class QuadraticNumber:
             raise ValueError(f"cannot mix sqrt({self.d}) with sqrt({other.d})")
         return self.d if self.b != 0 else (other.d if other.b != 0 else self.d)
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 

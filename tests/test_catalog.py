@@ -81,6 +81,17 @@ def test_parse_rejects_malformed_input():
         parse_catalog("version 1\nbogus line\n")
     with pytest.raises(ValueError, match="malformed field"):
         parse_catalog("version 1\nrecord r1 underlying\n")
+    # A missing token or field names the line instead of leaking an
+    # IndexError or KeyError.
+    for text, line in [
+        ("version\n", "version"),
+        ("version 1\nrecord\n", "record"),
+        ("version 1\nrecord c4-01 n=4\n", "record c4-01 n=4"),
+        ("version 1\ncount c4 labeled=1 iso=1\n", "count c4 labeled=1 iso=1"),
+        ("version 1\ntotal records=0\n", "total records=0"),
+    ]:
+        with pytest.raises(ValueError, match=f"malformed catalog line '{line}'"):
+            parse_catalog(text)
     good = serialize_catalog(load_builtin())
     tampered = good.replace("total records=37", "total records=36")
     with pytest.raises(ValueError):

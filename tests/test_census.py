@@ -193,8 +193,8 @@ def test_verify_validation():
 def test_census_reports_classifier_errors(monkeypatch):
     real = census._classify
 
-    def rejects_h4(m, confirm):
-        cert = real(m, confirm)
+    def rejects_h4(m):
+        cert = real(m)
         if cert.family is Family.H4:
             return replace(cert, accepted=False, family=None, details=None)
         return cert

@@ -207,7 +207,7 @@ def test_block_bound_runs_sturm_once_per_block_size(monkeypatch):
         coalescence(make_knst(2, 2), 1, complete_graph(2), 1),
     ]
     for m in h4s:
-        cert = classify_threshold(m, confirm=False)
+        cert = classify_threshold(m)
         assert cert.family is Family.H4 and (cert.details.s, cert.details.t) == (3, 1)
         assert cert.verify(m)
     assert sturm_runs == [f_cubic(3, 1)]
@@ -379,7 +379,7 @@ def test_underlying_family():
 def test_classify_accept_h3():
     cert = classify_threshold(make_knst(4, 3))
     assert cert.accepted and cert.family is Family.H3
-    assert cert.comparison is Trichotomy.GREATER
+    assert compare_lambda_min(make_knst(4, 3), NEG_GOLDEN) is Trichotomy.GREATER
     assert cert.summary() == "accept H3 s=4 t=3"
     assert cert.verify(make_knst(4, 3))
     # A graph with a different underlying shape must not verify.
@@ -407,7 +407,7 @@ def test_verify_rejects_forged_h2_h4_fields():
         details = replace(
             H2H4Details(blocks[0][0], *blocks, k1, k2, s, t), **changes
         )
-        return Certificate(True, family, details, None, None, m.n)
+        return Certificate(True, family, details, None)
 
     # K_5.K_3 fails the block bound (lambda_min ~ -1.6262); claiming the
     # bowtie's sizes s = t = 2 must not make it verify.
@@ -430,9 +430,7 @@ def test_verify_h3_requires_a_partition():
     m = make_knst(3, 2)
 
     def forge(s, t, s_side, t_side):
-        return Certificate(
-            True, Family.H3, H3Details(KnstMatch(s, t, s_side, t_side)), None, None, m.n
-        )
+        return Certificate(True, Family.H3, H3Details(KnstMatch(s, t, s_side, t_side)), None)
 
     assert forge(3, 2, (0, 1, 2), (3, 4)).verify(m)
     assert not forge(3, 2, (0, 0, 1), (3, 4)).verify(m)
@@ -561,6 +559,33 @@ def test_verify_returns_false_when_details_do_not_fit_family():
         assert not bad.verify(m)
 
 
+def test_verify_checks_every_field_of_a_certificate():
+    certs = [
+        (m, classify_threshold(m))
+        for n in range(1, 5)
+        for g in enumerate_connected_graphs(n)
+        for m in enumerate_orientations(g)
+    ]
+    accepts = [(m, c) for m, c in certs if c.accepted]
+    rejects = [(m, c) for m, c in certs if not c.accepted]
+    assert (len(accepts), len(rejects)) == (93, 1135)
+    witness = rejects[0][1].witness
+    for m, cert in accepts:
+        assert cert.verify(m), m.encode()
+        forged = [
+            replace(cert, accepted=False),
+            replace(cert, details=None),
+            replace(cert, witness=witness),
+        ]
+        forged += [replace(cert, family=f) for f in Family if f is not cert.family]
+        for bad in forged:
+            assert bad.verify(m) is False, (m.encode(), bad)
+    h3 = classify_threshold(make_knst(2, 1))
+    for m, cert in rejects:
+        assert replace(cert, family=h3.family, details=h3.details).verify(m) is False
+        assert replace(cert, accepted=True).verify(m) is False
+
+
 def test_witness_memo_matches_uncached_spectra():
     classify._cycle_certificate.cache_clear()
     classify._small_witness_spectrum.cache_clear()
@@ -596,13 +621,13 @@ def test_cycle_certificate_memo_matches_unmemoized_witness():
                 kind = "triangle" if tri else "quadrangle"
                 witness = classify._witness_from_subgraph(m, kind, tri or quad)
                 cert = classify_threshold(m)
-                assert cert == Certificate(False, None, None, witness, None, m.n)
+                assert cert == Certificate(False, None, None, witness)
                 assert cert.verify(m)
                 exits[kind] += 1
     assert exits == {"triangle": 104320, "quadrangle": 1268}
-    # 220 distinct triangle and 284 distinct quadrangle certificates.
+    # 140 distinct triangle and 223 distinct quadrangle certificates.
     info = classify._cycle_certificate.cache_info()
-    assert (info.misses, info.hits) == (504, 105588 - 504)
+    assert (info.misses, info.hits) == (363, 105588 - 363)
 
 
 def test_threshold_witness_is_not_cached():
@@ -711,8 +736,6 @@ def test_certificates_match_exact_comparison():
         exact = compare_lambda_min(m, NEG_GOLDEN)
         assert cert.accepted == (exact is Trichotomy.GREATER)
         assert cert.verify(m)
-        if cert.accepted:
-            assert cert.comparison is Trichotomy.GREATER
 
 
 def test_forbidden_subgraphs_all_fail_threshold():

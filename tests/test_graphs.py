@@ -46,6 +46,8 @@ def test_build_rejects_bad_input():
         build(3, [(0, 1, "arc"), (1, 0, "undirected")])
     with pytest.raises(ValueError, match="unknown edge kind"):
         build(2, [(0, 1, "loop")])
+    with pytest.raises(ValueError, match="unknown edge kind"):
+        build(2, [(0, 1, EdgeKind.NONE)])
 
 
 def test_kinds_table_consistency_enforced():
