@@ -24,9 +24,8 @@ from pathlib import Path
 from .classify import classify_threshold
 from .graphs import MixedGraph
 from .mgfile import MgParseError, parse_mgfile
-from .polynomials import Trichotomy
 from .quadratic import NEG_GOLDEN, NEG_SQRT2, NEG_SQRT3
-from .spectra import char_poly, compare_lambda_min, eigenvalues
+from .spectra import compare_lambda_min, eigenvalues
 from .switching import switching_equivalent
 
 __all__ = ["main"]
@@ -42,17 +41,21 @@ def _load(path: str) -> MixedGraph:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     m = _load(args.file)
     summary = eigenvalues(m)
+    # Every verdict first: an empty graph raises before anything is printed.
+    verdicts = [
+        (name, compare_lambda_min(summary.char_poly, bound))
+        for name, bound in (
+            ("-sqrt(2)", NEG_SQRT2),
+            ("-sqrt(3)", NEG_SQRT3),
+            ("-(1+sqrt5)/2", NEG_GOLDEN),
+        )
+    ]
     print(f"n: {m.n}")
     print(f"edges: {m.edge_count()}")
     print("eigenvalues:", " ".join(f"{x:.10f}" for x in summary.eigenvalues))
-    print(f"char poly: {char_poly(m)}")
+    print(f"char poly: {summary.char_poly}")
     print(f"lambda_min: {summary.lambda_min:.10f}")
-    for name, bound in (
-        ("-sqrt(2)", NEG_SQRT2),
-        ("-sqrt(3)", NEG_SQRT3),
-        ("-(1+sqrt5)/2", NEG_GOLDEN),
-    ):
-        verdict = compare_lambda_min(m, bound)
+    for name, verdict in verdicts:
         print(f"vs {name}: {verdict.value}")
     return 0
 

@@ -110,9 +110,10 @@ class MixedGraph:
         ``__post_init__``.
 
         Only for tables taken from validated graphs by an operation that
-        keeps them valid (restriction, relabeling, forgetting orientation)
-        or built symmetric from the kind alphabet; every other table goes
-        through the public constructor.
+        keeps them valid (restriction, relabeling, forgetting orientation,
+        switching in ``apply_switch``), built symmetric from the kind
+        alphabet, or filled pair by pair by ``parse_mgfile`` after it checks
+        each edge; every other table goes through the public constructor.
         """
         g = object.__new__(cls)
         attrs = g.__dict__

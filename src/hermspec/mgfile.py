@@ -78,7 +78,7 @@ def parse_mgfile(text: str) -> MixedGraph:
             table[u][v], table[v][u] = int(EdgeKind.ARC_OUT), int(EdgeKind.ARC_IN)
     if n is None:
         raise MgParseError(max(len(lines), 1), "missing 'mixedgraph <n>' header")
-    return MixedGraph(n, tuple(tuple(row) for row in table))
+    return MixedGraph._trusted(n, tuple(tuple(row) for row in table))
 
 
 def serialize_mgfile(m: MixedGraph) -> str:

@@ -5,10 +5,10 @@ smallest real root of an integer polynomial compare to an algebraic
 threshold c", with c rational or quadratic (a + b sqrt d).  Two exact
 methods answer them:
 
-* ``compare_min_root``, for any integer polynomial, computes a Sturm chain
-  over Fraction coefficients and evaluates its sign sequence with
-  QuadraticNumber arithmetic.  The classifier, its certificates and its
-  witnesses decide by it.
+* ``compare_min_root``, for any integer polynomial, builds a Sturm chain
+  from one integer remainder sequence of p and p', divides it through by
+  gcd(p, p'), and evaluates its signs at c by Horner passes over integer
+  pairs.  The classifier, its certificates and its witnesses decide by it.
 * ``taylor_compare_min_root``, for polynomials with only real roots such as
   characteristic polynomials of Hermitian matrices, shifts the polynomial to
   c in integer arithmetic and reads the signs of its Taylor coefficients by
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .quadratic import QuadraticNumber
@@ -116,15 +116,12 @@ class IntPolynomial:
 
     def exact_div(self, other: "IntPolynomial") -> "IntPolynomial":
         """Exact quotient self / other; raises if the division leaves a remainder."""
-        q, r = _frac_divmod(_to_frac(self.coeffs), _to_frac(other.coeffs))
-        if any(c != 0 for c in r):
+        q, r, s = _divmod(self.coeffs, other.coeffs)
+        if r:
             raise ValueError("division is not exact")
-        out = []
-        for c in q:
-            if c.denominator != 1:
-                raise ValueError("quotient is not an integer polynomial")
-            out.append(c.numerator)
-        return IntPolynomial(out or [0])
+        if any(c % s for c in q):
+            raise ValueError("quotient is not an integer polynomial")
+        return IntPolynomial([c // s for c in q])
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -149,110 +146,84 @@ class IntPolynomial:
         return text
 
 
-# -- Fraction-coefficient helpers (internal) --------------------------------
+# -- Integer remainder sequences (internal) ---------------------------------
 
 
-def _to_frac(cs: Sequence[int]) -> list[Fraction]:
-    return [Fraction(c) for c in cs]
+def _divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Long division in integers: (q, r, s) with s a = q b + r, deg r < deg b.
 
-
-def _frac_trim(cs: list[Fraction]) -> list[Fraction]:
-    while len(cs) > 1 and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        cs.append(Fraction(0))
-    return cs
-
-
-def _frac_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = _frac_trim(list(a))
-    b = _frac_trim(list(b))
-    if b == [Fraction(0)]:
+    Coefficients run constant first and b has a nonzero leading coefficient.
+    A step where lead(b) does not divide the remainder's leading coefficient
+    first scales quotient and remainder by |lead(b)|, so s > 0 is a power of
+    |lead(b)| and r is a positive multiple of the rational remainder.  r is
+    empty when the division is exact.
+    """
+    if not any(b):
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while True:
-        r = _frac_trim(r)
-        if r == [Fraction(0)] or len(r) - 1 < db:
-            break
-        shift = len(r) - 1 - db
-        coef = r[-1] / lb
-        q[shift] += coef
-        for i in range(len(b)):
-            r[shift + i] -= coef * b[i]
+    lb, db = b[-1], len(b) - 1
+    q, r, s = [0] * max(1, len(a) - db), list(a), 1
+    while len(r) > db:
+        c = r[-1]
+        if c % lb:
+            m = abs(lb)
+            q, r, s, c = [m * x for x in q], [m * x for x in r], s * m, c * m
+        t, shift = c // lb, len(r) - 1 - db
+        q[shift] += t
+        for i, y in enumerate(b):
+            r[shift + i] -= t * y
         r.pop()
-    return _frac_trim(q), _frac_trim(r)
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r, s
 
 
-def _frac_normalize(cs: list[Fraction]) -> list[Fraction]:
-    """Scale by a positive rational so coefficients are small coprime integers."""
-    cs = _frac_trim(list(cs))
-    if cs == [Fraction(0)]:
-        return cs
-    from math import gcd
-
-    den = 1
-    for c in cs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in cs]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    return [Fraction(c, g) for c in ints]
+def _primitive(cs: Sequence[int]) -> list[int]:
+    g = gcd(*cs)
+    return [c // g for c in cs]
 
 
-def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    chain = [_frac_normalize(p)]
-    dp = _frac_trim([k * c for k, c in enumerate(p)][1:] or [Fraction(0)])
-    if dp != [Fraction(0)]:
-        chain.append(_frac_normalize(dp))
-        while True:
-            _, r = _frac_divmod(chain[-2], chain[-1])
-            if r == [Fraction(0)]:
-                break
-            chain.append(_frac_normalize([-c for c in r]))
-    return chain
+def _sturm_chain(p: Sequence[int]) -> list[list[int]]:
+    """Sturm chain of the squarefree part of p, in integer polynomials.
+
+    One remainder sequence p, p', -rem, ... runs to gcd(p, p'), each member
+    a positive multiple of the rational one, made primitive.  Dividing every
+    member by the last one gives the chain of p / gcd(p, p'), whose members
+    share no root, so a threshold that is a multiple root of p still counts.
+    """
+    chain = [_primitive(p), _primitive([k * c for k, c in enumerate(p)][1:])]
+    while True:
+        r = _divmod(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append(_primitive([-c for c in r]))
+    g = chain[-1]
+    return [_divmod(f, g)[0] for f in chain]
 
 
-def _squarefree_part(p: IntPolynomial) -> list[Fraction]:
-    """p / gcd(p, p') over the rationals, normalized to integer coefficients."""
-    a = _to_frac(p.coeffs)
-    b = _frac_trim([k * c for k, c in enumerate(a)][1:] or [Fraction(0)])
-    # Euclidean gcd.
-    x, y = _frac_trim(list(a)), b
-    while y != [Fraction(0)]:
-        _, r = _frac_divmod(x, y)
-        x, y = y, r
-    g = _frac_normalize(x)
-    q, _ = _frac_divmod(a, g)
-    return _frac_normalize(q)
+def _point(c: QuadraticNumber | int | Fraction) -> tuple[int, int, int, int]:
+    """(u, v, w, d) in integers with c = (u + v sqrt d) / w and w > 0."""
+    cq = _as_quadratic(c)
+    a, b = cq.a, cq.b
+    w = lcm(a.denominator, b.denominator)
+    return a.numerator * (w // a.denominator), b.numerator * (w // b.denominator), w, cq.d
 
 
-def _eval_frac_poly(cs: Sequence[Fraction], x: QuadraticNumber) -> QuadraticNumber:
-    out = QuadraticNumber(0, 0, x.d)
-    for c in reversed(cs):
-        out = out * x + c
-    return out
+def _sign_at(cs: Sequence[int], u: int, v: int, w: int, d: int) -> int:
+    """Sign of the polynomial cs (constant first) at (u + v sqrt d) / w.
+
+    Horner over integer pairs (a, b), standing for a + b sqrt d, gives
+    w^deg times the value, which has the same sign as w > 0.
+    """
+    a, b, scale = cs[-1], 0, 1
+    for x in reversed(cs[:-1]):
+        scale *= w
+        a, b = a * u + b * v * d + x * scale, a * v + b * u
+    return QuadraticNumber(a, b, d).sign()
 
 
 def _sign_variations(signs: Iterable[int]) -> int:
     seq = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(seq, seq[1:]) if a * b < 0)
-
-
-def _variations_at(chain: list[list[Fraction]], c: QuadraticNumber) -> int:
-    return _sign_variations(_eval_frac_poly(q, c).sign() for q in chain)
-
-
-def _variations_at_minus_inf(chain: list[list[Fraction]]) -> int:
-    signs = []
-    for q in chain:
-        lead = q[-1]
-        deg = len(q) - 1
-        s = (lead > 0) - (lead < 0)
-        signs.append(s if deg % 2 == 0 else -s)
-    return _sign_variations(signs)
 
 
 def _as_quadratic(c: QuadraticNumber | int | Fraction) -> QuadraticNumber:
@@ -272,10 +243,10 @@ def count_roots_at_most(p: IntPolynomial, c: QuadraticNumber | int | Fraction) -
         raise ValueError("zero polynomial has no root count")
     if p.degree == 0:
         return 0
-    cq = _as_quadratic(c)
-    sf = _squarefree_part(p)
-    chain = _sturm_chain(sf)
-    return _variations_at_minus_inf(chain) - _variations_at(chain, cq)
+    chain, point = _sturm_chain(p.coeffs), _point(c)
+    at_c = _sign_variations(_sign_at(f, *point) for f in chain)
+    at_minus_inf = _sign_variations(f[-1] * (-1) ** (len(f) - 1) for f in chain)
+    return at_minus_inf - at_c
 
 
 def compare_min_root(
@@ -291,7 +262,7 @@ def compare_min_root(
     leq = count_roots_at_most(p, c)
     if leq == 0:
         return Trichotomy.GREATER
-    if leq == 1 and _eval_frac_poly(_to_frac(p.coeffs), _as_quadratic(c)).sign() == 0:
+    if leq == 1 and _sign_at(p.coeffs, *_point(c)) == 0:
         return Trichotomy.EQUAL
     return Trichotomy.LESS
 

@@ -1,11 +1,13 @@
 """Spectral computations: exact characteristic polynomials, float eigenvalues,
 exact threshold comparisons, interlacing, and equitable partitions.
 
-Every accept/reject decision in the package bottoms out in
+Every classifier verdict, block bound and certificate check bottoms out in
 ``compare_lambda_min``, which is exact: the characteristic polynomial has
 integer coefficients and root counts against the algebraic thresholds come
-from Sturm chains evaluated with exact quadratic arithmetic.  Floating
-eigenvalues are for reporting and for cheap certified screening only.
+from integer Sturm chains (``polynomials.compare_min_root``).  The census
+oracle decides its class polynomials by the separate Taylor-shift test
+(``polynomials.taylor_compare_min_root``).  Floating eigenvalues are for
+reporting and sanity checks only.
 
 One Faddeev-LeVerrier loop computes every characteristic polynomial.  It
 works on a stack of real integer matrices: 2n x 2n embeddings [[Re H, -Im H],

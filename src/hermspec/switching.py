@@ -105,7 +105,7 @@ def apply_switch(m: MixedGraph, d: SwitchDiagonal) -> MixedGraph:
     if len(d) != m.n:
         raise ValueError("diagonal length must match vertex count")
     table = _switched_table(m, d.exponents())
-    return MixedGraph(m.n, tuple(tuple(r) for r in table))
+    return MixedGraph._trusted(m.n, tuple(tuple(r) for r in table))
 
 
 def switching_equivalent(m1: MixedGraph, m2: MixedGraph) -> SwitchDiagonal | None:

@@ -25,6 +25,15 @@ def test_spectrum_output(tmp_path, capsys):
     assert "vs -sqrt(2): Less" in out
 
 
+def test_spectrum_of_empty_graph_is_an_input_error(tmp_path, capsys):
+    empty = tmp_path / "empty.mg"
+    empty.write_text("mixedgraph 0\n", encoding="utf-8")
+    assert main(["spectrum", str(empty)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: empty graph has no smallest eigenvalue\n"
+
+
 def test_classify_exit_codes(tmp_path, capsys):
     accept = _write(tmp_path, "k43.mg", make_knst(4, 3))
     assert main(["classify", accept]) == 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -157,3 +158,45 @@ def test_count_includes_threshold_root():
     assert count_roots_at_most(p, NEG_SQRT2) == 2  # -sqrt5 and -sqrt2 itself
     assert count_roots_at_most(p, Fraction(-3, 2)) == 1
     assert count_roots_at_most(p, 100) == 4
+
+
+def test_sturm_on_products_of_known_factors():
+    # Products of factors with known real roots, up to multiplicity three,
+    # times a negative or non-unit constant and factors without real roots.
+    # Roots are compared as floats of the same exact values, so a root that
+    # is the threshold itself ties exactly.
+    factors = (
+        (IntPolynomial([-2, 0, 1]), (NEG_SQRT2, -NEG_SQRT2)),
+        (IntPolynomial([-1, 1, 1]), (NEG_GOLDEN, -1 - NEG_GOLDEN)),
+        (IntPolynomial([3, 2]), (Fraction(-3, 2),)),
+        (IntPolynomial([1, 1, 1]) * IntPolynomial([1, 0, 0, 0, 1]), ()),
+    )
+    thresholds = (NEG_SQRT2, NEG_GOLDEN, Fraction(-3, 2), 0, 2)
+    for *mults, k in itertools.product(range(4), range(4), range(4), range(2), (-3, 6)):
+        p, roots = IntPolynomial([k]), set()
+        for (f, rs), mult in zip(factors, mults):
+            for _ in range(mult):
+                p = p * f
+            roots.update(float(r) for r in rs if mult)
+        for t in thresholds:
+            at_most = sum(1 for r in roots if r <= float(t))
+            assert count_roots_at_most(p, t) == at_most, (p.coeffs, t)
+            if at_most == 0:
+                want = Trichotomy.GREATER
+            elif at_most == 1 and float(t) in roots:
+                want = Trichotomy.EQUAL
+            else:
+                want = Trichotomy.LESS
+            assert compare_min_root(p, t) is want, (p.coeffs, t)
+    # Two by hand: a triple root at -sqrt2 under a negative leading
+    # coefficient, and a double root at the golden threshold below a triple
+    # one at -3/2.
+    x2m2 = IntPolynomial([-2, 0, 1])
+    assert count_roots_at_most(-5 * x2m2 * x2m2 * x2m2, NEG_SQRT2) == 1
+    assert compare_min_root(-5 * x2m2 * x2m2 * x2m2, NEG_SQRT2) is Trichotomy.EQUAL
+    golden, lin = IntPolynomial([-1, 1, 1]), IntPolynomial([3, 2])
+    q = -2 * golden * golden * lin * lin * lin
+    assert count_roots_at_most(q, NEG_GOLDEN) == 1
+    assert compare_min_root(q, NEG_GOLDEN) is Trichotomy.EQUAL
+    assert count_roots_at_most(q, Fraction(-3, 2)) == 2
+    assert compare_min_root(q, Fraction(-3, 2)) is Trichotomy.LESS

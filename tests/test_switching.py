@@ -10,6 +10,7 @@ from hermspec.census import orientation
 from hermspec.classify import find_forbidden_triangle
 from hermspec.graphs import (
     EdgeKind,
+    MixedGraph,
     build,
     complete_graph,
     cycle_graph,
@@ -74,7 +75,10 @@ def test_switch_preserves_spectrum_and_underlying():
     for _ in range(80):
         m = _random_mixed(rng, rng.randrange(1, 8))
         out, d = random_switch(m, rng)
-        assert apply_switch(m, d) == out
+        switched = apply_switch(m, d)
+        assert switched == out
+        # apply_switch skips validation; its table must pass it anyway.
+        assert MixedGraph(switched.n, switched.kinds) == switched
         assert underlying_graph(out) == underlying_graph(m)
         assert char_poly(out) == char_poly(m)
 
