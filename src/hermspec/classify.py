@@ -62,11 +62,8 @@ __all__ = [
     "quad_class",
     "find_forbidden_triangle",
     "find_forbidden_quadrangle",
-    "all_triangles_safe",
-    "all_quads_safe",
     "recognize_knst",
     "find_induced",
-    "cograph_join_split",
     "underlying_family",
     "FamilyMatch",
     "classify_threshold",
@@ -269,14 +266,6 @@ def find_forbidden_quadrangle(m: MixedGraph) -> tuple[int, int, int, int] | None
     return None
 
 
-def all_triangles_safe(m: MixedGraph) -> bool:
-    return find_forbidden_triangle(m) is None
-
-
-def all_quads_safe(m: MixedGraph) -> bool:
-    return find_forbidden_quadrangle(m) is None
-
-
 @dataclass(frozen=True)
 class KnstMatch:
     """M equals the oriented complete graph K_n[s, t] with these sides."""
@@ -384,42 +373,6 @@ def find_induced(g: MixedGraph, pattern: MixedGraph) -> tuple[int, ...] | None:
     if not g.is_undirected() or not pattern.is_undirected():
         raise ValueError("induced-subgraph search works on undirected graphs")
     return next(_embeddings(g, pattern), None)
-
-
-@dataclass(frozen=True)
-class JoinSplit:
-    part1: tuple[int, ...]
-    part2: tuple[int, ...]
-    g1: MixedGraph
-    g2: MixedGraph
-
-
-def cograph_join_split(g: MixedGraph) -> JoinSplit | tuple[int, ...]:
-    """Split a connected undirected graph as a join, or witness an induced P_4.
-
-    A connected graph is a join exactly when its complement is disconnected;
-    part1 is the complement component containing the smallest vertex.  When
-    no split exists the graph has an induced P_4 (returned as the witness,
-    so the result type distinguishes JoinSplit from a 4-tuple).
-    """
-    if not g.is_undirected():
-        raise ValueError("join split works on undirected graphs")
-    comp_edges = [
-        (u, v, "undirected")
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if g.kinds[u][v] == 0
-    ]
-    complement = build(g.n, comp_edges)
-    comps = connected_components(complement)
-    if len(comps) >= 2:
-        part1 = tuple(comps[0])
-        part2 = tuple(v for v in range(g.n) if v not in comps[0])
-        return JoinSplit(part1, part2, induced(g, part1), induced(g, part2))
-    witness = find_induced(g, path_graph(4))
-    if witness is None:
-        raise ValueError("connected non-join graph must contain an induced P_4")
-    return witness
 
 
 @dataclass(frozen=True)

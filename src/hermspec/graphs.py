@@ -32,7 +32,6 @@ __all__ = [
     "induced",
     "coalescence",
     "make_knst",
-    "neighbor_partition",
     "is_connected",
     "connected_components",
     "join",
@@ -343,27 +342,6 @@ def make_knst(s: int, t: int) -> MixedGraph:
             else:
                 _set_pair(table, a, b, EdgeKind.UNDIRECTED)
     return MixedGraph(n, tuple(tuple(r) for r in table))
-
-
-def neighbor_partition(
-    m: MixedGraph, u: int, within: Iterable[int] | None = None
-) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    """Split u's neighbors inside ``within`` into (out-arcs, in-arcs, undirected)."""
-    if not 0 <= u < m.n:
-        raise ValueError(f"vertex {u} out of range")
-    pool = range(m.n) if within is None else within
-    outs, ins, und = set(), set(), set()
-    for w in pool:
-        if w == u:
-            continue
-        k = m.kinds[u][w]
-        if k == EdgeKind.ARC_OUT:
-            outs.add(w)
-        elif k == EdgeKind.ARC_IN:
-            ins.add(w)
-        elif k == EdgeKind.UNDIRECTED:
-            und.add(w)
-    return frozenset(outs), frozenset(ins), frozenset(und)
 
 
 def connected_components(m: MixedGraph) -> list[list[int]]:

@@ -84,11 +84,6 @@ class IntPolynomial:
             out = out * x + c
         return out
 
-    def derivative(self) -> "IntPolynomial":
-        if self.degree == 0:
-            return IntPolynomial([0])
-        return IntPolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
-
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):

@@ -125,11 +125,9 @@ def _int_rows(a: np.ndarray, trace_scale: int = 1) -> np.ndarray:
     return _faddeev_leverrier(a.astype(object), trace_scale, None)
 
 
-def _numpy_matrix(m: MixedGraph | HermitianMatrix) -> np.ndarray:
-    """Complex128 H; a graph's is read from ``kinds`` through the entry table."""
-    if isinstance(m, MixedGraph):
-        return _ENTRY_ARRAY[np.array(m.kinds, dtype=np.intp).reshape(m.n, m.n)]
-    return m.to_numpy()
+def _numpy_matrix(m: MixedGraph) -> np.ndarray:
+    """Complex128 H, read from ``kinds`` through the entry table."""
+    return _ENTRY_ARRAY[np.array(m.kinds, dtype=np.intp).reshape(m.n, m.n)]
 
 
 def _char_poly_rows(h: np.ndarray) -> np.ndarray:
@@ -153,7 +151,7 @@ def _poly(row: np.ndarray) -> IntPolynomial:
     return IntPolynomial(row[::-1].tolist())
 
 
-def char_poly(m: MixedGraph | HermitianMatrix) -> IntPolynomial:
+def char_poly(m: MixedGraph) -> IntPolynomial:
     """Characteristic polynomial det(xI - H), exact integer coefficients."""
     return _poly(_char_poly_rows(_numpy_matrix(m)))
 
@@ -189,14 +187,12 @@ class SpectralSummary:
 
     @property
     def lambda_min(self) -> float:
+        if not self.eigenvalues:
+            raise ValueError("empty graph has no smallest eigenvalue")
         return self.eigenvalues[-1]
 
-    @property
-    def lambda_max(self) -> float:
-        return self.eigenvalues[0]
 
-
-def eigenvalues(m: MixedGraph | HermitianMatrix) -> SpectralSummary:
+def eigenvalues(m: MixedGraph) -> SpectralSummary:
     """Eigenvalues (descending) with consistency checks against the char poly.
 
     The trace of H is zero, so the eigenvalues must sum to ~0 (1e-9), and
@@ -225,14 +221,14 @@ def _compare_cached(poly: IntPolynomial, c: QuadraticNumber) -> Trichotomy:
 
 
 def compare_lambda_min(
-    m: MixedGraph | HermitianMatrix | IntPolynomial,
+    m: MixedGraph | IntPolynomial,
     c: QuadraticNumber | int | Fraction,
 ) -> Trichotomy:
     """Exact comparison of the smallest eigenvalue against the threshold c.
 
-    Accepts a graph, a Hermitian matrix, or a characteristic polynomial
-    directly.  Everything is decided with integer and quadratic arithmetic;
-    no floating point is involved.
+    Accepts a graph or its characteristic polynomial.  Everything is
+    decided with integer and quadratic arithmetic; no floating point is
+    involved.
     """
     if isinstance(m, IntPolynomial):
         poly = m
@@ -269,7 +265,6 @@ class EquitablePartition:
 
     cells: tuple[tuple[int, ...], ...]
     quotient: tuple[tuple[complex, ...], ...]
-    char_matrix: tuple[tuple[int, ...], ...]
 
     def quotient_numpy(self) -> np.ndarray:
         return np.array(self.quotient, dtype=np.complex128)
@@ -291,7 +286,7 @@ class EquitableViolation:
 
 
 def validate_equitable(
-    m: MixedGraph | HermitianMatrix, cells: Sequence[Sequence[int]]
+    m: MixedGraph, cells: Sequence[Sequence[int]]
 ) -> EquitablePartition | EquitableViolation:
     """Validate an equitable partition of the Hermitian adjacency matrix.
 
@@ -301,7 +296,7 @@ def validate_equitable(
     Not-a-partition input raises ValueError; an unbalanced partition returns
     an EquitableViolation naming the failing vertex and cell pair.
     """
-    h = hermitian_matrix(m) if isinstance(m, MixedGraph) else m
+    h = hermitian_matrix(m)
     cell_tuples = tuple(tuple(c) for c in cells)
     flat = [v for c in cell_tuples for v in c]
     if sorted(flat) != list(range(h.n)) or any(len(c) == 0 for c in cell_tuples):
@@ -319,11 +314,7 @@ def validate_equitable(
                     return EquitableViolation(v, i, j, complex(ref), complex(total))
             # The common row sum is the quotient entry b_ij (a Gaussian integer).
             quotient[i][j] = complex(ref)
-    quotient_t = tuple(tuple(row) for row in quotient)
-    char = tuple(
-        tuple(1 if v in cell_tuples[j] else 0 for j in range(s)) for v in range(h.n)
-    )
-    part = EquitablePartition(cell_tuples, quotient_t, char)
+    part = EquitablePartition(cell_tuples, tuple(tuple(row) for row in quotient))
     lam = np.linalg.eigvalsh(h.to_numpy())
     quo = np.linalg.eigvals(part.quotient_numpy())
     for z in quo:
@@ -335,7 +326,7 @@ def validate_equitable(
 
 
 def quotient_contained_exactly(
-    part: EquitablePartition, m: MixedGraph | HermitianMatrix
+    part: EquitablePartition, m: MixedGraph
 ) -> bool | None:
     """Exact containment of quotient eigenvalues via polynomial gcd.
 

@@ -4,11 +4,10 @@ Conjugating the Hermitian adjacency matrix by a diagonal matrix of units in
 {1, -1, i, -i} preserves the spectrum.  When the conjugated matrix is again
 the Hermitian matrix of a mixed graph (no entry lands on -1), the two graphs
 are called switching equivalent.  This module provides the switch operation,
-a linear-time equivalence decision with witness, edge-cut based switches,
-perfect elimination orderings, and the normalization of chordal mixed graphs
-whose triangles all have holonomy one: their triangles span the cycle space,
-so such a graph is balanced, and the equivalence search switches it onto its
-underlying graph.
+a linear-time equivalence decision with witness, perfect elimination
+orderings, and the normalization of chordal mixed graphs whose triangles all
+have holonomy one: their triangles span the cycle space, so such a graph is
+balanced, and the equivalence search switches it onto its underlying graph.
 """
 
 from __future__ import annotations
@@ -20,21 +19,17 @@ from .graphs import (
     _EXP_FROM_KIND,
     _FLIP,
     _KIND_FROM_EXP,
-    EdgeKind,
     MixedGraph,
     underlying_graph,
 )
 
 __all__ = [
     "SwitchDiagonal",
-    "Cut",
     "NotChordalError",
     "BadTriangleError",
     "apply_switch",
     "switching_equivalent",
     "random_switch",
-    "coincident_cuts",
-    "x_switch",
     "perfect_elimination_ordering",
     "normalize_chordal",
 ]
@@ -57,10 +52,6 @@ class SwitchDiagonal:
                 raise ValueError(f"unit {u!r} not in {{1, -1, i, -i}}")
             norm.append(z)
         object.__setattr__(self, "units", tuple(norm))
-
-    @classmethod
-    def identity(cls, n: int) -> "SwitchDiagonal":
-        return cls([1] * n)
 
     @classmethod
     def from_exponents(cls, exps) -> "SwitchDiagonal":
@@ -176,93 +167,6 @@ def random_switch(
         exps[v] = (exps[v] + g) % 4
     d = SwitchDiagonal.from_exponents(exps)
     return apply_switch(m, d), d
-
-
-@dataclass(frozen=True)
-class Cut:
-    """Vertex bipartition cut whose crossing edges all agree in kind.
-
-    ``direction`` is "undirected", "forward" (all arcs side_u -> side_w) or
-    "backward" (all arcs side_w -> side_u).
-    """
-
-    side_u: tuple[int, ...]
-    side_w: tuple[int, ...]
-    crossing: tuple[tuple[int, int, EdgeKind], ...]  # (u in U, w in W, kind from u)
-    direction: str
-
-
-def _crossing(
-    m: MixedGraph, side_u, side_w
-) -> tuple[tuple[int, int, EdgeKind], ...]:
-    """Edges between the sides as (u in side_u, w in side_w, kind from u)."""
-    return tuple(
-        (u, w, EdgeKind(m.kinds[u][w])) for u in side_u for w in side_w if m.kinds[u][w]
-    )
-
-
-def coincident_cuts(m: MixedGraph) -> list[Cut]:
-    """All coincident cuts from vertex bipartitions (vertex 0 kept in side_u).
-
-    Bounded to n <= 12 since all 2^(n-1) bipartitions are scanned.  Cuts
-    with no crossing edges are skipped.
-    """
-    if m.n > 12:
-        raise ValueError("coincident cut enumeration is limited to n <= 12")
-    if m.n < 2:
-        return []
-    cuts = []
-    rest = list(range(1, m.n))
-    for mask in range(2 ** (m.n - 1)):
-        side_u = (0,) + tuple(v for i, v in enumerate(rest) if mask >> i & 1)
-        side_w = tuple(v for i, v in enumerate(rest) if not mask >> i & 1)
-        if not side_w:
-            continue
-        crossing = _crossing(m, side_u, side_w)
-        kinds = {k for _, _, k in crossing}
-        if len(kinds) != 1:
-            continue
-        direction = {
-            EdgeKind.UNDIRECTED: "undirected",
-            EdgeKind.ARC_OUT: "forward",
-            EdgeKind.ARC_IN: "backward",
-        }[kinds.pop()]
-        cuts.append(Cut(side_u, side_w, crossing, direction))
-    return cuts
-
-
-def x_switch(m: MixedGraph, cut: Cut) -> MixedGraph:
-    """Switch across a coincident cut.
-
-    Directed crossing arcs become undirected; an undirected crossing rotates
-    to forward arcs (so the operation inverts itself on forward cuts).  The
-    spectrum is preserved, which is asserted via the exact characteristic
-    polynomial.
-    """
-    # Revalidate the cut against m.
-    sides = set(cut.side_u) | set(cut.side_w)
-    if sides != set(range(m.n)) or set(cut.side_u) & set(cut.side_w):
-        raise ValueError("cut sides must bipartition the vertex set")
-    crossing = _crossing(m, cut.side_u, cut.side_w)
-    kinds = {k for _, _, k in crossing}
-    if len(kinds) != 1:
-        raise ValueError("cut is not coincident in this graph")
-    if crossing != cut.crossing:
-        raise ValueError("cut does not match this graph")
-    unit = {
-        EdgeKind.ARC_OUT: 1j,      # i rotates i -> 1
-        EdgeKind.ARC_IN: -1j,      # -i rotates -i -> 1
-        EdgeKind.UNDIRECTED: -1j,  # -i rotates 1 -> i (forward)
-    }[kinds.pop()]
-    units = [1] * m.n
-    for w in cut.side_w:
-        units[w] = unit
-    out = apply_switch(m, SwitchDiagonal(units))
-    from .spectra import char_poly  # local import to avoid a module cycle
-
-    if char_poly(out) != char_poly(m):
-        raise AssertionError("x-switch changed the characteristic polynomial")
-    return out
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from hermspec.classify import (
     Family,
     H2H4Details,
     H3Details,
-    JoinSplit,
     KnstMatch,
     NotKnst,
     QuadTag,
@@ -26,11 +25,8 @@ from hermspec.classify import (
     TriangleType,
     TRIANGLE_LAMBDA,
     QUAD_LAMBDA,
-    all_quads_safe,
-    all_triangles_safe,
     classify_sqrt2,
     classify_threshold,
-    cograph_join_split,
     find_forbidden_quadrangle,
     find_forbidden_triangle,
     find_induced,
@@ -116,17 +112,16 @@ def test_quad_class_validation():
 
 def test_forbidden_scans():
     assert find_forbidden_triangle(complete_graph(4)) is None
-    assert all_triangles_safe(make_knst(3, 2))
+    assert find_forbidden_triangle(make_knst(3, 2)) is None
     bad = build(3, [(0, 1, "arc"), (1, 2, "undirected"), (0, 2, "undirected")])
     planted = disjoint_union(complete_graph(2), bad)
     assert find_forbidden_triangle(planted) == (2, 3, 4)
-    assert not all_triangles_safe(planted)
     assert find_forbidden_quadrangle(cycle_graph(4)) == (0, 1, 2, 3)
     safe_quad = build(
         4,
         [(0, 1, "arc"), (1, 2, "arc"), (2, 3, "undirected"), (0, 3, "undirected")],
     )
-    assert all_quads_safe(safe_quad)
+    assert find_forbidden_quadrangle(safe_quad) is None
 
 
 def _quadrangle_by_subsets(m):
@@ -342,18 +337,6 @@ def test_automorphisms_match_permutation_filter():
         assert classify._automorphisms(g) == want
 
 
-def test_cograph_join_split():
-    split = cograph_join_split(cycle_graph(4))
-    assert isinstance(split, JoinSplit)
-    assert sorted(split.part1 + split.part2) == [0, 1, 2, 3]
-    assert split.g1.edge_count() == 0 and split.g2.edge_count() == 0
-    witness = cograph_join_split(path_graph(4))
-    assert isinstance(witness, tuple) and len(witness) == 4
-    g = path_graph(4)
-    assert g.kinds[witness[0]][witness[1]] and g.kinds[witness[1]][witness[2]]
-    assert not g.kinds[witness[0]][witness[3]]
-
-
 def test_underlying_family():
     assert underlying_family(complete_graph(5)).label == "complete"
     bowtie = coalescence(complete_graph(3), 0, complete_graph(3), 0)
@@ -462,7 +445,7 @@ def test_verify_returns_false_on_malformed_input():
     bad_details = [
         replace(cert.details, perm=cert.details.perm[:-1]),
         replace(cert.details, perm=(0,) * m.n),
-        replace(cert.details, diagonal=SwitchDiagonal.identity(m.n - 1)),
+        replace(cert.details, diagonal=SwitchDiagonal([1] * (m.n - 1))),
         # -1 at vertex 0 turns its undirected edges into -1 entries.
         replace(cert.details, diagonal=SwitchDiagonal([-1] + [1] * (m.n - 1))),
         replace(cert.details, perm=tuple(float(v) for v in cert.details.perm)),

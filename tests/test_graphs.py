@@ -21,7 +21,6 @@ from hermspec.graphs import (
     is_connected,
     join,
     make_knst,
-    neighbor_partition,
     path_graph,
     star_graph,
     underlying_graph,
@@ -191,14 +190,6 @@ def test_coalescence_glues_one_vertex():
     assert underlying_graph(paw).edge_count() == 4
     with pytest.raises(ValueError):
         coalescence(complete_graph(3), 7, path_graph(2), 0)
-
-
-def test_neighbor_partition():
-    m = build(4, [(0, 1, "arc"), (2, 0, "arc"), (0, 3, "undirected")])
-    outs, ins, und = neighbor_partition(m, 0)
-    assert outs == frozenset({1})
-    assert ins == frozenset({2})
-    assert und == frozenset({3})
 
 
 def test_connectivity():

@@ -8,6 +8,7 @@ import pytest
 
 from hermspec.graphs import (
     EdgeKind,
+    MixedGraph,
     build,
     coalescence,
     complete_graph,
@@ -196,11 +197,18 @@ def test_eigenvalues_summary():
     s = eigenvalues(complete_graph(4))
     assert s.n == 4
     assert s.eigenvalues == tuple(sorted(s.eigenvalues, reverse=True))
-    assert s.lambda_max == pytest.approx(3.0)
+    assert s.eigenvalues[0] == pytest.approx(3.0)
     assert s.lambda_min == pytest.approx(-1.0)
     assert s.char_poly.degree == 4
     st = eigenvalues(star_graph(3))
     assert st.lambda_min == pytest.approx(-np.sqrt(3))
+
+
+def test_lambda_min_of_empty_graph_is_a_value_error():
+    empty = eigenvalues(MixedGraph(0, ()))
+    assert empty.eigenvalues == ()
+    with pytest.raises(ValueError, match="empty graph has no smallest eigenvalue"):
+        empty.lambda_min
 
 
 def test_compare_lambda_min_exact_cases():

@@ -26,12 +26,10 @@ from hermspec.switching import (
     NotChordalError,
     SwitchDiagonal,
     apply_switch,
-    coincident_cuts,
     normalize_chordal,
     perfect_elimination_ordering,
     random_switch,
     switching_equivalent,
-    x_switch,
 )
 from hermspec.switching import ChordlessCycle
 from prop_suites import random_chordal
@@ -54,7 +52,7 @@ def test_diagonal_validation():
     d = SwitchDiagonal([1, -1, 1j, -1j])
     assert d.exponents() == (0, 2, 1, 3)
     assert SwitchDiagonal.from_exponents([0, 5]).units == (1 + 0j, 1j)
-    assert len(SwitchDiagonal.identity(3)) == 3
+    assert len(SwitchDiagonal([1] * 3)) == 3
     with pytest.raises(ValueError):
         SwitchDiagonal([1, 2])
 
@@ -118,33 +116,6 @@ def test_switching_equivalent_rejections():
     m = build(4, [(0, 1, "arc"), (2, 3, "arc")])
     out, _ = random_switch(m, random.Random(7))
     assert switching_equivalent(m, out) is not None
-
-
-def test_coincident_cuts_on_path():
-    cuts = coincident_cuts(path_graph(3))
-    assert len(cuts) == 3
-    directions = {c.direction for c in cuts}
-    assert directions == {"undirected"}
-    arc = make_knst(1, 1)
-    (cut,) = coincident_cuts(arc)
-    assert cut.direction == "forward"
-    assert cut.crossing == ((0, 1, EdgeKind.ARC_OUT),)
-    with pytest.raises(ValueError):
-        coincident_cuts(build(13, []))
-
-
-def test_x_switch_round_trip():
-    m = path_graph(4)
-    cut = next(c for c in coincident_cuts(m) if c.side_u == (0, 1))
-    forward = x_switch(m, cut)
-    assert forward.kind(1, 2) == EdgeKind.ARC_OUT
-    assert forward.kind(0, 1) == EdgeKind.UNDIRECTED
-    # The same bipartition is now a forward cut; switching again undoes it.
-    back_cut = next(c for c in coincident_cuts(forward) if c.side_u == (0, 1))
-    assert back_cut.direction == "forward"
-    assert x_switch(forward, back_cut) == m
-    with pytest.raises(ValueError):
-        x_switch(complete_graph(4), cut)
 
 
 def test_perfect_elimination_ordering_chordal():
