@@ -20,11 +20,12 @@ induced subgraph whose exact eigenvalue comparison already fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterator
+
+import numpy as np
 
 from .catalog import load_builtin, sporadic_underlying
 from .graphs import (
@@ -285,47 +286,38 @@ class NotKnst:
 def recognize_knst(m: MixedGraph) -> KnstMatch | NotKnst:
     """Recognize an oriented complete graph constructively.
 
-    Grows the two sides from a mixed triangle with two arcs (the common head
-    or tail splits the vertex set), then verifies the full arc pattern, per
-    the constructive uniqueness argument.  All-undirected complete graphs
-    give t = 0.
+    Any arc tail sits on the s side with its undirected neighbours, and its
+    out-neighbours make up the t side; every row of m must then match its
+    side's row exactly: undirected within a side, arcs from s to t.  With no
+    arc tail, every vertex is on the s side (t = 0).  This O(n^2) check
+    fails on a complete graph exactly when it has a triangle of holonomy
+    other than one, since a complete graph whose triangles all have
+    holonomy one is K_n[s, t]; only on failure are the first missing pair
+    and then the lexicographically first such triangle looked up, to name
+    the witness.
     """
-    n = m.n
+    n, k = m.n, m.kinds
+    und, out, into = EdgeKind.UNDIRECTED, EdgeKind.ARC_OUT, EdgeKind.ARC_IN
+    tail = next((u for u in range(n) if out in k[u]), None)
+    in_s = [True] * n if tail is None else [
+        w == tail or kind == und for w, kind in enumerate(k[tail])
+    ]
+    s_row = [und if side else out for side in in_s]
+    t_row = [into if side else und for side in in_s]
+    for x, side in enumerate(in_s):
+        row = (s_row if side else t_row).copy()
+        row[x] = 0
+        if tuple(row) != k[x]:
+            break
+    else:
+        s_side = tuple(w for w in range(n) if in_s[w])
+        t_side = tuple(w for w in range(n) if not in_s[w])
+        return KnstMatch(len(s_side), len(t_side), s_side, t_side)
     for u in range(n):
         for v in range(u + 1, n):
-            if not m.kinds[u][v]:
+            if not k[u][v]:
                 return NotKnst("not-complete", (u, v))
-    tri = find_forbidden_triangle(m)
-    if tri is not None:
-        return NotKnst("forbidden-triangle", tri)
-    if n == 1:
-        return KnstMatch(1, 0, (0,), ())
-    arc = next(
-        ((u, v) for u in range(n) for v in range(u + 1, n)
-         if m.kinds[u][v] != EdgeKind.UNDIRECTED),
-        None,
-    )
-    if arc is None:
-        return KnstMatch(n, 0, tuple(range(n)), ())
-    # Any arc tail sits on the s side, its head on the t side.
-    tail, head = arc if m.kinds[arc[0]][arc[1]] == EdgeKind.ARC_OUT else arc[::-1]
-    s_side = sorted(
-        w for w in range(n) if w == tail or m.kinds[tail][w] == EdgeKind.UNDIRECTED
-    )
-    t_side = sorted(w for w in range(n) if m.kinds[tail][w] == EdgeKind.ARC_OUT)
-    if len(s_side) + len(t_side) != n:
-        return NotKnst("forbidden-triangle", (tail, head, next(
-            w for w in range(n) if m.kinds[tail][w] == EdgeKind.ARC_IN
-        )))
-    for side in (s_side, t_side):
-        for x, y in combinations(side, 2):
-            if m.kinds[x][y] != EdgeKind.UNDIRECTED:
-                return NotKnst("forbidden-triangle", (tail, x, y) if tail not in (x, y) else (head, x, y))
-    for x in s_side:
-        for y in t_side:
-            if m.kinds[x][y] != EdgeKind.ARC_OUT:
-                return NotKnst("forbidden-triangle", (x, y, tail if x != tail else head))
-    return KnstMatch(len(s_side), len(t_side), tuple(s_side), tuple(t_side))
+    return NotKnst("forbidden-triangle", find_forbidden_triangle(m))
 
 
 def _embeddings(g: MixedGraph, pattern: MixedGraph) -> Iterator[tuple[int, ...]]:
@@ -383,6 +375,9 @@ class FamilyMatch:
     vertex, sizes s >= t >= 1), "c4", "diamond", "k23-plus-edge",
     "k24-plus-2edges".  For two-cliques, ``parts`` holds the two clique
     vertex sets without the join vertex and ``cut_vertex`` the join vertex.
+    For the four sporadic shapes, ``embedding`` is the first embedding in g
+    of the shape's catalog labeling, found while recognizing it; H1 matching
+    relabels by it.  It takes no part in comparisons or the repr.
     """
 
     label: str
@@ -390,6 +385,7 @@ class FamilyMatch:
     t: int = 0
     cut_vertex: int | None = None
     parts: tuple[tuple[int, ...], ...] = ()
+    embedding: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 def underlying_family(g: MixedGraph) -> FamilyMatch | None:
@@ -434,8 +430,9 @@ def _family_of(g: MixedGraph) -> FamilyMatch | None:
     sizes = {"c4": 4, "diamond": 4, "k23-plus-edge": 5, "k24-plus-2edges": 6}
     for label, pattern in sporadic_underlying().items():
         if n == sizes[label] and g.edge_count() == pattern.edge_count():
-            if next(_embeddings(g, pattern), None) is not None:
-                return FamilyMatch(label)
+            hit = next(_embeddings(g, pattern), None)
+            if hit is not None:
+                return FamilyMatch(label, embedding=hit)
     return None
 
 
@@ -685,37 +682,32 @@ def _cycle_certificate(cycle: tuple[int, ...], along: tuple[int, ...]) -> Certif
 def _witness_from_subgraph(
     m: MixedGraph, kind: str, vertices: tuple[int, ...], pattern: str | None = None
 ) -> RejectWitness:
-    """Reject witness on ``vertices``; the whole graph for kind "threshold".
+    """Triangle, quadrangle or forbidden-subgraph reject witness on ``vertices``.
 
-    Triangle, quadrangle and forbidden-subgraph witnesses have at most five
-    vertices and few distinct kind tables, so their spectra are memoized; a
-    threshold witness is as large as the graph and is never cached.  Without
-    ``pattern``, a triangle or quadrangle (in cyclic order) is named from its
-    kind table.  The classifier builds triangle and quadrangle certificates
-    through ``_cycle_certificate``, which must agree with this.
+    These witnesses have at most five vertices and few distinct kind tables,
+    so their spectra are memoized.  Without ``pattern``, a triangle or
+    quadrangle (in cyclic order) is named from its kind table.  The
+    classifier builds triangle and quadrangle certificates through
+    ``_cycle_certificate``, which must agree with this.
     """
-    if kind == "threshold":
-        comparison, lam = _witness_spectrum(m)
-    else:
-        kinds = tuple(tuple(m.kinds[u][v] for v in vertices) for u in vertices)
-        comparison, lam = _small_witness_spectrum(kinds)
-        if pattern is None:
-            pattern = _cycle_pattern(kinds)
+    kinds = tuple(tuple(m.kinds[u][v] for v in vertices) for u in vertices)
+    comparison, lam = _small_witness_spectrum(kinds)
+    if pattern is None:
+        pattern = _cycle_pattern(kinds)
     return RejectWitness(kind, pattern, vertices, comparison, lam)
 
 
-def _match_catalog(m: MixedGraph, label: str) -> H1Details | None:
+def _match_catalog(m: MixedGraph, fam: FamilyMatch) -> H1Details | None:
+    """H1 details of m, whose underlying graph ``fam`` names a sporadic shape."""
     catalog = load_builtin()
-    canon = catalog.underlying_graph(label)
-    iso = next(_embeddings(underlying_graph(m), canon), None)
-    if iso is None:
-        return None
+    canon = catalog.underlying_graph(fam.label)
+    iso = fam.embedding
     # iso maps canon labels to m vertices; invert to relabel m onto canon.
     base = [0] * m.n
     for canon_v, m_v in enumerate(iso):
         base[m_v] = canon_v
     relabeled = m.relabel(base)
-    for record in catalog.by_underlying(label):
+    for record in catalog.by_underlying(fam.label):
         target = record.graph()
         for aut in _automorphisms(canon):
             candidate = relabeled.relabel(list(aut))
@@ -793,12 +785,20 @@ def _classify(m: MixedGraph) -> Certificate:
         return Certificate(True, Family.H3, H3Details(match), None)
     if fam.label == "two-cliques":
         c1, c2 = fam.parts
-        bound = compare_lambda_min(f_cubic(fam.s, fam.t), NEG_GOLDEN)
+        cubic = f_cubic(fam.s, fam.t)
+        bound = compare_lambda_min(cubic, NEG_GOLDEN)
         if bound is not Trichotomy.GREATER:
-            return Certificate(
-                False, None, None,
-                _witness_from_subgraph(m, "threshold", tuple(range(m.n)), "two-cliques"),
+            # Two cliques at a cut vertex form a chordal graph, and a chordal
+            # mixed graph whose triangles all have holonomy one is balanced
+            # (Reff, LAA 436 (2012); Guo and Mohar, JGT 85 (2017)), so m has
+            # the spectrum of its underlying graph: -1 and the roots of the
+            # cubic, whose smallest is below -1 here.  ``bound`` is then the
+            # exact comparison of lambda_min(m); verify recomputes both.
+            lam = float(min(np.roots(cubic.coeffs[::-1]).real))
+            witness = RejectWitness(
+                "threshold", "two-cliques", tuple(range(m.n)), bound, lam
             )
+            return Certificate(False, None, None, witness)
         block1 = (fam.cut_vertex,) + c1
         block2 = (fam.cut_vertex,) + c2
         k1 = recognize_knst(induced(m, block1))
@@ -808,7 +808,7 @@ def _classify(m: MixedGraph) -> Certificate:
         family = Family.H4 if fam.t == 1 else Family.H2
         details = H2H4Details(fam.cut_vertex, block1, block2, k1, k2, fam.s, fam.t)
         return Certificate(True, family, details, None)
-    details = _match_catalog(m, fam.label)
+    details = _match_catalog(m, fam)
     if details is None:
         raise RuntimeError(
             f"orientation of {fam.label} passed the local checks "

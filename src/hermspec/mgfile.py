@@ -8,9 +8,10 @@ Format::
     1 -> 2
     3 -> 2
 
-The header names the vertex count; vertices are 0-based.  ``u -- v`` is an
-undirected edge, ``u -> v`` an arc from u to v.  Comments start with ``#``
-(whole line or trailing) and blank lines are ignored.  Serialization is
+The header names the vertex count; vertices are 0-based, and numbers are
+written in ASCII decimal digits.  ``u -- v`` is an undirected edge,
+``u -> v`` an arc from u to v.  Comments start with ``#`` (whole line or
+trailing) and blank lines are ignored.  Serialization is
 canonical: one line per edge, sorted by vertex pair, arcs written from
 their tail.
 """
@@ -34,6 +35,21 @@ def _strip(raw: str) -> str:
     return raw.split("#", 1)[0].strip()
 
 
+def _number(token: str) -> int | None:
+    """``token`` as an int, or None unless it is written as the format says.
+
+    That is ASCII decimal digits after an optional minus sign, so that a
+    negative number reaches the range checks; ``int`` alone also reads
+    "+3", "1_2" and non-ASCII digits.
+    """
+    if not (token.isascii() and token.removeprefix("-").isdecimal()):
+        return None
+    try:
+        return int(token)
+    except ValueError:  # more digits than int converts
+        return None
+
+
 def parse_mgfile(text: str) -> MixedGraph:
     lines = text.splitlines()
     n: int | None = None
@@ -47,10 +63,9 @@ def parse_mgfile(text: str) -> MixedGraph:
             parts = content.split()
             if len(parts) != 2 or parts[0] != "mixedgraph":
                 raise MgParseError(i, "expected header 'mixedgraph <n>'")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise MgParseError(i, f"bad vertex count {parts[1]!r}") from None
+            n = _number(parts[1])
+            if n is None:
+                raise MgParseError(i, f"bad vertex count {parts[1]!r}")
             if n < 0:
                 raise MgParseError(i, "vertex count must be nonnegative")
             table = [[0] * n for _ in range(n)]
@@ -58,10 +73,9 @@ def parse_mgfile(text: str) -> MixedGraph:
         parts = content.split()
         if len(parts) != 3 or parts[1] not in ("--", "->"):
             raise MgParseError(i, f"expected 'u -- v' or 'u -> v', got {content!r}")
-        try:
-            u, v = int(parts[0]), int(parts[2])
-        except ValueError:
-            raise MgParseError(i, f"bad vertex in {content!r}") from None
+        u, v = _number(parts[0]), _number(parts[2])
+        if u is None or v is None:
+            raise MgParseError(i, f"bad vertex in {content!r}")
         if not (0 <= u < n and 0 <= v < n):
             raise MgParseError(i, f"vertex out of range 0..{n - 1} in {content!r}")
         if u == v:

@@ -36,6 +36,8 @@ from hermspec.classify import (
     underlying_family,
 )
 from hermspec.graphs import (
+    EdgeKind,
+    MixedGraph,
     build,
     coalescence,
     complete_graph,
@@ -302,6 +304,25 @@ def test_recognize_knst_matches_edges_reference():
                 assert got == _recognize_knst_reference(m), m.encode()
                 matches += isinstance(got, KnstMatch)
     assert matches == 1 + 3 + 7 + 15 + 31  # the H3 accepts of the census
+
+
+def test_recognize_knst_matches_edges_reference_on_larger_complete_graphs():
+    # Scrambled K_n[s, t] for n = 6..10, each also with one pair re-oriented,
+    # which mostly plants a forbidden triangle.
+    rng = random.Random(1720)
+    for _ in range(200):
+        n = rng.randint(6, 10)
+        s = rng.randint(0, n)
+        m, _ = random_switch(make_knst(s, n - s).relabel(rng.sample(range(n), n)), rng)
+        u, v = rng.sample(range(n), 2)
+        kinds = [list(row) for row in m.kinds]
+        kind = rng.choice([EdgeKind.UNDIRECTED, EdgeKind.ARC_OUT, EdgeKind.ARC_IN])
+        kinds[u][v], kinds[v][u] = kind, kind.flipped()
+        flipped = MixedGraph(n, tuple(map(tuple, kinds)))
+        for g in (m, flipped):
+            got = recognize_knst(g)
+            assert got == _recognize_knst_reference(g), g.encode()
+        assert isinstance(recognize_knst(m), KnstMatch)
 
 
 def test_find_induced():
@@ -620,6 +641,94 @@ def test_threshold_witness_is_not_cached():
     assert not cert.accepted and cert.witness.kind == "threshold"
     assert cert.verify(m)
     assert classify._small_witness_spectrum.cache_info().currsize == 0
+
+
+def _scrambled(m, rng):
+    """m randomly switched, then relabelled."""
+    m, _ = random_switch(m, rng, steps=m.n)
+    perm = list(range(m.n))
+    rng.shuffle(perm)
+    return m.relabel(perm)
+
+
+def _oriented_two_cliques(rng, s, t):
+    a, b = rng.randint(0, s + 1), rng.randint(0, t + 1)
+    return coalescence(
+        make_knst(a, s + 1 - a), rng.randrange(s + 1),
+        make_knst(b, t + 1 - b), rng.randrange(t + 1),
+    )
+
+
+def test_threshold_witness_matches_direct_spectrum():
+    # The classifier reads a threshold witness off f_cubic(s, t), by the
+    # balance of two-clique graphs; check it against the graph's own spectrum.
+    rng = random.Random(1717)
+    shapes = [
+        (s, t) for s in range(1, 11) for t in range(1, s + 1)
+        if s + t + 1 <= 12
+        and compare_lambda_min(f_cubic(s, t), NEG_GOLDEN) is not Trichotomy.GREATER
+    ]
+    assert len(shapes) == 18 and min(t for _, t in shapes) == 2
+    for s, t in shapes:
+        for _ in range(3):
+            m = _scrambled(_oriented_two_cliques(rng, s, t), rng)
+            cert = classify_threshold(m)
+            w = cert.witness
+            assert (w.kind, w.pattern, w.vertices) == ("threshold", "two-cliques", tuple(range(m.n)))
+            comparison, lam = classify._witness_spectrum(m)
+            assert w.comparison is comparison, (s, t, m.encode())
+            assert abs(w.lambda_min - lam) <= 1e-9
+            assert cert.verify(m)
+
+
+def test_one_triangle_scan_per_clique_family_classify_and_verify(monkeypatch):
+    scans = []
+
+    def counting(m):
+        scans.append(m.n)
+        return find_forbidden_triangle(m)
+
+    monkeypatch.setattr(classify, "find_forbidden_triangle", counting)
+    rng = random.Random(1718)
+    cases = [(make_knst(4, 3), Family.H3), (make_knst(6, 0), Family.H3)]
+    cases += [(_oriented_two_cliques(rng, s, t), f) for s, t, f in (
+        (2, 2, Family.H2), (3, 2, Family.H2), (5, 1, Family.H4), (1, 1, Family.H4),
+    )]
+    for m, family in cases:
+        m = _scrambled(m, rng)
+        scans.clear()
+        cert = classify_threshold(m)
+        assert cert.family is family and cert.verify(m)
+        assert scans == [m.n], (family, m.encode())
+
+
+def test_one_sporadic_embedding_search_per_h1_classify(monkeypatch):
+    records = load_builtin().records
+    for record in records:  # warm the automorphism memo, which searches too
+        classify_threshold(record.graph())
+    searches = []
+    embeddings = classify._embeddings
+
+    def counting(g, pattern):
+        searches.append(pattern)
+        return embeddings(g, pattern)
+
+    monkeypatch.setattr(classify, "_embeddings", counting)
+    sporadic = list(sporadic_underlying().values())
+    rng = random.Random(1719)
+    for record in records:
+        m = _scrambled(record.graph(), rng)
+        searches.clear()
+        cert = classify_threshold(m)
+        assert cert.family is Family.H1 and cert.verify(m)
+        assert len(searches) == 1 and searches[0] in sporadic
+
+
+def test_underlying_family_embedding_takes_no_part_in_equality():
+    for label, g in sporadic_underlying().items():
+        fam = underlying_family(g.relabel(list(range(g.n))[::-1]))
+        assert fam == classify.FamilyMatch(label) and fam.embedding
+        assert repr(fam) == repr(classify.FamilyMatch(label))
 
 
 def test_classify_accept_h1_catalog():

@@ -85,3 +85,21 @@ def test_parse_errors_carry_line_numbers():
 def test_parse_error_is_a_value_error():
     with pytest.raises(ValueError):
         parse_mgfile("nope\n")
+
+
+def test_numbers_are_ascii_decimal_digits():
+    # int() alone would read each of these as a valid number.
+    for count in ("1_2", "+3", "١", "３"):
+        with pytest.raises(MgParseError) as err:
+            parse_mgfile(f"mixedgraph {count}\n")
+        assert "bad vertex count" in str(err.value) and err.value.line == 1
+    for edge in ("0 -- +1", "0 -- 1_1", "٠ -- 1", "0 -> १", "0 -- --1", "0 -- " + "1" * 5000):
+        with pytest.raises(MgParseError) as err:
+            parse_mgfile(f"mixedgraph 12\n{edge}\n")
+        assert "bad vertex in" in str(err.value) and err.value.line == 2
+    # Negative numbers still reach the range checks.
+    with pytest.raises(MgParseError, match="must be nonnegative"):
+        parse_mgfile("mixedgraph -1\n")
+    with pytest.raises(MgParseError, match="out of range"):
+        parse_mgfile("mixedgraph 2\n-1 -- 0\n")
+    assert parse_mgfile("mixedgraph 12\n0 -- 11\n").kind(0, 11) == EdgeKind.UNDIRECTED
