@@ -112,9 +112,6 @@ class Catalog:
                 return r
         return None
 
-    def underlying_graph(self, label: str) -> MixedGraph:
-        return sporadic_underlying()[label]
-
 
 _HEADER = """\
 # Scattered orientations: connected mixed graphs on four small underlying

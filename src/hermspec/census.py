@@ -53,6 +53,7 @@ from .classify import _automorphisms, _check_classifiable, _classify, _embedding
 from .graphs import (
     _EXP_FROM_KIND,
     _FLIP,
+    _UNIT_FROM_EXP,
     EdgeKind,
     MixedGraph,
     coalescence,
@@ -65,7 +66,7 @@ from .graphs import (
 from .polynomials import Trichotomy, taylor_compare_min_root
 from .quadratic import NEG_GOLDEN
 from .spectra import _char_poly_rows, char_poly, char_poly_rows, eigenvalues
-from .switching import _UNIT_FROM_EXP, switching_equivalent
+from .switching import switching_equivalent
 
 __all__ = [
     "edge_list",
@@ -728,6 +729,8 @@ def verify_main_theorem(
         raise ValueError("census covers 1 <= n_max <= 6")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    if sample < 0:
+        raise ValueError("sample must be nonnegative")
     t0 = time.monotonic()
     deep_levels: list[LevelStats] = []
     k6_stats: K6Stats | None = None

@@ -31,11 +31,11 @@ from .catalog import load_builtin, sporadic_underlying
 from .graphs import (
     _EXP_FROM_KIND as _KEXP,
     _FLIP,
+    _UNIT_FROM_EXP,
     EdgeKind,
     MixedGraph,
     build,
     complete_graph,
-    connected_components,
     disjoint_union,
     induced,
     is_connected,
@@ -47,7 +47,7 @@ from .graphs import (
 from .polynomials import Trichotomy
 from .quadratic import NEG_GOLDEN, NEG_SQRT2
 from .spectra import compare_lambda_min, eigenvalues, f_cubic
-from .switching import _UNIT_FROM_EXP, SwitchDiagonal, apply_switch, switching_equivalent
+from .switching import SwitchDiagonal, apply_switch, switching_equivalent
 
 __all__ = [
     "TriangleType",
@@ -405,23 +405,24 @@ def underlying_family(g: MixedGraph) -> FamilyMatch | None:
 def _family_of(g: MixedGraph) -> FamilyMatch | None:
     """``underlying_family`` of a g already known undirected and connected."""
     n = g.n
-    if all(g.kinds[u][v] for u in range(n) for v in range(u + 1, n)):
+    full = (1 << n) - 1
+    closed = [sum(1 << v for v in range(n) if row[v]) | 1 << u for u, row in enumerate(g.kinds)]
+    hubs = [v for v in range(n) if closed[v] == full]
+    if len(hubs) == n:
         return FamilyMatch("complete", s=max(n - 1, 0), t=0)
-    # Two cliques sharing one join vertex: the join vertex is adjacent to
-    # everything and its removal leaves exactly two cliques.
-    for v in range(n):
-        if g.degree(v) != n - 1:
-            continue
-        rest = [w for w in range(n) if w != v]
-        sub = induced(g, rest)
-        comps = connected_components(sub)
-        if len(comps) != 2:
-            continue
+    # Two cliques sharing one join vertex: the join vertex is the only one
+    # adjacent to everything, and every other vertex's closed neighbourhood
+    # without it is one of two complementary cliques.
+    if len(hubs) == 1:
+        v = hubs[0]
+        rest = full & ~(1 << v)
+        first = rest & closed[(rest & -rest).bit_length() - 1]
         if all(
-            sub.kinds[a][b] for comp in comps for a in comp for b in comp if a != b
+            closed[u] & rest == (first if first >> u & 1 else rest & ~first)
+            for u in range(n) if u != v
         ):
-            c1 = tuple(rest[i] for i in comps[0])
-            c2 = tuple(rest[i] for i in comps[1])
+            c1 = tuple(u for u in range(n) if first >> u & 1)
+            c2 = tuple(u for u in range(n) if u != v and not first >> u & 1)
             if len(c1) < len(c2):
                 c1, c2 = c2, c1
             return FamilyMatch(
@@ -700,7 +701,7 @@ def _witness_from_subgraph(
 def _match_catalog(m: MixedGraph, fam: FamilyMatch) -> H1Details | None:
     """H1 details of m, whose underlying graph ``fam`` names a sporadic shape."""
     catalog = load_builtin()
-    canon = catalog.underlying_graph(fam.label)
+    canon = sporadic_underlying()[fam.label]
     iso = fam.embedding
     # iso maps canon labels to m vertices; invert to relabel m onto canon.
     base = [0] * m.n

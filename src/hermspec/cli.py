@@ -30,7 +30,8 @@ from .switching import switching_equivalent
 
 __all__ = ["main"]
 
-_UNIT_NAMES = {1 + 0j: "1", 1j: "i", -1 + 0j: "-1", -1j: "-i"}
+#: Name of the unit i^e, indexed by e.
+_UNIT_NAMES = ("1", "i", "-1", "-i")
 
 
 def _load(path: str) -> MixedGraph:
@@ -80,7 +81,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     if d is None:
         print("not equivalent")
         return 1
-    print("diagonal:", " ".join(_UNIT_NAMES[u] for u in d.units))
+    print("diagonal:", " ".join(_UNIT_NAMES[e] for e in d.exps))
     return 0
 
 

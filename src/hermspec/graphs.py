@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "EdgeKind",
     "MixedGraph",
-    "HermitianMatrix",
     "build",
     "converse",
     "decode",
@@ -56,12 +55,16 @@ class EdgeKind(IntEnum):
         return EdgeKind(_FLIP[self])
 
 
-# Hermitian entry for each EdgeKind value, indexed by kind.
-_ENTRY = (0, 1, 1j, -1j)
 # i-exponent of each nonzero entry (1 = i^0, i = i^1, -i = i^3), indexed by
-# kind, and its inverse; -1 = i^2 is not an entry.
+# kind, and its inverse indexed by exponent; -1 = i^2 is not an entry.
 _EXP_FROM_KIND = (None, 0, 1, 3)
-_KIND_FROM_EXP = {0: int(EdgeKind.UNDIRECTED), 1: int(EdgeKind.ARC_OUT), 3: int(EdgeKind.ARC_IN)}
+_KIND_FROM_EXP = (int(EdgeKind.UNDIRECTED), int(EdgeKind.ARC_OUT), None, int(EdgeKind.ARC_IN))
+# The unit i^e, indexed by e.
+_UNIT_FROM_EXP = (1 + 0j, 1j, -1 + 0j, -1j)
+# Hermitian entry for each EdgeKind value, indexed by kind, and the same
+# table as a complex128 array for fancy indexing by kind tables.
+_ENTRY = (0j, *(_UNIT_FROM_EXP[e] for e in _EXP_FROM_KIND[1:]))
+_ENTRY_ARRAY = np.array(_ENTRY, dtype=np.complex128)
 # EdgeKind.flipped() as a table indexed by kind, for hot loops.
 _FLIP = (0, 1, 3, 2)
 # The kind of the same pair in the underlying graph, indexed by kind.
@@ -167,30 +170,6 @@ class MixedGraph:
         return "".join(str(k) for row in self.kinds for k in row)
 
 
-@dataclass(frozen=True)
-class HermitianMatrix:
-    """Hermitian adjacency matrix with entries in {0, 1, i, -i}."""
-
-    n: int
-    entries: tuple[tuple[complex, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
-            raise ValueError("entries must be n x n")
-        for u in range(self.n):
-            if self.entries[u][u] != 0:
-                raise ValueError("diagonal must be zero")
-            for v in range(self.n):
-                z = self.entries[u][v]
-                if z not in (0, 1, 1j, -1j):
-                    raise ValueError(f"entry {z!r} at ({u}, {v}) not in {{0, 1, i, -i}}")
-                if self.entries[v][u] != z.conjugate():
-                    raise ValueError(f"not Hermitian at ({u}, {v})")
-
-    def to_numpy(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.complex128)
-
-
 def _empty_table(n: int) -> list[list[int]]:
     return [[0] * n for _ in range(n)]
 
@@ -263,10 +242,10 @@ def converse(m: MixedGraph) -> MixedGraph:
     )
 
 
-def hermitian_matrix(m: MixedGraph) -> HermitianMatrix:
-    """Hermitian adjacency matrix of ``m``."""
-    rows = tuple(tuple(_ENTRY[k] for k in row) for row in m.kinds)
-    return HermitianMatrix(m.n, rows)
+def hermitian_matrix(m: MixedGraph) -> np.ndarray:
+    """Hermitian adjacency matrix of ``m``: an (n, n) complex128 array read
+    from ``kinds`` through the entry table."""
+    return _ENTRY_ARRAY[np.array(m.kinds, dtype=np.intp).reshape(m.n, m.n)]
 
 
 def underlying_graph(m: MixedGraph) -> MixedGraph:

@@ -80,31 +80,6 @@ class QuadraticNumber:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "QuadraticNumber | Rat") -> "QuadraticNumber":
-        o = self._coerce(other, self.d)
-        d = self._check_compatible(o)
-        norm = o.a * o.a - o.b * o.b * d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero")
-        # 1/(a + b sqrt d) = (a - b sqrt d) / (a^2 - b^2 d)
-        inv = QuadraticNumber(o.a / norm, -o.b / norm, d)
-        return self * inv
-
-    def __rtruediv__(self, other: Rat) -> "QuadraticNumber":
-        return self._coerce(other, self.d) / self
-
-    def __pow__(self, k: int) -> "QuadraticNumber":
-        if k < 0:
-            return 1 / (self ** (-k))
-        out = QuadraticNumber(1, 0, self.d)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # -- sign and order -----------------------------------------------------
 
     def sign(self) -> int:

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import _ENTRY, HermitianMatrix, MixedGraph, hermitian_matrix, induced
+from .graphs import _ENTRY_ARRAY, MixedGraph, hermitian_matrix, induced
 from .polynomials import IntPolynomial, Trichotomy, _as_quadratic, compare_min_root
 from .quadratic import QuadraticNumber
 
@@ -52,7 +52,6 @@ __all__ = [
 #: Certified float bound: every integer below 2**53 is exact in float64, and
 #: the factor 2 absorbs the rounding of the bound computations themselves.
 _EXACT_LIMIT = 2.0**52
-_ENTRY_ARRAY = np.array(_ENTRY, dtype=np.complex128)
 
 
 def _faddeev_leverrier(
@@ -125,11 +124,6 @@ def _int_rows(a: np.ndarray, trace_scale: int = 1) -> np.ndarray:
     return _faddeev_leverrier(a.astype(object), trace_scale, None)
 
 
-def _numpy_matrix(m: MixedGraph) -> np.ndarray:
-    """Complex128 H, read from ``kinds`` through the entry table."""
-    return _ENTRY_ARRAY[np.array(m.kinds, dtype=np.intp).reshape(m.n, m.n)]
-
-
 def _char_poly_rows(h: np.ndarray) -> np.ndarray:
     """det(xI - H), high to low, for a stack of Hermitian H of shape (..., n, n).
 
@@ -153,7 +147,7 @@ def _poly(row: np.ndarray) -> IntPolynomial:
 
 def char_poly(m: MixedGraph) -> IntPolynomial:
     """Characteristic polynomial det(xI - H), exact integer coefficients."""
-    return _poly(_char_poly_rows(_numpy_matrix(m)))
+    return _poly(_char_poly_rows(hermitian_matrix(m)))
 
 
 def char_poly_rows(graphs: Sequence[MixedGraph]) -> np.ndarray:
@@ -199,8 +193,8 @@ def eigenvalues(m: MixedGraph) -> SpectralSummary:
     their product must match the determinant read off the constant
     coefficient (1e-6 relative).  Violations raise RuntimeError.
     """
-    h = _numpy_matrix(m)
-    n = h.shape[0]
+    h = hermitian_matrix(m)
+    n = m.n
     if n == 0:
         return SpectralSummary(0, (), IntPolynomial([1]))
     w = np.linalg.eigvalsh(h)
@@ -290,32 +284,30 @@ def validate_equitable(
 ) -> EquitablePartition | EquitableViolation:
     """Validate an equitable partition of the Hermitian adjacency matrix.
 
-    Row sums are compared exactly (Gaussian integers).  On success the
-    quotient's eigenvalues are verified to be contained in the spectrum of H
-    (float check at 1e-8; the containment is a theorem, so failure raises).
+    Row sums are compared exactly: they are Gaussian integers, exact in
+    complex128.  On success the quotient's eigenvalues are verified to be
+    contained in the spectrum of H (float check at 1e-8; the containment is
+    a theorem, so failure raises).
     Not-a-partition input raises ValueError; an unbalanced partition returns
     an EquitableViolation naming the failing vertex and cell pair.
     """
     h = hermitian_matrix(m)
     cell_tuples = tuple(tuple(c) for c in cells)
     flat = [v for c in cell_tuples for v in c]
-    if sorted(flat) != list(range(h.n)) or any(len(c) == 0 for c in cell_tuples):
+    if sorted(flat) != list(range(m.n)) or any(len(c) == 0 for c in cell_tuples):
         raise ValueError("cells must form a partition of the vertex set")
     s = len(cell_tuples)
     quotient = [[0j] * s for _ in range(s)]
     for i, cell in enumerate(cell_tuples):
         for j, other in enumerate(cell_tuples):
-            ref = None
-            for v in cell:
-                total = sum(h.entries[v][w] for w in other)
-                if ref is None:
-                    ref = total
-                elif total != ref:
-                    return EquitableViolation(v, i, j, complex(ref), complex(total))
-            # The common row sum is the quotient entry b_ij (a Gaussian integer).
-            quotient[i][j] = complex(ref)
+            sums = h[np.ix_(cell, other)].sum(axis=1)
+            for v, total in zip(cell, sums):
+                if total != sums[0]:
+                    return EquitableViolation(v, i, j, complex(sums[0]), complex(total))
+            # The common row sum is the quotient entry b_ij.
+            quotient[i][j] = complex(sums[0])
     part = EquitablePartition(cell_tuples, tuple(tuple(row) for row in quotient))
-    lam = np.linalg.eigvalsh(h.to_numpy())
+    lam = np.linalg.eigvalsh(h)
     quo = np.linalg.eigvals(part.quotient_numpy())
     for z in quo:
         if min(abs(z - l) for l in lam) > 1e-8:
@@ -372,17 +364,18 @@ def f_cubic(s: int, t: int) -> IntPolynomial:
     )
 
 
-def embed_real(h: HermitianMatrix) -> list[list[int]]:
-    """Real symmetric 2n x 2n embedding [[Re, -Im], [Im, Re]] of H.
+def embed_real(h: np.ndarray) -> list[list[int]]:
+    """Real symmetric 2n x 2n embedding [[Re, -Im], [Im, Re]] of the (n, n)
+    Hermitian array H.
 
     Its characteristic polynomial is the square of char(H); kept as an
     exact cross-check oracle.
     """
-    n = h.n
+    n = len(h)
     out = [[0] * (2 * n) for _ in range(2 * n)]
     for u in range(n):
         for v in range(n):
-            z = h.entries[u][v]
+            z = h[u, v]
             re, im = int(z.real), int(z.imag)
             out[u][v] = re
             out[u][n + v] = -im

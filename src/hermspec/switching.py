@@ -19,6 +19,7 @@ from .graphs import (
     _EXP_FROM_KIND,
     _FLIP,
     _KIND_FROM_EXP,
+    _UNIT_FROM_EXP,
     MixedGraph,
     underlying_graph,
 )
@@ -34,37 +35,43 @@ __all__ = [
     "normalize_chordal",
 ]
 
-_UNIT_FROM_EXP = (1 + 0j, 1j, -1 + 0j, -1j)
-_EXP_FROM_UNIT = {1 + 0j: 0, 1j: 1, -1 + 0j: 2, -1j: 3}
-
 
 @dataclass(frozen=True)
 class SwitchDiagonal:
-    """Diagonal of units i^e, the witness object for switching equivalence."""
+    """Diagonal of units i^e, the witness object for switching equivalence.
 
-    units: tuple[complex, ...]
+    Stores the exponents e in 0..3; the constructor takes the units.
+    """
+
+    exps: tuple[int, ...]
 
     def __init__(self, units) -> None:
-        norm = []
+        exps = []
         for u in units:
             z = complex(u)
-            if z not in _EXP_FROM_UNIT:
+            if z not in _UNIT_FROM_EXP:
                 raise ValueError(f"unit {u!r} not in {{1, -1, i, -i}}")
-            norm.append(z)
-        object.__setattr__(self, "units", tuple(norm))
+            exps.append(_UNIT_FROM_EXP.index(z))
+        object.__setattr__(self, "exps", tuple(exps))
 
     @classmethod
     def from_exponents(cls, exps) -> "SwitchDiagonal":
-        return cls([_UNIT_FROM_EXP[e % 4] for e in exps])
+        d = object.__new__(cls)
+        object.__setattr__(d, "exps", tuple(e % 4 for e in exps))
+        return d
+
+    @property
+    def units(self) -> tuple[complex, ...]:
+        return tuple(_UNIT_FROM_EXP[e] for e in self.exps)
 
     def exponents(self) -> tuple[int, ...]:
-        return tuple(_EXP_FROM_UNIT[u] for u in self.units)
+        return self.exps
 
     def __len__(self) -> int:
-        return len(self.units)
+        return len(self.exps)
 
 
-def _switched_table(m: MixedGraph, exps) -> list[list[int]]:
+def _switched_table(m: MixedGraph, exps) -> tuple[tuple[int, ...], ...]:
     """Kind table of D H D*; raises ValueError when an entry lands on -1."""
     n = m.n
     table = [[0] * n for _ in range(n)]
@@ -74,15 +81,14 @@ def _switched_table(m: MixedGraph, exps) -> list[list[int]]:
             k = row[v]
             if k == 0:
                 continue
-            e = (_EXP_FROM_KIND[k] + exps[u] - exps[v]) % 4
-            if e == 2:
+            ku = _KIND_FROM_EXP[(_EXP_FROM_KIND[k] + exps[u] - exps[v]) % 4]
+            if ku is None:
                 raise ValueError(
                     f"diagonal is not applicable: entry at ({u}, {v}) becomes -1"
                 )
-            ku = _KIND_FROM_EXP[e]
             table[u][v] = ku
             table[v][u] = _FLIP[ku]
-    return table
+    return tuple(map(tuple, table))
 
 
 def apply_switch(m: MixedGraph, d: SwitchDiagonal) -> MixedGraph:
@@ -95,8 +101,7 @@ def apply_switch(m: MixedGraph, d: SwitchDiagonal) -> MixedGraph:
     """
     if len(d) != m.n:
         raise ValueError("diagonal length must match vertex count")
-    table = _switched_table(m, d.exponents())
-    return MixedGraph._trusted(m.n, tuple(tuple(r) for r in table))
+    return MixedGraph._trusted(m.n, _switched_table(m, d.exps))
 
 
 def switching_equivalent(m1: MixedGraph, m2: MixedGraph) -> SwitchDiagonal | None:
@@ -105,8 +110,9 @@ def switching_equivalent(m1: MixedGraph, m2: MixedGraph) -> SwitchDiagonal | Non
     Requires the same labeled underlying graph (equivalence never changes
     which pairs are connected).  Within each connected component the first
     vertex's unit can be pinned to 1 (a global phase cancels in D H D*), and
-    every other unit is then forced along a spanning tree; the remaining
-    edges are verified, so the search is O(n + m) with no backtracking.
+    every other unit is then forced along a spanning tree.  Switching m1 by
+    the forced diagonal, by the rule ``apply_switch`` uses, checks the
+    remaining edges, so the search is O(n^2) with no backtracking.
     """
     if m1.n != m2.n:
         return None
@@ -132,15 +138,11 @@ def switching_equivalent(m1: MixedGraph, m2: MixedGraph) -> SwitchDiagonal | Non
                 e2 = _EXP_FROM_KIND[m2.kinds[u][v]]
                 exps[v] = (exps[u] + e1 - e2) % 4
                 stack.append(v)
-    for u in range(n):
-        for v in range(u + 1, n):
-            k1 = m1.kinds[u][v]
-            if k1 == 0:
-                continue
-            e = (_EXP_FROM_KIND[k1] + exps[u] - exps[v]) % 4
-            if e != _EXP_FROM_KIND[m2.kinds[u][v]]:
-                return None
-    return SwitchDiagonal.from_exponents(exps)
+    try:
+        switched = _switched_table(m1, exps)
+    except ValueError:  # an edge lands on -1
+        return None
+    return SwitchDiagonal.from_exponents(exps) if switched == m2.kinds else None
 
 
 def random_switch(
@@ -163,7 +165,7 @@ def random_switch(
         v = rng.randrange(n)
         # i-exponents of v's edges under the switch so far; the step adds g.
         now = [(_EXP_FROM_KIND[k] + exps[v] - exps[w]) % 4 for w, k in enumerate(m.kinds[v]) if k]
-        g = rng.choice([g for g in range(4) if all((e + g) % 4 != 2 for e in now)])
+        g = rng.choice([g for g in range(4) if all(_KIND_FROM_EXP[(e + g) % 4] for e in now)])
         exps[v] = (exps[v] + g) % 4
     d = SwitchDiagonal.from_exponents(exps)
     return apply_switch(m, d), d

@@ -183,6 +183,8 @@ def test_verify_validation():
         verify_main_theorem(n_max=0)
     with pytest.raises(ValueError):
         verify_main_theorem(n_max=2, jobs=0)
+    with pytest.raises(ValueError, match="sample"):
+        verify_main_theorem(n_max=2, sample=-5)
     # The census checks connectivity once per underlying graph, not per
     # orientation.
     for g in (disjoint_union(complete_graph(2), complete_graph(2)), build(0, [])):
@@ -319,8 +321,10 @@ def test_class_verdicts_match_block_decide():
 
 
 def test_k6_class_representatives_share_the_spectrum():
-    # The key digits come from graphs._EXP_FROM_KIND and orientation() reads
-    # graphs._ENTRY; equal char polys tie the two tables together.
+    # The class keys and matrices go through the census digit tables, which
+    # are built from graphs._EXP_FROM_KIND and graphs._UNIT_FROM_EXP, while
+    # char_poly reads each orientation's kinds through graphs._ENTRY_ARRAY;
+    # equal char polys tie the digit order to the one alphabet.
     rng = random.Random(6)
     indices = [rng.randrange(3 ** 15) for _ in range(600)]
     _, keys = census._k6_triangles(indices)

@@ -41,6 +41,7 @@ from hermspec.graphs import (
     build,
     coalescence,
     complete_graph,
+    connected_components,
     cycle_graph,
     disjoint_union,
     induced,
@@ -378,6 +379,70 @@ def test_underlying_family():
         underlying_family(make_knst(1, 1))
     with pytest.raises(ValueError):
         underlying_family(disjoint_union(complete_graph(2), complete_graph(2)))
+
+
+def _family_by_components(g):
+    """The two-cliques recognition by induced subgraph and components, kept
+    as the reference for the neighbourhood-mask reading in ``_family_of``."""
+    n = g.n
+    if all(g.kinds[u][v] for u in range(n) for v in range(u + 1, n)):
+        return classify.FamilyMatch("complete", s=max(n - 1, 0), t=0)
+    for v in range(n):
+        if g.degree(v) != n - 1:
+            continue
+        rest = [w for w in range(n) if w != v]
+        sub = induced(g, rest)
+        comps = connected_components(sub)
+        if len(comps) != 2:
+            continue
+        if all(sub.kinds[a][b] for comp in comps for a in comp for b in comp if a != b):
+            c1 = tuple(rest[i] for i in comps[0])
+            c2 = tuple(rest[i] for i in comps[1])
+            if len(c1) < len(c2):
+                c1, c2 = c2, c1
+            return classify.FamilyMatch(
+                "two-cliques", s=len(c1), t=len(c2), cut_vertex=v, parts=(c1, c2)
+            )
+    sizes = {"c4": 4, "diamond": 4, "k23-plus-edge": 5, "k24-plus-2edges": 6}
+    for label, pattern in sporadic_underlying().items():
+        if n == sizes[label] and g.edge_count() == pattern.edge_count():
+            hit = find_induced(g, pattern)
+            if hit is not None:
+                return classify.FamilyMatch(label, embedding=hit)
+    return None
+
+
+def test_family_of_matches_component_reference():
+    rng = random.Random(18)
+    graphs = []
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            graphs += [g, g.relabel(rng.sample(range(n), n))]
+    labels = Counter()
+    for _ in range(600):
+        # Two or three cliques glued at one vertex, relabeled, and near
+        # misses one pair toggle away from such a coalescence.
+        parts = [rng.randrange(2, 7) for _ in range(rng.choice((2, 2, 3)))]
+        g = complete_graph(parts[0])
+        for size in parts[1:]:
+            if g.n + size - 1 <= 12:
+                g = coalescence(g, 0, complete_graph(size), 0)
+        if rng.random() < 0.6:
+            u, v = rng.sample(range(g.n), 2)
+            table = [list(row) for row in g.kinds]
+            table[u][v] = table[v][u] = 1 - table[u][v]
+            g = MixedGraph(g.n, tuple(map(tuple, table)))
+            if not connected_components(g)[0] == list(range(g.n)):
+                continue
+        graphs.append(g.relabel(rng.sample(range(g.n), g.n)))
+    for g in graphs:
+        want = _family_by_components(g)
+        got = classify._family_of(g)
+        assert got == want, g.encode()
+        if got is not None:
+            assert got.parts == want.parts and got.embedding == want.embedding
+        labels[None if got is None else got.label] += 1
+    assert labels["two-cliques"] > 150 and labels[None] > 500 and len(labels) == 7
 
 
 def test_classify_accept_h3():

@@ -85,6 +85,12 @@ def test_verify_command(tmp_path, capsys):
     assert "result: PASS" in report_file.read_text(encoding="utf-8")
 
 
+def test_verify_rejects_negative_sample(capsys):
+    assert main(["verify", "--nmax", "6", "--sample", "-5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: sample must be nonnegative\n"
+
+
 def test_catalog_command(tmp_path, capsys):
     out_file = tmp_path / "cat.txt"
     assert main(["catalog", "--out", str(out_file)]) == 0

@@ -2,10 +2,16 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from prop_suites import random_mixed
 
 from hermspec.graphs import (
+    _ENTRY,
+    _EXP_FROM_KIND,
+    _FLIP,
+    _KIND_FROM_EXP,
+    _UNIT_FROM_EXP,
     EdgeKind,
     MixedGraph,
     build,
@@ -101,9 +107,35 @@ def test_derived_graphs_pass_the_public_check():
 def test_hermitian_entries():
     m = build(3, [(0, 1, "undirected"), (1, 2, "arc")])
     h = hermitian_matrix(m)
-    assert h.entries[0][1] == 1 and h.entries[1][0] == 1
-    assert h.entries[1][2] == 1j and h.entries[2][1] == -1j
-    assert h.entries[0][2] == 0
+    assert h[0, 1] == 1 and h[1, 0] == 1
+    assert h[1, 2] == 1j and h[2, 1] == -1j
+    assert h[0, 2] == 0
+
+
+def test_entry_alphabet():
+    # Every entry, unit and i-exponent table derives from one alphabet.
+    assert _ENTRY[EdgeKind.NONE] == 0
+    for k in (EdgeKind.UNDIRECTED, EdgeKind.ARC_OUT, EdgeKind.ARC_IN):
+        e = _EXP_FROM_KIND[k]
+        assert _ENTRY[k] == _UNIT_FROM_EXP[e] == 1j ** e
+        assert _KIND_FROM_EXP[e] == k
+        assert _ENTRY[_FLIP[k]] == _ENTRY[k].conjugate()
+    assert _KIND_FROM_EXP[2] is None
+    assert [e for e, k in enumerate(_KIND_FROM_EXP) if k is not None] == sorted(_EXP_FROM_KIND[1:])
+    assert all(_UNIT_FROM_EXP[e] == 1j ** e for e in range(4))
+
+
+def test_hermitian_matrix_is_hermitian_over_the_alphabet():
+    rng = random.Random(15)
+    for _ in range(200):
+        n = rng.randrange(0, 10)
+        m = random_mixed(rng, n, p=rng.uniform(0.1, 0.9))
+        h = hermitian_matrix(m)
+        assert h.shape == (n, n) and h.dtype == np.complex128
+        assert (h == h.conj().T).all() and not h.diagonal().any()
+        for u in range(n):
+            for v in range(n):
+                assert h[u, v] == _ENTRY[m.kinds[u][v]]
 
 
 def test_encode_decode_round_trip():

@@ -183,7 +183,7 @@ def test_normalize_chordal_contract():
         except BadTriangleError as err:
             assert find_forbidden_triangle(m) is not None, m.encode()
             u, v, w = err.triangle
-            h = hermitian_matrix(m).entries
+            h = hermitian_matrix(m)
             assert h[u][v] and h[v][w] and h[w][u], m.encode()
             assert h[u][v] * h[v][w] * h[w][u] != 1, m.encode()
             outcomes["bad-triangle"] += 1
