@@ -178,19 +178,14 @@ class QuadClass:
 
 def _cycle_order4(m: MixedGraph, vs: tuple[int, ...]) -> tuple[int, ...] | None:
     """Cyclic order of a 4-subset inducing a quadrangle, else None."""
-    sub = [v for v in vs]
-    deg = {}
-    edges = 0
-    for u in sub:
-        d = sum(1 for v in sub if v != u and m.kinds[u][v])
-        deg[u] = d
-        edges += d
-    if edges != 8 or any(d != 2 for d in deg.values()):
+    adj = m.adjacency
+    mask = sum(1 << v for v in vs)
+    if any((adj[v] & mask).bit_count() != 2 for v in vs):
         return None
-    a = sub[0]
-    nbrs = [v for v in sub if v != a and m.kinds[a][v]]
-    opp = [v for v in sub if v != a and v not in nbrs][0]
-    return (a, nbrs[0], opp, nbrs[1])
+    a = vs[0]
+    b, d = (v for v in vs if adj[a] >> v & 1)
+    c = next(v for v in vs if v != a and not adj[a] >> v & 1)
+    return (a, b, c, d)
 
 
 def quad_class(q: MixedGraph) -> QuadClass:
@@ -239,15 +234,15 @@ def find_forbidden_triangle(m: MixedGraph) -> tuple[int, int, int] | None:
 def find_forbidden_quadrangle(m: MixedGraph) -> tuple[int, int, int, int] | None:
     """First induced quadrangle whose holonomy is not -1.
 
-    Returns ``_cycle_order4(m, vs)`` for the lexicographically smallest
-    sorted vertex set ``vs`` that induces such a quadrangle, or None.
-    Quadrangles are listed from their diagonals: for a < c non-adjacent,
-    every non-adjacent pair b < d of common neighbours above a closes the
-    induced quadrangle a-b-c-d, whose smallest vertex is a.  The first a
-    with a forbidden quadrangle therefore holds the smallest set.
+    Returns the cycle (a, b, c, d), b < d, on the lexicographically smallest
+    sorted vertex set that induces such a quadrangle, or None.  Quadrangles
+    are listed from their diagonals: for a < c non-adjacent, every
+    non-adjacent pair b < d of common neighbours above a closes the induced
+    quadrangle a-b-c-d, whose smallest vertex is a.  The first a with a
+    forbidden quadrangle therefore holds the smallest set.
     """
     n = m.n
-    adj = [sum(1 << v for v in range(n) if row[v]) for row in m.kinds]
+    adj = m.adjacency
     for a in range(n):
         above = -1 << (a + 1)
         found = []
@@ -261,9 +256,9 @@ def find_forbidden_quadrangle(m: MixedGraph) -> tuple[int, int, int, int] | None
             for i, b in enumerate(mids):
                 for d in mids[i + 1:]:
                     if not adj[b] >> d & 1 and _holonomy_exp(m, a, b, c, d) != 2:
-                        found.append(tuple(sorted((a, b, c, d))))
+                        found.append((a, b, c, d))
         if found:
-            return _cycle_order4(m, min(found))
+            return min(found, key=sorted)
     return None
 
 
@@ -403,10 +398,11 @@ def underlying_family(g: MixedGraph) -> FamilyMatch | None:
 
 
 def _family_of(g: MixedGraph) -> FamilyMatch | None:
-    """``underlying_family`` of a g already known undirected and connected."""
+    """``underlying_family`` of the underlying graph of a g already known
+    connected; it reads only which pairs are connected, so g may be oriented."""
     n = g.n
     full = (1 << n) - 1
-    closed = [sum(1 << v for v in range(n) if row[v]) | 1 << u for u, row in enumerate(g.kinds)]
+    closed = [row | 1 << u for u, row in enumerate(g.adjacency)]
     hubs = [v for v in range(n) if closed[v] == full]
     if len(hubs) == n:
         return FamilyMatch("complete", s=max(n - 1, 0), t=0)
@@ -765,11 +761,10 @@ def _classify(m: MixedGraph) -> Certificate:
     if quad is not None:
         a, b, c, d = quad
         return _cycle_certificate(quad, (k[a][b], k[b][c], k[c][d], k[d][a]))
-    g = underlying_graph(m)
-    fam = _family_of(g)
+    fam = _family_of(m)
     if fam is None:
         for name, pattern in FORBIDDEN_SUBGRAPHS:
-            hit = next(_embeddings(g, pattern), None)
+            hit = next(_embeddings(m, pattern), None)
             if hit is not None:
                 return Certificate(
                     False, None, None,

@@ -14,8 +14,9 @@ so H is Hermitian and every eigenvalue is real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,6 +70,13 @@ _ENTRY_ARRAY = np.array(_ENTRY, dtype=np.complex128)
 _FLIP = (0, 1, 3, 2)
 # The kind of the same pair in the underlying graph, indexed by kind.
 _UNDIRECTED_FROM_KIND = (0, 1, 1, 1)
+# Kind byte -> "0" or "1" for "connected", to read a kind row as a binary numeral.
+_CONNECTED_DIGIT = bytes.maketrans(b"\0\1\2\3", b"0111")
+
+
+def _not_kind(k: object) -> bool:
+    """Whether ``k`` cannot stand in a kind table: not an int, or a bool."""
+    return isinstance(k, bool) or not isinstance(k, int)
 
 
 @dataclass(frozen=True)
@@ -77,12 +85,11 @@ class MixedGraph:
 
     ``kinds[u][v]`` holds the EdgeKind value of the ordered pair (u, v).
     The table is consistent (``kinds[v][u]`` is the flipped kind) and has a
-    zero diagonal.  ``labels`` are cosmetic and ignored by comparisons.
+    zero diagonal.
     """
 
     n: int
     kinds: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -91,20 +98,18 @@ class MixedGraph:
             raise ValueError("kinds table must be n x n")
         n, kinds = self.n, self.kinds
         for u, row in enumerate(kinds):
-            if not isinstance(row[u], int):
+            if _not_kind(row[u]):
                 raise ValueError(f"bad kind {row[u]!r} at pair ({u}, {u})")
             if row[u] != EdgeKind.NONE:
                 raise ValueError(f"self-loop at vertex {u}")
             for v in range(u + 1, n):
                 k, back = row[v], kinds[v][u]
-                if not isinstance(k, int) or not 0 <= k <= 3:
+                if _not_kind(k) or not 0 <= k <= 3:
                     raise ValueError(f"bad kind {k!r} at pair ({u}, {v})")
                 if back != _FLIP[k]:
                     raise ValueError(f"inconsistent kinds at pair ({u}, {v})")
-                if not isinstance(back, int):  # equal to an int, such as 1.0
+                if _not_kind(back):  # equal to an int, such as 1.0 or True
                     raise ValueError(f"bad kind {back!r} at pair ({v}, {u})")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("labels length must equal n")
 
     @classmethod
     def _trusted(cls, n: int, kinds: tuple[tuple[int, ...], ...]) -> "MixedGraph":
@@ -119,8 +124,18 @@ class MixedGraph:
         """
         g = object.__new__(cls)
         attrs = g.__dict__
-        attrs["n"], attrs["kinds"], attrs["labels"] = n, kinds, None
+        attrs["n"], attrs["kinds"] = n, kinds
         return g
+
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """Neighbour bitmask of each vertex: bit v of entry u is set when u
+        and v are connected, whatever the kind.
+
+        Built on first use and kept on the instance; it is not a field, so
+        comparisons, hashing and the repr ignore it.
+        """
+        return tuple([int(bytes(row[::-1]).translate(_CONNECTED_DIGIT), 2) for row in self.kinds])
 
     # -- basic queries ----------------------------------------------------
 
@@ -142,13 +157,13 @@ class MixedGraph:
         return out
 
     def edge_count(self) -> int:
-        return sum(1 for row in self.kinds for k in row if k != EdgeKind.NONE) // 2
+        return sum(map(int.bit_count, self.adjacency)) // 2
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if self.kinds[u][v] != EdgeKind.NONE)
 
     def degree(self, u: int) -> int:
-        return sum(1 for v in range(self.n) if self.kinds[u][v] != EdgeKind.NONE)
+        return self.adjacency[u].bit_count()
 
     def is_undirected(self) -> bool:
         return all(k in (EdgeKind.NONE, EdgeKind.UNDIRECTED) for row in self.kinds for k in row)
@@ -235,11 +250,7 @@ def decode(n: int, digits: str) -> MixedGraph:
 def converse(m: MixedGraph) -> MixedGraph:
     """Reverse every arc.  The Hermitian matrix conjugates entrywise, so the
     spectrum is preserved; converse pairs need not be switching equivalent."""
-    return MixedGraph(
-        m.n,
-        tuple(tuple(_FLIP[k] for k in row) for row in m.kinds),
-        m.labels,
-    )
+    return MixedGraph(m.n, tuple(tuple(_FLIP[k] for k in row) for row in m.kinds))
 
 
 def hermitian_matrix(m: MixedGraph) -> np.ndarray:
@@ -325,28 +336,25 @@ def make_knst(s: int, t: int) -> MixedGraph:
 
 def connected_components(m: MixedGraph) -> list[list[int]]:
     """Components of the underlying graph, each sorted, ordered by minimum vertex."""
-    seen = [False] * m.n
+    adj = m.adjacency
     comps = []
-    for s in range(m.n):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in range(m.n):
-                if not seen[y] and m.kinds[x][y] != EdgeKind.NONE:
-                    seen[y] = True
-                    stack.append(y)
-        comps.append(sorted(comp))
+    left = (1 << m.n) - 1
+    while left:
+        # Flood from the smallest vertex left, one frontier vertex at a time.
+        comp = frontier = left & -left
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & ~comp
+            comp |= new
+            frontier |= new
+        left ^= comp
+        comps.append([v for v in range(m.n) if comp >> v & 1])
     return comps
 
 
 def is_connected(m: MixedGraph) -> bool:
-    if m.n == 0:
-        return True
-    return len(connected_components(m)) == 1
+    return len(connected_components(m)) <= 1
 
 
 def disjoint_union(g: MixedGraph, h: MixedGraph) -> MixedGraph:

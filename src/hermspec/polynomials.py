@@ -75,9 +75,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return self.coeffs == (0,)
 
-    def leading(self) -> int:
-        return self.coeffs[-1]
-
     def __call__(self, x: Scalar) -> Scalar:
         out: Scalar = 0
         for c in reversed(self.coeffs):

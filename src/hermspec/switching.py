@@ -64,9 +64,6 @@ class SwitchDiagonal:
     def units(self) -> tuple[complex, ...]:
         return tuple(_UNIT_FROM_EXP[e] for e in self.exps)
 
-    def exponents(self) -> tuple[int, ...]:
-        return self.exps
-
     def __len__(self) -> int:
         return len(self.exps)
 
@@ -193,23 +190,19 @@ class BadTriangleError(ValueError):
         self.triangle = triangle
 
 
-def _adjacent(g: MixedGraph, u: int, v: int) -> bool:
-    return g.kinds[u][v] != 0
-
-
 def _find_chordless_cycle(g: MixedGraph) -> ChordlessCycle | None:
     """Search a chordless cycle of length >= 4 (the non-chordality witness).
 
     For every vertex v with two non-adjacent neighbors x, y, a shortest x-y
     path avoiding the rest of N[v] closes into a chordless cycle through v.
     """
-    n = g.n
+    n, adj = g.n, g.adjacency
     for v in range(n):
-        nv = [w for w in range(n) if _adjacent(g, v, w)]
+        nv = [w for w in range(n) if adj[v] >> w & 1]
         for ai in range(len(nv)):
             for bi in range(ai + 1, len(nv)):
                 x, y = nv[ai], nv[bi]
-                if _adjacent(g, x, y):
+                if adj[x] >> y & 1:
                     continue
                 banned = {v} | {w for w in nv if w not in (x, y)}
                 # BFS from x to y outside banned vertices.
@@ -220,7 +213,7 @@ def _find_chordless_cycle(g: MixedGraph) -> ChordlessCycle | None:
                     if cur == y:
                         break
                     for w in range(n):
-                        if w in banned or w in prev or not _adjacent(g, cur, w):
+                        if w in banned or w in prev or not adj[cur] >> w & 1:
                             continue
                         prev[w] = cur
                         queue.append(w)
@@ -248,7 +241,7 @@ def perfect_elimination_ordering(
     """
     if not g.is_undirected():
         raise ValueError("perfect elimination ordering is defined on undirected graphs")
-    n = g.n
+    n, adj = g.n, g.adjacency
     weights = [0] * n
     picked = [False] * n
     selection = []
@@ -260,14 +253,14 @@ def perfect_elimination_ordering(
         picked[best] = True
         selection.append(best)
         for w in range(n):
-            if not picked[w] and _adjacent(g, best, w):
+            if not picked[w] and adj[best] >> w & 1:
                 weights[w] += 1
     peo = tuple(reversed(selection))
     for i, v in enumerate(peo):
-        later = [w for w in peo[i + 1 :] if _adjacent(g, v, w)]
+        later = [w for w in peo[i + 1 :] if adj[v] >> w & 1]
         for a in range(len(later)):
             for b in range(a + 1, len(later)):
-                if not _adjacent(g, later[a], later[b]):
+                if not adj[later[a]] >> later[b] & 1:
                     witness = _find_chordless_cycle(g)
                     if witness is None:
                         raise RuntimeError(

@@ -45,10 +45,12 @@ from hermspec.graphs import (
     cycle_graph,
     disjoint_union,
     induced,
+    is_connected,
     join,
     make_knst,
     path_graph,
     star_graph,
+    underlying_graph,
 )
 from hermspec.polynomials import Trichotomy
 from hermspec.quadratic import NEG_GOLDEN
@@ -443,6 +445,27 @@ def test_family_of_matches_component_reference():
             assert got.parts == want.parts and got.embedding == want.embedding
         labels[None if got is None else got.label] += 1
     assert labels["two-cliques"] > 150 and labels[None] > 500 and len(labels) == 7
+
+
+def test_family_of_reads_only_connections():
+    # _classify hands the oriented graph to _family_of; the match, and the
+    # embedding H1 matching relabels by, must be those of its underlying graph.
+    graphs = [
+        m for g in sporadic_underlying().values() for m in enumerate_orientations(g)
+    ]
+    rng = random.Random(1920)
+    for _ in range(800):
+        m = _random_mixed(rng, rng.randint(1, 12), rng.uniform(0.3, 1.0))
+        if is_connected(m):
+            graphs.append(m)
+    labels = Counter()
+    for m in graphs:
+        got, want = classify._family_of(m), classify._family_of(underlying_graph(m))
+        assert got == want, m.encode()
+        if got is not None:
+            assert got.parts == want.parts and got.embedding == want.embedding
+        labels[None if got is None else got.label] += 1
+    assert labels["k24-plus-2edges"] == 3 ** 10 and len(labels) == 7
 
 
 def test_classify_accept_h3():

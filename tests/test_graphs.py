@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import pickle
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -75,6 +77,13 @@ def test_kinds_table_validation_messages():
         MixedGraph(2, ((0, "1"), ("1", 0)))
     with pytest.raises(ValueError, match=r"bad kind 1\.0 at pair \(1, 0\)"):
         MixedGraph(2, ((0, 1), (1.0, 0)))
+    # A bool equals 0 or 1 but encodes as "True" or "False".
+    with pytest.raises(ValueError, match=r"bad kind True at pair \(0, 1\)"):
+        MixedGraph(2, ((0, True), (True, 0)))
+    with pytest.raises(ValueError, match=r"bad kind True at pair \(1, 0\)"):
+        MixedGraph(2, ((0, 1), (True, 0)))
+    with pytest.raises(ValueError, match=r"bad kind False at pair \(0, 0\)"):
+        MixedGraph(2, ((False, 0), (0, 0)))
     with pytest.raises(ValueError, match=r"inconsistent kinds at pair \(0, 1\)"):
         MixedGraph(2, ((0, 2), (2, 0)))
     with pytest.raises(ValueError, match=r"inconsistent kinds at pair \(1, 2\)"):
@@ -101,7 +110,7 @@ def test_derived_graphs_pass_the_public_check():
             induced(m, picked), induced(m, set(picked)), m.relabel(perm), underlying_graph(m)
         ):
             assert type(out.kinds) is tuple and all(type(row) is tuple for row in out.kinds)
-            assert MixedGraph(out.n, out.kinds) == out and out.labels is None
+            assert MixedGraph(out.n, out.kinds) == out
 
 
 def test_hermitian_entries():
@@ -230,3 +239,62 @@ def test_connectivity():
     comps = connected_components(disjoint_union(path_graph(2), path_graph(3)))
     assert [len(c) for c in comps] == [2, 3]
     assert is_connected(build(1, []))
+
+
+def test_adjacency_matches_kinds():
+    rng = random.Random(20)
+    for _ in range(300):
+        n = rng.randrange(0, 13)
+        m = random_mixed(rng, n, p=rng.uniform(0.1, 0.9))
+        fresh = MixedGraph(n, m.kinds)
+        adj = m.adjacency
+        assert type(adj) is tuple and len(adj) == n
+        for u in range(n):
+            assert adj[u] == sum(1 << v for v in range(n) if m.kinds[u][v] != 0)
+            assert m.degree(u) == len(m.neighbors(u))
+        assert m.edge_count() == len(m.edges())
+        # A cached mask takes no part in equality, hashing or the repr.
+        assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and back.adjacency == adj
+        assert pickle.loads(pickle.dumps(fresh)).adjacency == adj
+
+
+def _components_by_dfs(m):
+    """The depth-first search over kind rows that ``connected_components``
+    replaced, kept as its reference."""
+    seen = [False] * m.n
+    comps = []
+    for s in range(m.n):
+        if seen[s]:
+            continue
+        stack, comp = [s], []
+        seen[s] = True
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            for y in range(m.n):
+                if not seen[y] and m.kinds[x][y] != EdgeKind.NONE:
+                    seen[y] = True
+                    stack.append(y)
+        comps.append(sorted(comp))
+    return comps
+
+
+def test_connected_components_match_dfs_reference():
+    graphs = []
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [(u, v, "undirected") for i, (u, v) in enumerate(pairs) if mask >> i & 1]
+            graphs.append(build(n, edges))
+    rng = random.Random(2020)
+    for _ in range(600):
+        graphs.append(random_mixed(rng, rng.randrange(0, 13), p=rng.uniform(0.02, 0.5)))
+    split = 0
+    for m in graphs:
+        want = _components_by_dfs(m)
+        assert connected_components(m) == want, m.encode()
+        assert is_connected(m) == (len(want) <= 1)
+        split += len(want) > 1
+    assert split > 600

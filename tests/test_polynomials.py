@@ -23,7 +23,7 @@ def test_normalization_and_basics():
     p = IntPolynomial([1, 2, 0, 0])
     assert p.coeffs == (1, 2)
     assert p.degree == 1
-    assert p.leading() == 2
+    assert p.coeffs[-1] == 2
     assert IntPolynomial([0, 0]).is_zero()
     assert IntPolynomial([]).coeffs == (0,)
     with pytest.raises(ValueError):

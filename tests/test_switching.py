@@ -50,7 +50,7 @@ def _random_mixed(rng: random.Random, n: int, p: float = 0.6):
 
 def test_diagonal_validation():
     d = SwitchDiagonal([1, -1, 1j, -1j])
-    assert d.exponents() == (0, 2, 1, 3)
+    assert d.exps == (0, 2, 1, 3)
     assert SwitchDiagonal.from_exponents([0, 5]).units == (1 + 0j, 1j)
     assert len(SwitchDiagonal([1] * 3)) == 3
     with pytest.raises(ValueError):
@@ -89,7 +89,7 @@ def test_random_switch_walk_is_pinned():
     for _ in range(300):
         m = _random_mixed(rng, rng.randrange(0, 10))
         out, d = random_switch(m, rng)
-        digest.update(f"{out.encode()} {d.exponents()}\n".encode())
+        digest.update(f"{out.encode()} {d.exps}\n".encode())
     assert digest.hexdigest() == (
         "cff4ccb7b05bf597f0435e1a8989f1a7eb37ff3c5846a21f6929aaf89aa59ca3"
     )
