@@ -116,7 +116,7 @@ def _holonomy_exp(m: MixedGraph, *cycle: int) -> int:
 
 def triangle_type(t: MixedGraph) -> TriangleType:
     """Type of a 3-vertex mixed graph whose underlying graph is a triangle."""
-    if t.n != 3 or any(t.kinds[u][v] == 0 for u in range(3) for v in range(3) if u != v):
+    if t.n != 3 or t.edge_count() != 3:
         raise ValueError("input must be a mixed triangle")
     und = sum(
         1 for u in range(3) for v in range(u + 1, 3) if t.kinds[u][v] == EdgeKind.UNDIRECTED
@@ -324,28 +324,22 @@ def _embeddings(g: MixedGraph, pattern: MixedGraph) -> Iterator[tuple[int, ...]]
     lexicographic order; ``_embeddings(g, g)`` yields the automorphisms of g's
     underlying graph in ``itertools.permutations`` order.
     """
-    k, n = pattern.n, g.n
-    chosen: list[int] = []
-    cand = 0
-    while True:
+    k, adj, pattern_adj = pattern.n, g.adjacency, pattern.adjacency
+
+    def extend(chosen: tuple[int, ...], unused: int) -> Iterator[tuple[int, ...]]:
         i = len(chosen)
-        if i == k or cand == n:
-            if i == k:
-                yield tuple(chosen)
-            if not chosen:
-                return
-            cand = chosen.pop() + 1
-            continue
-        if cand not in chosen:
-            row, kc = pattern.kinds[i], g.kinds[cand]
-            for j, cj in enumerate(chosen):
-                if (row[j] != 0) != (kc[cj] != 0):
-                    break
-            else:
-                chosen.append(cand)
-                cand = 0
-                continue
-        cand += 1
+        if i == k:
+            yield chosen
+            return
+        cands = unused
+        for j, cj in enumerate(chosen):
+            cands &= adj[cj] if pattern_adj[i] >> j & 1 else ~adj[cj]
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            yield from extend(chosen + (low.bit_length() - 1,), unused ^ low)
+
+    return extend((), (1 << g.n) - 1)
 
 
 def find_induced(g: MixedGraph, pattern: MixedGraph) -> tuple[int, ...] | None:
@@ -424,9 +418,8 @@ def _family_of(g: MixedGraph) -> FamilyMatch | None:
             return FamilyMatch(
                 "two-cliques", s=len(c1), t=len(c2), cut_vertex=v, parts=(c1, c2)
             )
-    sizes = {"c4": 4, "diamond": 4, "k23-plus-edge": 5, "k24-plus-2edges": 6}
     for label, pattern in sporadic_underlying().items():
-        if n == sizes[label] and g.edge_count() == pattern.edge_count():
+        if n == pattern.n and g.edge_count() == pattern.edge_count():
             hit = next(_embeddings(g, pattern), None)
             if hit is not None:
                 return FamilyMatch(label, embedding=hit)
@@ -528,10 +521,9 @@ class Certificate:
                     return False
                 if (self.family is Family.H4) != (det.t == 1):
                     return False
-                for a in det.block1[1:]:
-                    for b in det.block2[1:]:
-                        if m.kinds[a][b]:
-                            return False
+                across = sum(1 << b for b in det.block2[1:])
+                if any(m.adjacency[a] & across for a in det.block1[1:]):
+                    return False
                 for block, knst in ((det.block1, det.knst1), (det.block2, det.knst2)):
                     if recognize_knst(induced(m, block)) != knst:
                         return False

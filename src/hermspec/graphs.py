@@ -160,7 +160,7 @@ class MixedGraph:
         return sum(map(int.bit_count, self.adjacency)) // 2
 
     def neighbors(self, u: int) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.kinds[u][v] != EdgeKind.NONE)
+        return tuple(v for v in range(self.n) if self.adjacency[u] >> v & 1)
 
     def degree(self, u: int) -> int:
         return self.adjacency[u].bit_count()
@@ -238,9 +238,14 @@ def build(n: int, edges: Iterable[tuple[int, int, str | EdgeKind]]) -> MixedGrap
 
 
 def decode(n: int, digits: str) -> MixedGraph:
-    """Rebuild a mixed graph from its row-major kind digits (see ``encode``)."""
+    """Rebuild a mixed graph from its row-major kind digits (see ``encode``).
+
+    Only ASCII 0-3 are kind digits: ``int`` also reads other Unicode digits.
+    """
     if len(digits) != n * n:
         raise ValueError(f"expected {n * n} digits, got {len(digits)}")
+    if not set(digits) <= set("0123"):
+        raise ValueError(f"kind digits must be ASCII 0-3, got {digits!r}")
     kinds = tuple(
         tuple(int(digits[u * n + v]) for v in range(n)) for u in range(n)
     )

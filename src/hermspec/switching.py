@@ -111,13 +111,9 @@ def switching_equivalent(m1: MixedGraph, m2: MixedGraph) -> SwitchDiagonal | Non
     the forced diagonal, by the rule ``apply_switch`` uses, checks the
     remaining edges, so the search is O(n^2) with no backtracking.
     """
-    if m1.n != m2.n:
+    if m1.adjacency != m2.adjacency:  # one mask per vertex, so also unequal n
         return None
-    n = m1.n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (m1.kinds[u][v] == 0) != (m2.kinds[u][v] == 0):
-                return None
+    n, adj = m1.n, m1.adjacency
     exps = [None] * n
     for root in range(n):
         if exps[root] is not None:
@@ -127,11 +123,10 @@ def switching_equivalent(m1: MixedGraph, m2: MixedGraph) -> SwitchDiagonal | Non
         while stack:
             u = stack.pop()
             for v in range(n):
-                k1 = m1.kinds[u][v]
-                if k1 == 0 or exps[v] is not None:
+                if exps[v] is not None or not adj[u] >> v & 1:
                     continue
                 # d_u h1 conj(d_v) = h2  =>  e_v = e_u + exp(h1) - exp(h2)
-                e1 = _EXP_FROM_KIND[k1]
+                e1 = _EXP_FROM_KIND[m1.kinds[u][v]]
                 e2 = _EXP_FROM_KIND[m2.kinds[u][v]]
                 exps[v] = (exps[u] + e1 - e2) % 4
                 stack.append(v)

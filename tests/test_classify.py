@@ -361,6 +361,25 @@ def test_automorphisms_match_permutation_filter():
         assert classify._automorphisms(g) == want
 
 
+def test_embeddings_match_permutation_filter():
+    from itertools import permutations
+
+    rng = random.Random(22)
+    graphs = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
+    graphs += [_random_mixed(rng, rng.randrange(1, 9), rng.uniform(0.2, 0.9)) for _ in range(40)]
+    patterns = [p for _, p in FORBIDDEN_SUBGRAPHS] + list(sporadic_underlying().values())
+    patterns += [build(0, []), build(9, [])]  # empty, and larger than every g
+    for g in graphs:
+        for pattern in patterns:
+            k = pattern.n
+            pairs = [(i, j, pattern.kinds[i][j] != 0) for i in range(k) for j in range(i + 1, k)]
+            want = [
+                p for p in permutations(range(g.n), k)
+                if all((g.kinds[p[i]][p[j]] != 0) == joined for i, j, joined in pairs)
+            ]
+            assert list(classify._embeddings(g, pattern)) == want
+
+
 def test_underlying_family():
     assert underlying_family(complete_graph(5)).label == "complete"
     bowtie = coalescence(complete_graph(3), 0, complete_graph(3), 0)

@@ -161,6 +161,11 @@ def test_encode_decode_round_trip():
                     edges.append((u, v, k))
         m = build(n, edges)
         assert decode(n, m.encode()) == m
+    # Only the ASCII digits encode writes are read back, never other Unicode
+    # decimal digits (Arabic-Indic and fullwidth 3 and 2 here).
+    for bad in ("0\u0663\u06620", "0\uff13\uff120", "0 10"):
+        with pytest.raises(ValueError):
+            decode(2, bad)
 
 
 def test_relabel_moves_edges():
@@ -251,6 +256,7 @@ def test_adjacency_matches_kinds():
         assert type(adj) is tuple and len(adj) == n
         for u in range(n):
             assert adj[u] == sum(1 << v for v in range(n) if m.kinds[u][v] != 0)
+            assert m.neighbors(u) == tuple(v for v in range(n) if m.kinds[u][v] != 0)
             assert m.degree(u) == len(m.neighbors(u))
         assert m.edge_count() == len(m.edges())
         # A cached mask takes no part in equality, hashing or the repr.

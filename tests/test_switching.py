@@ -112,6 +112,8 @@ def test_switching_equivalent_rejections():
     assert switching_equivalent(k3, tilted) is None
     assert switching_equivalent(k3, path_graph(3)) is None
     assert switching_equivalent(k3, complete_graph(4)) is None
+    # Same size and edge count, different labeled underlying graphs.
+    assert switching_equivalent(path_graph(3), path_graph(3).relabel([1, 0, 2])) is None
     # A disconnected pair still works component by component.
     m = build(4, [(0, 1, "arc"), (2, 3, "arc")])
     out, _ = random_switch(m, random.Random(7))
