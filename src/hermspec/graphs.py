@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cache, cached_property
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EdgeKind",
@@ -62,10 +63,8 @@ _EXP_FROM_KIND = (None, 0, 1, 3)
 _KIND_FROM_EXP = (int(EdgeKind.UNDIRECTED), int(EdgeKind.ARC_OUT), None, int(EdgeKind.ARC_IN))
 # The unit i^e, indexed by e.
 _UNIT_FROM_EXP = (1 + 0j, 1j, -1 + 0j, -1j)
-# Hermitian entry for each EdgeKind value, indexed by kind, and the same
-# table as a complex128 array for fancy indexing by kind tables.
+# Hermitian entry for each EdgeKind value, indexed by kind.
 _ENTRY = (0j, *(_UNIT_FROM_EXP[e] for e in _EXP_FROM_KIND[1:]))
-_ENTRY_ARRAY = np.array(_ENTRY, dtype=np.complex128)
 # EdgeKind.flipped() as a table indexed by kind, for hot loops.
 _FLIP = (0, 1, 3, 2)
 # The kind of the same pair in the underlying graph, indexed by kind.
@@ -258,10 +257,25 @@ def converse(m: MixedGraph) -> MixedGraph:
     return MixedGraph(m.n, tuple(tuple(_FLIP[k] for k in row) for row in m.kinds))
 
 
+@cache
+def _entry_array() -> np.ndarray:
+    """``_ENTRY`` as a complex128 array, for fancy indexing by kind tables.
+
+    Built on first use: numpy is imported only by the functions that build
+    an array, so importing the package, classifying and checking
+    equivalence never load it.
+    """
+    import numpy as np
+
+    return np.array(_ENTRY, dtype=np.complex128)
+
+
 def hermitian_matrix(m: MixedGraph) -> np.ndarray:
     """Hermitian adjacency matrix of ``m``: an (n, n) complex128 array read
     from ``kinds`` through the entry table."""
-    return _ENTRY_ARRAY[np.array(m.kinds, dtype=np.intp).reshape(m.n, m.n)]
+    import numpy as np
+
+    return _entry_array()[np.array(m.kinds, dtype=np.intp).reshape(m.n, m.n)]
 
 
 def underlying_graph(m: MixedGraph) -> MixedGraph:

@@ -17,6 +17,10 @@ is a stack of one.  The loop runs in float64 while a written bound
 certifies the whole stack exact (every product entry and trace below 2**52,
 every trace dividing evenly) and otherwise reruns on Python ints from the
 original entries.
+
+numpy is imported inside the functions that build an array, never at module
+level: the exact comparisons, the cubics and everything the classifier's
+accepts and threshold rejects call run without it.
 """
 
 from __future__ import annotations
@@ -24,13 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .graphs import _ENTRY_ARRAY, MixedGraph, hermitian_matrix, induced
+from .graphs import MixedGraph, _entry_array, hermitian_matrix, induced
 from .polynomials import IntPolynomial, Trichotomy, _as_quadratic, compare_min_root
 from .quadratic import QuadraticNumber
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SpectralSummary",
@@ -78,6 +83,8 @@ def _faddeev_leverrier(
     as a check fails, or when a trace does not divide.  With ``norm=None``,
     x holds Python ints and the loop is exact by construction.
     """
+    import numpy as np
+
     batch, size = x.shape[:-2], x.shape[-1]
     steps = size // trace_scale
     rows = np.empty(batch + (steps + 1,), dtype=x.dtype)
@@ -116,6 +123,8 @@ def _int_rows(a: np.ndarray, trace_scale: int = 1) -> np.ndarray:
     stack the same loop reruns on Python ints copied from ``a``, never from
     the float copy, and the rows come back as Python ints (object).
     """
+    import numpy as np
+
     norm = np.abs(a).sum(axis=-1).max(initial=0)
     if norm < _EXACT_LIMIT:
         rows = _faddeev_leverrier(a.astype(np.float64), trace_scale, float(norm))
@@ -133,6 +142,8 @@ def _char_poly_rows(h: np.ndarray) -> np.ndarray:
     is real: tr(E(H) E(M_k)) = 2 tr(H M_k).  Running n steps on E with every
     trace halved therefore yields char(H) itself.
     """
+    import numpy as np
+
     n = h.shape[-1]
     e = np.empty(h.shape[:-2] + (2 * n, 2 * n), dtype=np.int64)
     e[..., :n, :n] = e[..., n:, n:] = h.real
@@ -156,14 +167,18 @@ def char_poly_rows(graphs: Sequence[MixedGraph]) -> np.ndarray:
     Row i holds det(xI - H) of ``graphs[i]``, high to low: int64 when the
     float64 certificate holds for the whole stack, else Python ints.
     """
+    import numpy as np
+
     if not graphs:
         raise ValueError("need at least one graph")
     kinds = np.array([g.kinds for g in graphs], dtype=np.intp)
-    return _char_poly_rows(_ENTRY_ARRAY[kinds])
+    return _char_poly_rows(_entry_array()[kinds])
 
 
 def char_poly_int_matrix(rows: Sequence[Sequence[int]]) -> IntPolynomial:
     """Exact characteristic polynomial of an arbitrary integer matrix."""
+    import numpy as np
+
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
@@ -193,6 +208,8 @@ def eigenvalues(m: MixedGraph) -> SpectralSummary:
     their product must match the determinant read off the constant
     coefficient (1e-6 relative).  Violations raise RuntimeError.
     """
+    import numpy as np
+
     h = hermitian_matrix(m)
     n = m.n
     if n == 0:
@@ -261,6 +278,8 @@ class EquitablePartition:
     quotient: tuple[tuple[complex, ...], ...]
 
     def quotient_numpy(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.quotient, dtype=np.complex128)
 
     def quotient_is_real(self) -> bool:
@@ -291,6 +310,8 @@ def validate_equitable(
     Not-a-partition input raises ValueError; an unbalanced partition returns
     an EquitableViolation naming the failing vertex and cell pair.
     """
+    import numpy as np
+
     h = hermitian_matrix(m)
     cell_tuples = tuple(tuple(c) for c in cells)
     flat = [v for c in cell_tuples for v in c]

@@ -323,7 +323,7 @@ def test_class_verdicts_match_block_decide():
 def test_k6_class_representatives_share_the_spectrum():
     # The class keys and matrices go through the census digit tables, which
     # are built from graphs._EXP_FROM_KIND and graphs._UNIT_FROM_EXP, while
-    # char_poly reads each orientation's kinds through graphs._ENTRY_ARRAY;
+    # char_poly reads each orientation's kinds through graphs._entry_array();
     # equal char polys tie the digit order to the one alphabet.
     rng = random.Random(6)
     indices = [rng.randrange(3 ** 15) for _ in range(600)]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -786,6 +787,64 @@ def test_threshold_witness_matches_direct_spectrum():
             assert w.comparison is comparison, (s, t, m.encode())
             assert abs(w.lambda_min - lam) <= 1e-9
             assert cert.verify(m)
+
+
+def _failing_shapes(max_n: int) -> list[tuple[int, int]]:
+    """(s, t) with s >= t >= 1, s + t + 1 <= max_n and f_cubic(s, t) failing."""
+    return [
+        (s, t) for s in range(1, max_n) for t in range(1, s + 1)
+        if s + t + 1 <= max_n
+        and compare_lambda_min(f_cubic(s, t), NEG_GOLDEN) is not Trichotomy.GREATER
+    ]
+
+
+def _clique_pair(s: int, t: int) -> MixedGraph:
+    return coalescence(complete_graph(s + 1), 0, complete_graph(t + 1), 0)
+
+
+def test_threshold_root_in_closed_form_matches_the_spectrum():
+    shapes = _failing_shapes(12)
+    assert len(shapes) == 18
+    for s, t in shapes:
+        m = _clique_pair(s, t)
+        w = classify._classify(m).witness
+        assert w.kind == "threshold"
+        assert abs(w.lambda_min - eigenvalues(m).lambda_min) <= 1e-12, (s, t)
+    # Exactly: the smallest root lies within 1e-15 of the float, for every
+    # failing cubic with s < 60.
+    delta = Fraction(1, 10**15)
+    shapes = [(s, t) for s, t in _failing_shapes(120) if s < 60]
+    assert len(shapes) == 1709
+    for s, t in shapes:
+        cubic = f_cubic(s, t)
+        x = Fraction(classify._smallest_root(cubic))
+        assert compare_lambda_min(cubic, x + delta) is Trichotomy.LESS, (s, t)
+        assert compare_lambda_min(cubic, x - delta) is Trichotomy.GREATER, (s, t)
+
+
+def test_threshold_summary_digits_are_unchanged():
+    # The threshold root used to come from numpy.roots on the cubic's
+    # companion matrix; the closed form must print the same ten decimals.
+    import numpy as np
+
+    shapes = _failing_shapes(40)
+    assert len(shapes) == 340
+    for s, t in shapes:
+        cubic = f_cubic(s, t)
+        before = float(min(np.roots(cubic.coeffs[::-1]).real))
+        summary = classify_threshold(_clique_pair(s, t)).summary()
+        assert summary.endswith(f", exact Less, lambda_min {before:.10f}"), (s, t, summary)
+    pinned = {
+        (3, 3): "-1.6457513111",
+        (4, 2): "-1.6261980685",
+        (5, 3): "-1.6912677768",
+        (9, 2): "-1.6771056371",
+        (30, 8): "-1.8732952079",
+        (20, 19): "-1.9107081456",
+    }
+    for (s, t), lam in pinned.items():
+        summary = classify_threshold(_clique_pair(s, t)).summary()
+        assert summary.endswith(f"lambda_min {lam}"), (s, t, summary)
 
 
 def test_one_triangle_scan_per_clique_family_classify_and_verify(monkeypatch):

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
+import hermspec
 from hermspec.catalog import load_builtin, serialize_catalog
 from hermspec.cli import main
-from hermspec.graphs import complete_graph, make_knst, path_graph
+from hermspec.graphs import build, coalescence, complete_graph, make_knst, path_graph
 from hermspec.mgfile import serialize_mgfile
+from hermspec.switching import random_switch
 
 
 def _write(tmp_path: Path, name: str, m) -> str:
@@ -23,6 +29,75 @@ def test_spectrum_output(tmp_path, capsys):
     assert "lambda_min: -1.6180339887" in out
     assert "vs -(1+sqrt5)/2: Equal" in out
     assert "vs -sqrt(2): Less" in out
+
+
+def test_spectrum_output_is_pinned(tmp_path, capsys):
+    two = _write(tmp_path, "two.mg", coalescence(make_knst(2, 4), 1, make_knst(3, 1), 2))
+    assert main(["spectrum", two]) == 0
+    assert capsys.readouterr().out == (
+        "n: 9\nedges: 21\neigenvalues: 5.1801400330 2.5111277438 -1.0000000000"
+        " -1.0000000000 -1.0000000000 -1.0000000000 -1.0000000000 -1.0000000000"
+        " -1.6912677768\nchar poly: x^9 - 21x^7 - 48x^6 + 27x^5 + 246x^4 + 405x^3"
+        " + 324x^2 + 132x + 22\nlambda_min: -1.6912677768\nvs -sqrt(2): Less\n"
+        "vs -sqrt(3): Greater\nvs -(1+sqrt5)/2: Less\n"
+    )
+    edges = [(0, 1, "arc"), (1, 2, "undirected"), (2, 3, "arc"), (3, 4, "arc"),
+             (4, 0, "undirected"), (0, 2, "arc")]
+    mixed = _write(tmp_path, "mixed.mg", build(5, edges))
+    assert main(["spectrum", mixed]) == 0
+    assert capsys.readouterr().out == (
+        "n: 5\nedges: 6\neigenvalues: 2.3721301336 1.0846405619 -0.3325709475"
+        " -1.2414458453 -1.8827539028\nchar poly: x^5 - 6x^3 - 2x^2 + 6x + 2\n"
+        "lambda_min: -1.8827539028\nvs -sqrt(2): Less\nvs -sqrt(3): Less\n"
+        "vs -(1+sqrt5)/2: Less\n"
+    )
+
+
+#: Run in a fresh interpreter, since sys.modules is shared by the whole process.
+_WITHOUT_NUMPY = """\
+import sys
+import hermspec
+from hermspec.cli import main
+
+hermspec.load_builtin()
+*graphs, a, b = sys.argv[1:]
+for f in graphs:
+    print(main(["classify", f]))
+print(main(["equiv", a, b]))
+print("numpy" in sys.modules)
+"""
+
+
+def test_accepts_threshold_rejects_and_equiv_never_import_numpy(tmp_path):
+    rng = random.Random(23)
+    record = load_builtin().records[0]
+    h1, _ = random_switch(record.graph(), rng, steps=record.graph().n)
+    graphs = {
+        "h1": h1,
+        "h2": coalescence(make_knst(1, 2), 0, make_knst(2, 1), 1),
+        "h3": make_knst(4, 3),
+        "h4": coalescence(make_knst(2, 3), 0, complete_graph(2), 0),
+        "threshold": coalescence(make_knst(2, 4), 1, make_knst(3, 1), 2),
+        "k23": make_knst(2, 3),
+        "k5": complete_graph(5),
+    }
+    files = [_write(tmp_path, f"{name}.mg", g) for name, g in graphs.items()]
+    src = str(Path(hermspec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, *files],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.splitlines() == [
+        f"accept H1 catalog={record.rec_id}", "0",
+        "accept H2 cut=0 s=2 t=2", "0",
+        "accept H3 s=4 t=3", "0",
+        "accept H4 cut=0 s=4 t=1", "0",
+        "reject: induced two-cliques at (0,1,2,3,4,5,6,7,8), exact Less,"
+        " lambda_min -1.6912677768", "1",
+        "diagonal: 1 1 i i i", "0",
+        "False",
+    ]
 
 
 def test_spectrum_of_empty_graph_is_an_input_error(tmp_path, capsys):

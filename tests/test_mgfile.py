@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hermspec.graphs import EdgeKind, build, make_knst
+from hermspec.graphs import EdgeKind, MixedGraph, build, make_knst
 from hermspec.mgfile import MgParseError, parse_mgfile, serialize_mgfile
 
 
@@ -103,3 +103,136 @@ def test_numbers_are_ascii_decimal_digits():
     with pytest.raises(MgParseError, match="out of range"):
         parse_mgfile("mixedgraph 2\n-1 -- 0\n")
     assert parse_mgfile("mixedgraph 12\n0 -- 11\n").kind(0, 11) == EdgeKind.UNDIRECTED
+
+
+# -- differential check against the token-by-token parser -----------------
+
+# parse_mgfile as it stood before its one-split fast path, kept verbatim as
+# the reference: every text must give the same graph or the same error.
+
+
+def _ref_strip(raw: str) -> str:
+    return raw.split("#", 1)[0].strip()
+
+
+def _ref_number(token: str) -> int | None:
+    if not (token.isascii() and token.removeprefix("-").isdecimal()):
+        return None
+    try:
+        return int(token)
+    except ValueError:  # more digits than int converts
+        return None
+
+
+def _reference_parse(text: str) -> MixedGraph:
+    lines = text.splitlines()
+    n: int | None = None
+    table: list[list[int]] = []
+    seen: dict[tuple[int, int], int] = {}
+    for i, raw in enumerate(lines, start=1):
+        content = _ref_strip(raw)
+        if not content:
+            continue
+        if n is None:
+            parts = content.split()
+            if len(parts) != 2 or parts[0] != "mixedgraph":
+                raise MgParseError(i, "expected header 'mixedgraph <n>'")
+            n = _ref_number(parts[1])
+            if n is None:
+                raise MgParseError(i, f"bad vertex count {parts[1]!r}")
+            if n < 0:
+                raise MgParseError(i, "vertex count must be nonnegative")
+            table = [[0] * n for _ in range(n)]
+            continue
+        parts = content.split()
+        if len(parts) != 3 or parts[1] not in ("--", "->"):
+            raise MgParseError(i, f"expected 'u -- v' or 'u -> v', got {content!r}")
+        u, v = _ref_number(parts[0]), _ref_number(parts[2])
+        if u is None or v is None:
+            raise MgParseError(i, f"bad vertex in {content!r}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise MgParseError(i, f"vertex out of range 0..{n - 1} in {content!r}")
+        if u == v:
+            raise MgParseError(i, f"self-loop at vertex {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise MgParseError(
+                i, f"duplicate edge {key[0]},{key[1]} (first on line {seen[key]})"
+            )
+        seen[key] = i
+        if parts[1] == "--":
+            table[u][v] = table[v][u] = int(EdgeKind.UNDIRECTED)
+        else:
+            table[u][v], table[v][u] = int(EdgeKind.ARC_OUT), int(EdgeKind.ARC_IN)
+    if n is None:
+        raise MgParseError(max(len(lines), 1), "missing 'mixedgraph <n>' header")
+    return MixedGraph._trusted(n, tuple(tuple(row) for row in table))
+
+
+#: Fragments a mutation inserts: whitespace that str.split or splitlines
+#: treats specially, non-ASCII digits, signs, malformed operators and numbers.
+_FRAGMENTS = (
+    " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", " ", "\n", "\r\n", "#", "# note",
+    "0", "1", "7", "11", "12", "99", "-", "-0", "-1", "+", "+3", "1_2", "00",
+    "３", "٣", "१", "--", "->", "=>", "-->", "<-", "mixedgraph", "mixedgraph 3",
+    "1" * 5000,
+)
+
+
+def _mutate(text: str, n: int, rng: random.Random) -> str:
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        op = rng.randrange(6)
+        if op == 0:  # insert a fragment
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + rng.choice(_FRAGMENTS) + text[at:]
+        elif op == 1 and text:  # delete a span
+            at = rng.randrange(len(text))
+            text = text[:at] + text[at + rng.randint(1, 4):]
+        elif op == 2 and text:  # duplicate a span
+            at = rng.randrange(len(text))
+            end = at + rng.randint(1, 12)
+            text = text[:end] + text[at:end] + text[end:]
+        elif op == 3:  # duplicate a line, or add it reversed
+            lines = text.splitlines(keepends=True)
+            line = rng.choice(lines)
+            if rng.random() < 0.5:
+                line = " ".join(reversed(line.split())) + "\n"
+            lines.insert(rng.randrange(len(lines) + 1), line)
+            text = "".join(lines)
+        elif op == 4:  # an edge line with a vertex at or past n, or negative
+            u = rng.choice((n, n + 1, -1, rng.randrange(max(n, 1))))
+            v = rng.randrange(max(n, 1))
+            text += f"{u} {rng.choice(('--', '->'))} {v}\n"
+        else:  # swap a character for a look-alike
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + rng.choice("0123456789 \t-->#") + text[at + 1:]
+    return text
+
+
+def _outcome(parse, text: str):
+    try:
+        return "graph", parse(text)
+    except MgParseError as exc:
+        return "error", exc.line, str(exc)
+
+
+def test_parser_matches_reference_on_mutated_texts():
+    rng = random.Random(2323)
+    errors = 0
+    for _ in range(20_000):
+        n = rng.randrange(0, 10)
+        edges = [
+            (u, v, kind)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if (kind := rng.choice([None, None, "undirected", "arc"]))
+        ]
+        text = serialize_mgfile(build(n, edges))
+        if rng.random() < 0.3:
+            text = "# header comment\n\n" + text.replace("\n", "  # c\n", 1)
+        text = _mutate(text, n, rng)
+        expected = _outcome(_reference_parse, text)
+        assert _outcome(parse_mgfile, text) == expected, repr(text)
+        errors += expected[0] == "error"
+    # Both outcomes are well represented.
+    assert 10_000 < errors < 17_000, errors
