@@ -57,33 +57,6 @@ _PAIR_KINDS = {
 }
 
 
-def _add_edge(
-    i: int, raw: str, n: int, table: list[list[int]], seen: dict[tuple[int, int], int]
-) -> None:
-    """Check edge line ``i`` token by token and enter it into ``table``.
-
-    Raises MgParseError naming the first check the line fails.
-    """
-    content = _strip(raw)
-    parts = content.split()
-    if len(parts) != 3 or parts[1] not in _PAIR_KINDS:
-        raise MgParseError(i, f"expected 'u -- v' or 'u -> v', got {content!r}")
-    u, v = _number(parts[0]), _number(parts[2])
-    if u is None or v is None:
-        raise MgParseError(i, f"bad vertex in {content!r}")
-    if not (0 <= u < n and 0 <= v < n):
-        raise MgParseError(i, f"vertex out of range 0..{n - 1} in {content!r}")
-    if u == v:
-        raise MgParseError(i, f"self-loop at vertex {u}")
-    key = (min(u, v), max(u, v))
-    if key in seen:
-        raise MgParseError(
-            i, f"duplicate edge {key[0]},{key[1]} (first on line {seen[key]})"
-        )
-    seen[key] = i
-    table[u][v], table[v][u] = _PAIR_KINDS[parts[1]]
-
-
 def parse_mgfile(text: str) -> MixedGraph:
     lines = text.splitlines()
     n: int | None = None
@@ -103,23 +76,26 @@ def parse_mgfile(text: str) -> MixedGraph:
                 raise MgParseError(i, "vertex count must be nonnegative")
             table = [[0] * n for _ in range(n)]
             continue
-        # An edge line of plain digits that passes every check is entered
-        # here; any other line goes to _add_edge, which raises the error or,
-        # for a vertex written "-0", enters the edge.
-        if len(parts) == 3:
-            a, op, b = parts
-            kinds = _PAIR_KINDS.get(op)
-            if kinds and a.isascii() and a.isdigit() and b.isascii() and b.isdigit():
-                try:
-                    u, v = int(a), int(b)
-                except ValueError:  # more digits than int converts
-                    u = v = n
-                key = (u, v) if u < v else (v, u)
-                if u != v and key[1] < n and key not in seen:
-                    seen[key] = i
-                    table[u][v], table[v][u] = kinds
-                    continue
-        _add_edge(i, raw, n, table, seen)
+        if len(parts) != 3 or parts[1] not in _PAIR_KINDS:
+            raise MgParseError(
+                i, f"expected 'u -- v' or 'u -> v', got {_strip(raw)!r}"
+            )
+        u, v = _number(parts[0]), _number(parts[2])
+        if u is None or v is None:
+            raise MgParseError(i, f"bad vertex in {_strip(raw)!r}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise MgParseError(
+                i, f"vertex out of range 0..{n - 1} in {_strip(raw)!r}"
+            )
+        if u == v:
+            raise MgParseError(i, f"self-loop at vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise MgParseError(
+                i, f"duplicate edge {key[0]},{key[1]} (first on line {seen[key]})"
+            )
+        seen[key] = i
+        table[u][v], table[v][u] = _PAIR_KINDS[parts[1]]
     if n is None:
         raise MgParseError(max(len(lines), 1), "missing 'mixedgraph <n>' header")
     return MixedGraph._trusted(n, tuple(map(tuple, table)))

@@ -834,6 +834,13 @@ def test_threshold_summary_digits_are_unchanged():
         before = float(min(np.roots(cubic.coeffs[::-1]).real))
         summary = classify_threshold(_clique_pair(s, t)).summary()
         assert summary.endswith(f", exact Less, lambda_min {before:.10f}"), (s, t, summary)
+    # The printed digits on every failing cubic with s < 60.
+    shapes = [(s, t) for s, t in _failing_shapes(120) if s < 60]
+    assert len(shapes) == 1709
+    for s, t in shapes:
+        cubic = f_cubic(s, t)
+        before = float(min(np.roots(cubic.coeffs[::-1]).real))
+        assert f"{classify._smallest_root(cubic):.10f}" == f"{before:.10f}", (s, t)
     pinned = {
         (3, 3): "-1.6457513111",
         (4, 2): "-1.6261980685",
@@ -841,6 +848,9 @@ def test_threshold_summary_digits_are_unchanged():
         (9, 2): "-1.6771056371",
         (30, 8): "-1.8732952079",
         (20, 19): "-1.9107081456",
+        # The exact root is -1.95481576334999751...: a float 2.5e-15 further
+        # from zero would print -1.9548157634.
+        (55, 33): "-1.9548157633",
     }
     for (s, t), lam in pinned.items():
         summary = classify_threshold(_clique_pair(s, t)).summary()
