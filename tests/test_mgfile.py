@@ -107,8 +107,8 @@ def test_numbers_are_ascii_decimal_digits():
 
 # -- differential check against the token-by-token parser -----------------
 
-# parse_mgfile as it stood before its one-split fast path, kept verbatim as
-# the reference: every text must give the same graph or the same error.
+# parse_mgfile as it stood before it split each line only once, kept verbatim
+# as the reference: every text must give the same graph or the same error.
 
 
 def _ref_strip(raw: str) -> str:
