@@ -373,7 +373,17 @@ def connected_components(m: MixedGraph) -> list[list[int]]:
 
 
 def is_connected(m: MixedGraph) -> bool:
-    return len(connected_components(m)) <= 1
+    """Whether the flood from vertex 0 reaches every vertex (true for n = 0)."""
+    adj = m.adjacency
+    full = (1 << m.n) - 1
+    comp = frontier = full & 1
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & ~comp
+        comp |= new
+        frontier |= new
+    return comp == full
 
 
 def disjoint_union(g: MixedGraph, h: MixedGraph) -> MixedGraph:

@@ -18,6 +18,8 @@ their tail.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .graphs import EdgeKind, MixedGraph
 
 __all__ = ["MgParseError", "parse_mgfile", "serialize_mgfile"]
@@ -57,16 +59,41 @@ _PAIR_KINDS = {
 }
 
 
+#: Files written by ``serialize_mgfile`` with n <= 12 hold at most 132
+#: distinct edge lines of each kind, so a stream of them hits this memo on
+#: nearly every line.  An entry of a short line takes about 0.1 kB, so
+#: about 0.1 MB for 1024 of them.
+@lru_cache(maxsize=1024)
+def _edge_line(raw: str) -> tuple[int, int, int, int] | None:
+    """What a line after the header says, whatever the file's vertex count.
+
+    None for a blank or comment line, (u, v, kind of (u, v), kind of (v, u))
+    for an edge; a line not written as either raises ValueError with the
+    message, which the memo does not keep.  Nothing here depends on the
+    file, so the range, self-loop and duplicate checks stay in
+    ``parse_mgfile``.
+    """
+    parts = raw.split("#", 1)[0].split()
+    if not parts:
+        return None
+    if len(parts) != 3 or parts[1] not in _PAIR_KINDS:
+        raise ValueError(f"expected 'u -- v' or 'u -> v', got {_strip(raw)!r}")
+    u, v = _number(parts[0]), _number(parts[2])
+    if u is None or v is None:
+        raise ValueError(f"bad vertex in {_strip(raw)!r}")
+    return (u, v, *_PAIR_KINDS[parts[1]])
+
+
 def parse_mgfile(text: str) -> MixedGraph:
     lines = text.splitlines()
     n: int | None = None
+    header = 0  # the line of the header, once read
     table: list[list[int]] = []
-    seen: dict[tuple[int, int], int] = {}
     for i, raw in enumerate(lines, start=1):
-        parts = raw.split("#", 1)[0].split()
-        if not parts:
-            continue
         if n is None:
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
+                continue
             if len(parts) != 2 or parts[0] != "mixedgraph":
                 raise MgParseError(i, "expected header 'mixedgraph <n>'")
             n = _number(parts[1])
@@ -75,30 +102,39 @@ def parse_mgfile(text: str) -> MixedGraph:
             if n < 0:
                 raise MgParseError(i, "vertex count must be nonnegative")
             table = [[0] * n for _ in range(n)]
+            header = i
             continue
-        if len(parts) != 3 or parts[1] not in _PAIR_KINDS:
-            raise MgParseError(
-                i, f"expected 'u -- v' or 'u -> v', got {_strip(raw)!r}"
-            )
-        u, v = _number(parts[0]), _number(parts[2])
-        if u is None or v is None:
-            raise MgParseError(i, f"bad vertex in {_strip(raw)!r}")
+        try:
+            edge = _edge_line(raw)
+        except ValueError as exc:
+            raise MgParseError(i, str(exc)) from None
+        if edge is None:
+            continue
+        u, v, kind, back = edge
         if not (0 <= u < n and 0 <= v < n):
             raise MgParseError(
                 i, f"vertex out of range 0..{n - 1} in {_strip(raw)!r}"
             )
         if u == v:
             raise MgParseError(i, f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise MgParseError(
-                i, f"duplicate edge {key[0]},{key[1]} (first on line {seen[key]})"
-            )
-        seen[key] = i
-        table[u][v], table[v][u] = _PAIR_KINDS[parts[1]]
+        if table[u][v]:
+            raise _duplicate(lines, header, i, u, v)
+        table[u][v], table[v][u] = kind, back
     if n is None:
         raise MgParseError(max(len(lines), 1), "missing 'mixedgraph <n>' header")
     return MixedGraph._trusted(n, tuple(map(tuple, table)))
+
+
+def _duplicate(lines: list[str], header: int, i: int, u: int, v: int) -> MgParseError:
+    """The error for line i, which repeats the pair {u, v} of an earlier
+    line; every line between the header and line i is blank or a valid edge."""
+    first = next(
+        j for j, raw in enumerate(lines[header:i - 1], start=header + 1)
+        if (edge := _edge_line(raw)) and {edge[0], edge[1]} == {u, v}
+    )
+    return MgParseError(
+        i, f"duplicate edge {min(u, v)},{max(u, v)} (first on line {first})"
+    )
 
 
 def serialize_mgfile(m: MixedGraph) -> str:

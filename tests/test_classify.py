@@ -37,6 +37,7 @@ from hermspec.classify import (
     underlying_family,
 )
 from hermspec.graphs import (
+    _EXP_FROM_KIND as _KEXP,
     EdgeKind,
     MixedGraph,
     build,
@@ -128,6 +129,72 @@ def test_forbidden_scans():
         [(0, 1, "arc"), (1, 2, "arc"), (2, 3, "undirected"), (0, 3, "undirected")],
     )
     assert find_forbidden_quadrangle(safe_quad) is None
+
+
+# The triangle and quadrangle scans as they stood before they read lookup
+# tables and set bits, kept verbatim as references: both scans must return
+# the same tuple, or None, on every graph.
+
+
+def _triangle_reference(m):
+    n = m.n
+    for u in range(n):
+        ku = m.kinds[u]
+        for v in range(u + 1, n):
+            if not ku[v]:
+                continue
+            kv = m.kinds[v]
+            for w in range(v + 1, n):
+                if ku[w] and kv[w]:
+                    if (_KEXP[ku[v]] + _KEXP[kv[w]] + _KEXP[m.kinds[w][u]]) % 4:
+                        return (u, v, w)
+    return None
+
+
+def _quadrangle_reference(m):
+    n = m.n
+    adj = m.adjacency
+    for a in range(n):
+        above = -1 << (a + 1)
+        found = []
+        for c in range(a + 1, n):
+            if adj[a] >> c & 1:
+                continue
+            common = adj[a] & adj[c] & above
+            if not common & (common - 1):  # fewer than two common neighbours
+                continue
+            mids = [v for v in range(a + 1, n) if common >> v & 1]
+            for i, b in enumerate(mids):
+                for d in mids[i + 1:]:
+                    if not adj[b] >> d & 1 and classify._holonomy_exp(m, a, b, c, d) != 2:
+                        found.append((a, b, c, d))
+        if found:
+            return min(found, key=sorted)
+    return None
+
+
+def test_scans_match_their_loop_references():
+    graphs = [
+        m for n in range(1, 6) for g in enumerate_connected_graphs(n)
+        for m in enumerate_orientations(g)
+    ]
+    assert len(graphs) == 106_933
+    rng = random.Random(2424)
+    for _ in range(3000):
+        graphs.append(_random_mixed(rng, rng.randint(1, 12), rng.uniform(0.05, 1.0)))
+    for n in range(1, 13):
+        graphs.append(random_switch(make_knst(n // 3, n - n // 3), rng)[0])
+    triangles = quadrangles = 0
+    for m in graphs:
+        want = _triangle_reference(m)
+        assert find_forbidden_triangle(m) == want, m.encode()
+        triangles += want is not None
+        want = _quadrangle_reference(m)
+        assert find_forbidden_quadrangle(m) == want, m.encode()
+        quadrangles += want is not None
+    # Both outcomes of both scans are well represented.
+    assert triangles > 100_000 and len(graphs) - triangles > 3_000
+    assert quadrangles > 5_000
 
 
 def _quadrangle_by_subsets(m):
@@ -894,10 +961,34 @@ def test_one_sporadic_embedding_search_per_h1_classify(monkeypatch):
     rng = random.Random(1719)
     for record in records:
         m = _scrambled(record.graph(), rng)
+        classify._shape_of.cache_clear()  # a miss in the shape memo searches once
         searches.clear()
         cert = classify_threshold(m)
         assert cert.family is Family.H1 and cert.verify(m)
         assert len(searches) == 1 and searches[0] in sporadic
+        searches.clear()  # a hit searches no more
+        assert classify_threshold(m) == cert and searches == []
+
+
+def test_shape_memo_matches_the_uncached_shape():
+    rng = random.Random(24)
+    graphs = []
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            graphs.append(g)
+            graphs += [g.relabel(rng.sample(range(n), n)) for _ in range(30)]
+    labels = Counter()
+    for g in graphs:
+        want = classify._shape_of.__wrapped__(g.adjacency)
+        for _ in range(2):  # a miss, then a hit
+            got = classify._family_of(g)
+            assert got == want, g.encode()
+            if got is not None:
+                assert got.parts == want.parts and got.embedding == want.embedding
+        labels[None if want is None else want.label] += 1
+    assert len(labels) == 7 and labels[None] > 2000
+    info = classify._shape_of.cache_info()
+    assert info.maxsize == 1024 and info.currsize <= 1024
 
 
 def test_underlying_family_embedding_takes_no_part_in_equality():

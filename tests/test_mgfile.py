@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from hermspec.graphs import EdgeKind, MixedGraph, build, make_knst
+from hermspec import mgfile
+from hermspec.graphs import EdgeKind, MixedGraph, build, complete_graph, make_knst
 from hermspec.mgfile import MgParseError, parse_mgfile, serialize_mgfile
 
 
@@ -103,6 +104,56 @@ def test_numbers_are_ascii_decimal_digits():
     with pytest.raises(MgParseError, match="out of range"):
         parse_mgfile("mixedgraph 2\n-1 -- 0\n")
     assert parse_mgfile("mixedgraph 12\n0 -- 11\n").kind(0, 11) == EdgeKind.UNDIRECTED
+
+
+# -- the edge-line memo ------------------------------------------------------
+
+
+def _error(text: str) -> tuple[int, str]:
+    with pytest.raises(MgParseError) as err:
+        parse_mgfile(text)
+    return err.value.line, str(err.value)
+
+
+def test_repeated_malformed_line_raises_the_same_error_each_time():
+    for line in ("0 => 1", "0 -- x", "0 -- 1 2", "0 -- +1", "0 --", "mixedgraph 3"):
+        text = f"mixedgraph 3\n{line}\n"
+        line_no, message = _error(text)
+        assert line_no == 2 and message.startswith("line 2: ")
+        assert all(_error(text) == (2, message) for _ in range(3)), line
+        # The same line later in a file names its own line number.
+        later = _error(f"mixedgraph 3\n0 -- 1\n\n{line}\n")
+        assert later == (4, "line 4: " + message.removeprefix("line 2: "))
+
+
+def test_cached_edge_line_still_meets_the_range_check():
+    assert parse_mgfile("mixedgraph 10\n0 -- 7\n7 -> 9\n").kind(7, 9) == EdgeKind.ARC_OUT
+    assert _error("mixedgraph 3\n0 -- 7\n") == (2, "line 2: vertex out of range 0..2 in '0 -- 7'")
+    assert _error("mixedgraph 3\n0 -- 1\n7 -> 9\n") == (3, "line 3: vertex out of range 0..2 in '7 -> 9'")
+    # A line that is a self-loop in one file is out of range in a smaller one.
+    assert _error("mixedgraph 10\n4 -- 4\n") == (2, "line 2: self-loop at vertex 4")
+    assert _error("mixedgraph 3\n4 -- 4\n") == (2, "line 2: vertex out of range 0..2 in '4 -- 4'")
+    for line in ("0 -- 7", "7 -> 9", "4 -- 4"):
+        assert mgfile._edge_line(line) == mgfile._edge_line.__wrapped__(line)
+
+
+def test_duplicate_edge_names_the_first_line():
+    text = "# c\nmixedgraph 4\n0 -- 1\n\n2 -> 3   # arc\n1 -> 0\n"
+    assert _error(text) == (6, "line 6: duplicate edge 0,1 (first on line 3)")
+    text = "mixedgraph 4\n0 -- 1\n3 -> 2\n0 -- 2\n# 2 -- 3\n2  --  3\n"
+    assert _error(text) == (6, "line 6: duplicate edge 2,3 (first on line 3)")
+    # A pair repeated twice over names its first line each time.
+    text = "mixedgraph 3\n0 -- 1\n1 -- 2\n0 -- 1\n0 -- 1\n"
+    assert _error(text) == (4, "line 4: duplicate edge 0,1 (first on line 2)")
+
+
+def test_edge_line_memo_is_bounded():
+    maxsize = mgfile._edge_line.cache_info().maxsize
+    assert maxsize == 1024
+    big = complete_graph(60)  # 1,770 distinct edge lines
+    assert parse_mgfile(serialize_mgfile(big)) == big
+    assert mgfile._edge_line.cache_info().currsize == maxsize
+    assert parse_mgfile(serialize_mgfile(big)) == big
 
 
 # -- differential check against the token-by-token parser -----------------
