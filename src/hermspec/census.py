@@ -283,7 +283,7 @@ def dedup_classes(graphs: list[MixedGraph]) -> list[DedupClass]:
             rep = members[0]
             if any(
                 switching_equivalent(g.relabel(p), rep) is not None
-                for p in _embeddings(rep, g)
+                for p in _embeddings(rep.adjacency, g)
             ):
                 members.append(g)
                 break

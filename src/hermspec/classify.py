@@ -336,16 +336,19 @@ def recognize_knst(m: MixedGraph) -> KnstMatch | NotKnst:
     return NotKnst("forbidden-triangle", find_forbidden_triangle(m))
 
 
-def _embeddings(g: MixedGraph, pattern: MixedGraph) -> Iterator[tuple[int, ...]]:
-    """Every induced embedding of ``pattern``'s underlying graph in ``g``'s.
+def _embeddings(
+    adj: tuple[int, ...], pattern: MixedGraph
+) -> Iterator[tuple[int, ...]]:
+    """Every induced embedding of ``pattern``'s underlying graph in the graph
+    g whose neighbour bitmasks are ``adj`` (``g.adjacency``).
 
     An embedding lists distinct g-vertices, one per pattern vertex, adjacent
     exactly where the pattern's are.  Pattern vertex 0, 1, ... is assigned in
     turn, trying g-vertices in ascending order, so embeddings come out in
-    lexicographic order; ``_embeddings(g, g)`` yields the automorphisms of g's
-    underlying graph in ``itertools.permutations`` order.
+    lexicographic order; ``_embeddings(g.adjacency, g)`` yields the
+    automorphisms of g's underlying graph in ``itertools.permutations`` order.
     """
-    k, adj, pattern_adj = pattern.n, g.adjacency, pattern.adjacency
+    k, pattern_adj = pattern.n, pattern.adjacency
 
     def extend(chosen: tuple[int, ...], unused: int) -> Iterator[tuple[int, ...]]:
         i = len(chosen)
@@ -360,7 +363,7 @@ def _embeddings(g: MixedGraph, pattern: MixedGraph) -> Iterator[tuple[int, ...]]
             cands ^= low
             yield from extend(chosen + (low.bit_length() - 1,), unused ^ low)
 
-    return extend((), (1 << g.n) - 1)
+    return extend((), (1 << len(adj)) - 1)
 
 
 def find_induced(g: MixedGraph, pattern: MixedGraph) -> tuple[int, ...] | None:
@@ -374,7 +377,7 @@ def find_induced(g: MixedGraph, pattern: MixedGraph) -> tuple[int, ...] | None:
         raise ValueError("pattern limited to 6 vertices")
     if not g.is_undirected() or not pattern.is_undirected():
         raise ValueError("induced-subgraph search works on undirected graphs")
-    return next(_embeddings(g, pattern), None)
+    return next(_embeddings(g.adjacency, pattern), None)
 
 
 @dataclass(frozen=True)
@@ -452,10 +455,7 @@ def _shape_of(adjacency: tuple[int, ...]) -> FamilyMatch | None:
     edges = sum(map(int.bit_count, adjacency)) // 2
     for label, pattern in sporadic_underlying().items():
         if n == pattern.n and edges == pattern.edge_count():
-            g = MixedGraph._trusted(n, tuple(
-                tuple(row >> v & 1 for v in range(n)) for row in adjacency
-            ))
-            hit = next(_embeddings(g, pattern), None)
+            hit = next(_embeddings(adjacency, pattern), None)
             if hit is not None:
                 return FamilyMatch(label, embedding=hit)
     return None
@@ -746,7 +746,7 @@ def _automorphisms(g: MixedGraph) -> tuple[tuple[int, ...], ...]:
 
     The order fixes which one ``_match_catalog`` puts into an H1 ``perm``.
     """
-    return tuple(_embeddings(g, g))
+    return tuple(_embeddings(g.adjacency, g))
 
 
 def classify_threshold(m: MixedGraph) -> Certificate:
@@ -810,7 +810,7 @@ def _classify(m: MixedGraph) -> Certificate:
     fam = _family_of(m)
     if fam is None:
         for name, pattern in FORBIDDEN_SUBGRAPHS:
-            hit = next(_embeddings(m, pattern), None)
+            hit = next(_embeddings(m.adjacency, pattern), None)
             if hit is not None:
                 return Certificate(
                     False, None, None,

@@ -353,20 +353,25 @@ def make_knst(s: int, t: int) -> MixedGraph:
     return MixedGraph(n, tuple(tuple(r) for r in table))
 
 
+def _flood(adj: tuple[int, ...], comp: int) -> int:
+    """Mask of the vertices joined to the vertex set ``comp`` by a path,
+    flooded one frontier vertex at a time."""
+    frontier = comp
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & ~comp
+        comp |= new
+        frontier |= new
+    return comp
+
+
 def connected_components(m: MixedGraph) -> list[list[int]]:
     """Components of the underlying graph, each sorted, ordered by minimum vertex."""
-    adj = m.adjacency
     comps = []
     left = (1 << m.n) - 1
     while left:
-        # Flood from the smallest vertex left, one frontier vertex at a time.
-        comp = frontier = left & -left
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = adj[low.bit_length() - 1] & ~comp
-            comp |= new
-            frontier |= new
+        comp = _flood(m.adjacency, left & -left)  # from the smallest vertex left
         left ^= comp
         comps.append([v for v in range(m.n) if comp >> v & 1])
     return comps
@@ -374,16 +379,8 @@ def connected_components(m: MixedGraph) -> list[list[int]]:
 
 def is_connected(m: MixedGraph) -> bool:
     """Whether the flood from vertex 0 reaches every vertex (true for n = 0)."""
-    adj = m.adjacency
     full = (1 << m.n) - 1
-    comp = frontier = full & 1
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = adj[low.bit_length() - 1] & ~comp
-        comp |= new
-        frontier |= new
-    return comp == full
+    return _flood(m.adjacency, full & 1) == full
 
 
 def disjoint_union(g: MixedGraph, h: MixedGraph) -> MixedGraph:

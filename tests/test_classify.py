@@ -445,7 +445,7 @@ def test_embeddings_match_permutation_filter():
                 p for p in permutations(range(g.n), k)
                 if all((g.kinds[p[i]][p[j]] != 0) == joined for i, j, joined in pairs)
             ]
-            assert list(classify._embeddings(g, pattern)) == want
+            assert list(classify._embeddings(g.adjacency, pattern)) == want
 
 
 def test_underlying_family():
