@@ -59,10 +59,10 @@ _PAIR_KINDS = {
 }
 
 
-#: Files written by ``serialize_mgfile`` with n <= 12 hold at most 132
-#: distinct edge lines of each kind, so a stream of them hits this memo on
-#: nearly every line.  An entry of a short line takes about 0.1 kB, so
-#: about 0.1 MB for 1024 of them.
+#: Files written by ``serialize_mgfile`` with n <= 12 hold at most 198
+#: distinct edge lines (66 undirected, 132 arcs), so a stream of them hits
+#: this memo on nearly every line.  An entry of a short line takes about
+#: 0.1 kB, so about 0.1 MB for 1024 of them.
 @lru_cache(maxsize=1024)
 def _edge_line(raw: str) -> tuple[int, int, int, int] | None:
     """What a line after the header says, whatever the file's vertex count.
