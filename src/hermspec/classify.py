@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .catalog import load_builtin, sporadic_underlying
 from .graphs import (
@@ -259,7 +259,7 @@ def find_forbidden_quadrangle(m: MixedGraph) -> tuple[int, int, int, int] | None
     bits of ``~adj[a] & above`` are tried as c, so a complete graph, or a
     vertex joined to all above it, costs one mask per a.
     """
-    n = m.n
+    n, kinds = m.n, m.kinds
     adj = m.adjacency
     full = (1 << n) - 1
     for a in range(n):
@@ -273,10 +273,15 @@ def find_forbidden_quadrangle(m: MixedGraph) -> tuple[int, int, int, int] | None
             common = adj[a] & adj[c] & above
             if not common & (common - 1):  # fewer than two common neighbours
                 continue
-            mids = [v for v in range(a + 1, n) if common >> v & 1]
+            ka, kc = kinds[a], kinds[c]
+            mids = []
+            while common:
+                mids.append((common & -common).bit_length() - 1)
+                common &= common - 1
             for i, b in enumerate(mids):
+                abc = _KEXP[ka[b]] + _KEXP[kinds[b][c]]  # i-exponent along a-b-c
                 for d in mids[i + 1:]:
-                    if not adj[b] >> d & 1 and _holonomy_exp(m, a, b, c, d) != 2:
+                    if not adj[b] >> d & 1 and (abc + _KEXP[kc[d]] + _KEXP[kinds[d][a]]) % 4 != 2:
                         found.append((a, b, c, d))
         if found:
             return min(found, key=sorted)
@@ -299,36 +304,43 @@ class NotKnst:
     witness: tuple[int, ...] | None
 
 
-def recognize_knst(m: MixedGraph) -> KnstMatch | NotKnst:
-    """Recognize an oriented complete graph constructively.
+def _knst_on(m: MixedGraph, block: Sequence[int]) -> KnstMatch | None:
+    """``recognize_knst(induced(m, block))`` if that matches, else None, read
+    off m's bitmasks; ``block`` lists distinct vertices and no subgraph is
+    built.  With T the out-arcs inside the block of its first vertex that
+    sends any, it matches when the block is complete, every vertex outside T
+    sends exactly T and no vertex of T sends any.  Sides are block-local."""
+    adj, out = m.adjacency, m.out_arcs
+    mask, t_mask = sum([1 << v for v in block]), 0
+    for v in block:
+        if out[v] & mask:
+            t_mask = out[v] & mask
+            break
+    s_side, t_side = [], []
+    for i, v in enumerate(block):
+        if adj[v] & mask != mask ^ 1 << v:
+            return None
+        if t_mask >> v & 1:
+            if out[v] & mask:
+                return None
+            t_side.append(i)
+        elif out[v] & mask == t_mask:
+            s_side.append(i)
+        else:
+            return None
+    return KnstMatch(len(s_side), len(t_side), tuple(s_side), tuple(t_side))
 
-    Any arc tail sits on the s side with its undirected neighbours, and its
-    out-neighbours make up the t side; every row of m must then match its
-    side's row exactly: undirected within a side, arcs from s to t.  With no
-    arc tail, every vertex is on the s side (t = 0).  This O(n^2) check
-    fails on a complete graph exactly when it has a triangle of holonomy
-    other than one, since a complete graph whose triangles all have
-    holonomy one is K_n[s, t]; only on failure are the first missing pair
-    and then the lexicographically first such triangle looked up, to name
-    the witness.
+
+def recognize_knst(m: MixedGraph) -> KnstMatch | NotKnst:
+    """Recognize an oriented complete graph constructively (``_knst_on``).
+
+    A complete graph fails exactly when a triangle has holonomy other than
+    one; only then are the first missing pair and the lexicographically
+    first such triangle looked up, to name the witness.
     """
     n, k = m.n, m.kinds
-    und, out, into = EdgeKind.UNDIRECTED, EdgeKind.ARC_OUT, EdgeKind.ARC_IN
-    tail = next((u for u in range(n) if out in k[u]), None)
-    in_s = [True] * n if tail is None else [
-        w == tail or kind == und for w, kind in enumerate(k[tail])
-    ]
-    s_row = [und if side else out for side in in_s]
-    t_row = [into if side else und for side in in_s]
-    for x, side in enumerate(in_s):
-        row = (s_row if side else t_row).copy()
-        row[x] = 0
-        if tuple(row) != k[x]:
-            break
-    else:
-        s_side = tuple(w for w in range(n) if in_s[w])
-        t_side = tuple(w for w in range(n) if not in_s[w])
-        return KnstMatch(len(s_side), len(t_side), s_side, t_side)
+    if (match := _knst_on(m, range(n))) is not None:
+        return match
     for u in range(n):
         for v in range(u + 1, n):
             if not k[u][v]:
@@ -540,12 +552,14 @@ class Certificate:
             if self.witness is not None:
                 return False
             if self.family is Family.H3 and isinstance(self.details, H3Details):
-                return recognize_knst(m) == self.details.knst
+                knst = self.details.knst
+                return isinstance(knst, KnstMatch) and recognize_knst(m) == knst
             if self.family in (Family.H2, Family.H4) and isinstance(
                 self.details, H2H4Details
             ):
                 det = self.details
-                if not all(map(_all_ints, ((det.cut_vertex,), det.block1, det.block2))):
+                ints = ((det.cut_vertex, det.s, det.t), det.block1, det.block2)
+                if not all(map(_all_ints, ints)):
                     return False
                 cut = (det.cut_vertex,)
                 if det.block1[:1] != cut or det.block2[:1] != cut:
@@ -560,12 +574,9 @@ class Certificate:
                 if any(m.adjacency[a] & across for a in det.block1[1:]):
                     return False
                 for block, knst in ((det.block1, det.knst1), (det.block2, det.knst2)):
-                    if recognize_knst(induced(m, block)) != knst:
+                    if knst is None or _knst_on(m, block) != knst:
                         return False
-                return (
-                    compare_lambda_min(f_cubic(det.s, det.t), NEG_GOLDEN)
-                    is Trichotomy.GREATER
-                )
+                return _two_clique_bound(det.s, det.t)[1] is Trichotomy.GREATER
             if self.family is Family.H1 and isinstance(self.details, H1Details):
                 record = load_builtin().by_id(self.details.catalog_id)
                 if record is None or not _all_ints(self.details.perm):
@@ -771,6 +782,14 @@ def _check_classifiable(m: MixedGraph) -> None:
         raise ValueError("classification expects a connected graph")
 
 
+@lru_cache(maxsize=256)
+def _two_clique_bound(s: int, t: int) -> tuple[IntPolynomial, Trichotomy]:
+    """``f_cubic(s, t)`` and the exact comparison of its smallest root with
+    -(1+sqrt5)/2: the block bound of two cliques at a cut vertex."""
+    cubic = f_cubic(s, t)
+    return cubic, compare_lambda_min(cubic, NEG_GOLDEN)
+
+
 def _smallest_root(cubic: IntPolynomial) -> float:
     """Smallest root of a monic integer cubic whose three roots are real.
 
@@ -827,8 +846,7 @@ def _classify(m: MixedGraph) -> Certificate:
         return Certificate(True, Family.H3, H3Details(match), None)
     if fam.label == "two-cliques":
         c1, c2 = fam.parts
-        cubic = f_cubic(fam.s, fam.t)
-        bound = compare_lambda_min(cubic, NEG_GOLDEN)
+        cubic, bound = _two_clique_bound(fam.s, fam.t)
         if bound is not Trichotomy.GREATER:
             # Two cliques at a cut vertex form a chordal graph, and a chordal
             # mixed graph whose triangles all have holonomy one is balanced
@@ -843,9 +861,8 @@ def _classify(m: MixedGraph) -> Certificate:
             return Certificate(False, None, None, witness)
         block1 = (fam.cut_vertex,) + c1
         block2 = (fam.cut_vertex,) + c2
-        k1 = recognize_knst(induced(m, block1))
-        k2 = recognize_knst(induced(m, block2))
-        if not isinstance(k1, KnstMatch) or not isinstance(k2, KnstMatch):
+        k1, k2 = _knst_on(m, block1), _knst_on(m, block2)
+        if k1 is None or k2 is None:
             raise RuntimeError("clique block with safe triangles must be K_n[s,t]")
         family = Family.H4 if fam.t == 1 else Family.H2
         details = H2H4Details(fam.cut_vertex, block1, block2, k1, k2, fam.s, fam.t)

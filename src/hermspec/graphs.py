@@ -71,6 +71,8 @@ _FLIP = (0, 1, 3, 2)
 _UNDIRECTED_FROM_KIND = (0, 1, 1, 1)
 # Kind byte -> "0" or "1" for "connected", to read a kind row as a binary numeral.
 _CONNECTED_DIGIT = bytes.maketrans(b"\0\1\2\3", b"0111")
+# Kind byte -> "1" for an arc u -> v, else "0", to read out-arcs the same way.
+_OUT_DIGIT = bytes.maketrans(b"\0\1\2\3", b"0010")
 
 
 def _not_kind(k: object) -> bool:
@@ -134,7 +136,13 @@ class MixedGraph:
         Built on first use and kept on the instance; it is not a field, so
         comparisons, hashing and the repr ignore it.
         """
-        return tuple([int(bytes(row[::-1]).translate(_CONNECTED_DIGIT), 2) for row in self.kinds])
+        return tuple([int(bytes(row).translate(_CONNECTED_DIGIT)[::-1], 2) for row in self.kinds])
+
+    @cached_property
+    def out_arcs(self) -> tuple[int, ...]:
+        """Out-arc bitmask of each vertex: bit v of entry u is set when there
+        is an arc u -> v.  Built and kept like ``adjacency``, and no field."""
+        return tuple([int(bytes(row).translate(_OUT_DIGIT)[::-1], 2) for row in self.kinds])
 
     # -- basic queries ----------------------------------------------------
 
@@ -297,7 +305,7 @@ def induced(m: MixedGraph, vertices: Sequence[int] | Iterable[int]) -> MixedGrap
     for v in vs:
         if not 0 <= v < m.n:
             raise ValueError(f"vertex {v} out of range")
-    table = tuple(tuple(m.kinds[u][v] for v in vs) for u in vs)
+    table = tuple([tuple([m.kinds[u][v] for v in vs]) for u in vs])
     return MixedGraph._trusted(len(vs), table)
 
 

@@ -270,6 +270,7 @@ def test_block_bound_runs_sturm_once_per_block_size(monkeypatch):
 
     monkeypatch.setattr(spectra, "compare_min_root", counting)
     spectra._compare_cached.cache_clear()
+    classify._two_clique_bound.cache_clear()
     h4s = [
         coalescence(make_knst(3, 1), 0, complete_graph(2), 0),
         coalescence(make_knst(2, 2), 1, complete_graph(2), 1),
@@ -394,6 +395,117 @@ def test_recognize_knst_matches_edges_reference_on_larger_complete_graphs():
             got = recognize_knst(g)
             assert got == _recognize_knst_reference(g), g.encode()
         assert isinstance(recognize_knst(m), KnstMatch)
+
+
+def _recognize_knst_rows(m):
+    """The row-based ``recognize_knst`` that ``classify._knst_on`` replaced,
+    kept verbatim as its reference."""
+    n, k = m.n, m.kinds
+    und, out, into = EdgeKind.UNDIRECTED, EdgeKind.ARC_OUT, EdgeKind.ARC_IN
+    tail = next((u for u in range(n) if out in k[u]), None)
+    in_s = [True] * n if tail is None else [
+        w == tail or kind == und for w, kind in enumerate(k[tail])
+    ]
+    s_row = [und if side else out for side in in_s]
+    t_row = [into if side else und for side in in_s]
+    for x, side in enumerate(in_s):
+        row = (s_row if side else t_row).copy()
+        row[x] = 0
+        if tuple(row) != k[x]:
+            break
+    else:
+        s_side = tuple(w for w in range(n) if in_s[w])
+        t_side = tuple(w for w in range(n) if not in_s[w])
+        return KnstMatch(len(s_side), len(t_side), s_side, t_side)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not k[u][v]:
+                return NotKnst("not-complete", (u, v))
+    return NotKnst("forbidden-triangle", find_forbidden_triangle(m))
+
+
+def test_block_knst_matches_induced_reference():
+    def check(m, block):
+        want = _recognize_knst_rows(induced(m, block))
+        got = classify._knst_on(m, block)
+        assert got == (want if isinstance(want, KnstMatch) else None), (m.encode(), block)
+        return got is not None
+
+    matches = 0
+    for n in range(1, 6):
+        for g in enumerate_connected_graphs(n):
+            for m in enumerate_orientations(g):
+                matches += check(m, range(n))
+    assert matches == 1 + 3 + 7 + 15 + 31
+    # Switched and relabelled K_n[s, t], each also with one pair re-kinded,
+    # and random blocks of both in random order.
+    rng = random.Random(2525)
+    matches = blocks = 0
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        s = rng.randint(0, n)
+        m, _ = random_switch(make_knst(s, n - s).relabel(rng.sample(range(n), n)), rng)
+        graphs = [m]
+        if n > 1:
+            u, v = rng.sample(range(n), 2)
+            kinds = [list(row) for row in m.kinds]
+            kind = rng.choice([EdgeKind.NONE, EdgeKind.UNDIRECTED, EdgeKind.ARC_OUT])
+            kinds[u][v], kinds[v][u] = kind, kind.flipped()
+            graphs.append(MixedGraph(n, tuple(map(tuple, kinds))))
+        for g in graphs:
+            matches += check(g, range(n))
+            for _ in range(5):
+                block = rng.sample(range(n), rng.randint(1, n))
+                blocks += check(g, block)
+    assert matches > 400 and 0 < blocks < 4000
+
+
+def _oriented_clique(rng, size):
+    s = rng.randint(0, size)
+    return make_knst(s, size - s)
+
+
+def test_h2_h4_classify_and_verify_build_no_induced_subgraph(monkeypatch):
+    calls = []
+
+    def counting(m, vertices):
+        calls.append(tuple(vertices))
+        return induced(m, vertices)
+
+    monkeypatch.setattr(classify, "induced", counting)
+    rng = random.Random(2526)
+    families = Counter()
+    for s, t in [(1, 1), (2, 1), (5, 1), (2, 2), (3, 2), (9, 1)]:
+        for _ in range(5):
+            a, b = _oriented_clique(rng, s + 1), _oriented_clique(rng, t + 1)
+            m = coalescence(a, rng.randrange(s + 1), b, rng.randrange(t + 1))
+            m, _ = random_switch(m.relabel(rng.sample(range(m.n), m.n)), rng)
+            cert = classify_threshold(m)
+            assert cert.family in (Family.H2, Family.H4) and cert.verify(m)
+            families[cert.family] += 1
+    assert calls == [] and families[Family.H2] == 10 and families[Family.H4] == 20
+    # The patch is seen: a reject witness is still checked on its subgraph.
+    p4 = path_graph(4)
+    assert classify_threshold(p4).verify(p4) and calls == [(0, 1, 2, 3)]
+
+
+def test_verify_rejects_a_knst_slot_that_is_no_match():
+    p3 = path_graph(3)
+    not_knst = recognize_knst(p3)
+    assert isinstance(not_knst, NotKnst)
+    assert not Certificate(True, Family.H3, H3Details(not_knst), None).verify(p3)
+    # A coalescence at vertex 0 of a holonomy -1 triangle and an edge: the
+    # triangle block is no K_n[s, t], so no value in its slot may verify.
+    m = coalescence(build(3, [(0, 1, "arc"), (1, 2, "arc"), (0, 2, "undirected")]), 0,
+                    complete_graph(2), 0)
+    edge = KnstMatch(2, 0, (0, 1), ())
+    for slot in (None, recognize_knst(induced(m, (0, 1, 2))), KnstMatch(3, 0, (0, 1, 2), ())):
+        details = H2H4Details(0, (0, 1, 2), (0, 3), slot, edge, 2, 1)
+        assert not Certificate(True, Family.H4, details, None).verify(m)
+    h4 = coalescence(complete_graph(4), 0, complete_graph(2), 0)
+    cert = classify_threshold(h4)
+    for bad in (replace(cert.details, t=1.0), replace(cert.details, s="3")):
+        assert not replace(cert, details=bad).verify(h4)
 
 
 def test_find_induced():

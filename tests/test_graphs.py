@@ -252,17 +252,19 @@ def test_adjacency_matches_kinds():
         n = rng.randrange(0, 13)
         m = random_mixed(rng, n, p=rng.uniform(0.1, 0.9))
         fresh = MixedGraph(n, m.kinds)
-        adj = m.adjacency
+        adj, out = m.adjacency, m.out_arcs
         assert type(adj) is tuple and len(adj) == n
+        assert type(out) is tuple and len(out) == n
         for u in range(n):
             assert adj[u] == sum(1 << v for v in range(n) if m.kinds[u][v] != 0)
+            assert out[u] == sum(1 << v for v in range(n) if m.kinds[u][v] == EdgeKind.ARC_OUT)
             assert m.neighbors(u) == tuple(v for v in range(n) if m.kinds[u][v] != 0)
             assert m.degree(u) == len(m.neighbors(u))
         assert m.edge_count() == len(m.edges())
         # A cached mask takes no part in equality, hashing or the repr.
         assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
         back = pickle.loads(pickle.dumps(m))
-        assert back == m and back.adjacency == adj
+        assert back == m and back.adjacency == adj and back.out_arcs == out
         assert pickle.loads(pickle.dumps(fresh)).adjacency == adj
 
 
