@@ -141,7 +141,7 @@ class MixedGraph:
     @cached_property
     def out_arcs(self) -> tuple[int, ...]:
         """Out-arc bitmask of each vertex: bit v of entry u is set when there
-        is an arc u -> v.  Built and kept like ``adjacency``, and no field."""
+        is an arc u -> v.  Built on first use and kept like ``adjacency``."""
         return tuple([int(bytes(row).translate(_OUT_DIGIT)[::-1], 2) for row in self.kinds])
 
     # -- basic queries ----------------------------------------------------
