@@ -10,18 +10,22 @@ The spectrum of a mixed graph depends only on its switching class, which the
 holonomies around a cycle basis fix (Reff, LAA 436 (2012); Guo & Mohar, JGT
 85 (2017)).  Every exhaustive sweep over one underlying graph therefore keys
 each orientation by the holonomies of its cotree edges, with respect to a
-BFS spanning tree from vertex 0, and decides each class once: one batched
-Faddeev-LeVerrier call over class representatives gives their characteristic
-polynomials, ``np.unique`` finds the distinct ones, and each distinct
-polynomial is compared once against -(1+sqrt5)/2 by the exact integer
-Taylor-shift test, ``taylor_compare_min_root``.  The classifier decides by
-Sturm chains, so oracle and classifier reach their verdicts by different
-exact methods.  Random samples, which share few classes, are decided the
-same way in blocks of orientations.
+BFS spanning tree from vertex 0, and decides each class once.  The converse
+of a mixed graph has the conjugate Hermitian matrix and so the same spectrum
+(Guo & Mohar, JGT 85 (2017)), so a class and its converse class share one
+decision: one batched Faddeev-LeVerrier call over one representative of each
+converse pair gives their characteristic polynomials, and each distinct
+polynomial is compared once per process against -(1+sqrt5)/2 by the exact
+integer Taylor-shift test, ``taylor_compare_min_root``.  The classifier
+decides by Sturm chains, so oracle and classifier reach their verdicts by
+different exact methods.  Random samples, which share few classes, are
+decided the same way in blocks of orientations.
 
 Orientations are built from per-vertex row tables: row u of an
 orientation's kind table depends only on the digits of u's incident edges,
-so each distinct row is built once per underlying graph and shared.
+so each distinct row is built once per underlying graph and shared.  An
+exhaustive sweep reads each block's base-3 digits once, for both the row
+keys and the class keys.
 
 The six-vertex complete graph has 3^15 = 14,348,907 orientations, too many
 to build one by one, so its sweep decides all 4^10 classes in pool blocks
@@ -136,14 +140,15 @@ _Links = tuple[tuple[int, int, int, int], ...]
 
 #: One entry per underlying graph; the n=6 sample alone meets 112 graphs.
 @lru_cache(maxsize=256)
-def _row_tables(g: MixedGraph) -> tuple[_Links, tuple[_Rows, ...]]:
+def _row_tables(g: MixedGraph) -> tuple[_Links, np.ndarray, tuple[_Rows, ...]]:
     """Row tables of an undirected graph g, shared by its orientations.
 
     Row u of an orientation depends only on the digits of u's incident
     edges, so each distinct row is built once per graph.  Returns one
     (u, v, wu, wv) per edge in ``edge_list`` order, where edge digit x adds
-    x * wu to u's row key and x * wv to v's, and the ``_Rows`` of each
-    vertex.
+    x * wu to u's row key and x * wv to v's; the same weights as an int64
+    (edges, n) matrix, which turns a block of digit rows into row keys; and
+    the ``_Rows`` of each vertex.
     """
     if not g.is_undirected():
         raise ValueError("can only orient an undirected graph")
@@ -152,7 +157,10 @@ def _row_tables(g: MixedGraph) -> tuple[_Links, tuple[_Rows, ...]]:
         (u, v, 3 ** neighbors[u].index(v), 3 ** neighbors[v].index(u))
         for u, v in edge_list(g)
     )
-    return links, tuple(_Rows(g.n, u, neighbors[u]) for u in range(g.n))
+    weights = np.zeros((len(links), g.n), dtype=np.int64)
+    for e, (u, v, wu, wv) in enumerate(links):
+        weights[e, u], weights[e, v] = wu, wv
+    return links, weights, tuple(_Rows(g.n, u, neighbors[u]) for u in range(g.n))
 
 
 def orientation(g: MixedGraph, index: int) -> MixedGraph:
@@ -162,7 +170,7 @@ def orientation(g: MixedGraph, index: int) -> MixedGraph:
     first: 0 leaves the edge undirected, 1 directs it low->high, 2 high->low.
     A graph that already has an arc raises ValueError.
     """
-    links, rows = _row_tables(g)
+    links, _, rows = _row_tables(g)
     if not 0 <= index < 3 ** len(links):
         raise ValueError(f"orientation index {index} out of range")
     keys = [0] * g.n
@@ -174,27 +182,34 @@ def orientation(g: MixedGraph, index: int) -> MixedGraph:
     return MixedGraph._trusted(g.n, tuple(map(_Rows.__getitem__, rows, keys)))
 
 
-def _oriented(g: MixedGraph, indices: Sequence[int]) -> Iterator[MixedGraph]:
-    """The orientations of g at ``indices``, in order.
+def _built(g: MixedGraph, digits: np.ndarray) -> Iterator[MixedGraph]:
+    """The orientations of g whose base-3 digits (``_digits``) are the rows
+    of ``digits``, in order.
 
-    Each block of ``_BLOCK`` indices has its base-3 digits read once in
-    numpy, which gives every vertex's row key at once; indices and keys are
-    int64, which covers every graph with at most 39 edges.
+    Each vertex's rows are looked up for the whole block at once, and zip
+    joins the per-vertex lists into kind tables.  Row keys are int64, which
+    covers every graph with at most 39 edges.
     """
-    links, rows = _row_tables(g)
-    weights = np.zeros((len(links), g.n), dtype=np.int64)
-    for e, (u, v, wu, wv) in enumerate(links):
-        weights[e, u], weights[e, v] = wu, wv
+    _, weights, rows = _row_tables(g)
+    keys = (digits @ weights).T.tolist()
+    if not rows:  # the empty graph has one orientation, itself
+        return iter([MixedGraph._trusted(0, ())] * len(digits))
+    tables = zip(*[map(row.__getitem__, col) for row, col in zip(rows, keys)])
+    return map(partial(MixedGraph._trusted, g.n), tables)
+
+
+def _oriented(g: MixedGraph, indices: Sequence[int]) -> Iterator[MixedGraph]:
+    """The orientations of g at ``indices``, in order, built in blocks of
+    ``_BLOCK`` indices."""
+    m = len(_row_tables(g)[0])
     for start in range(0, len(indices), _BLOCK):
-        keys = _digits(indices[start:start + _BLOCK], len(links)) @ weights
-        for row_keys in keys.tolist():
-            yield MixedGraph._trusted(g.n, tuple(map(_Rows.__getitem__, rows, row_keys)))
+        yield from _built(g, _digits(indices[start:start + _BLOCK], m))
 
 
 def enumerate_orientations(g: MixedGraph) -> Iterator[MixedGraph]:
     """Yield every orientation of an undirected graph (at most 16 edges),
     in index order."""
-    links, _ = _row_tables(g)
+    links, _, _ = _row_tables(g)
     if len(links) > 16:
         raise ValueError("orientation enumeration limited to 16 edges")
     yield from _oriented(g, range(3 ** len(links)))
@@ -298,20 +313,27 @@ def dedup_classes(graphs: list[MixedGraph]) -> list[DedupClass]:
     return out
 
 
+#: The n <= 5 census meets 278 distinct class polynomials, the K_6 class
+#: table 480 and the n=6 sample about 2,700; an entry holds at most seven
+#: ints and a verdict, about 0.25 kB, so at most about 1 MB.
+@lru_cache(maxsize=4096)
+def _poly_verdict(coeffs: tuple[int, ...]) -> Trichotomy:
+    """Exact comparison of the smallest root of ``coeffs`` (high to low)
+    against -(1+sqrt5)/2."""
+    return taylor_compare_min_root(coeffs, NEG_GOLDEN)
+
+
 def _decide(rows: np.ndarray) -> list[Trichotomy]:
     """Exact comparison against -(1+sqrt5)/2 of the smallest root of each row.
 
     Rows are characteristic polynomials, high to low, from one batched kernel
-    call; each distinct one is decided once by ``taylor_compare_min_root``,
-    which is exact for them because a Hermitian matrix has only real
-    eigenvalues.  The classifier decides by Sturm chains instead, so the
-    oracle shares no root-location code with what it checks.  ``np.unique``
-    needs int64 rows, which the float certificate gives for every graph the
-    census meets (n <= 6).
+    call; each distinct one is decided once per process by
+    ``taylor_compare_min_root``, which is exact for them because a Hermitian
+    matrix has only real eigenvalues.  The classifier decides by Sturm
+    chains instead, so the oracle shares no root-location code with what it
+    checks.
     """
-    polys, inverse = np.unique(rows, axis=0, return_inverse=True)
-    verdicts = [taylor_compare_min_root(row.tolist(), NEG_GOLDEN) for row in polys]
-    return [verdicts[i] for i in inverse.ravel()]
+    return list(map(_poly_verdict, map(tuple, rows.tolist())))
 
 
 def _decided(graphs: Iterable[MixedGraph]) -> Iterator[tuple[MixedGraph, Trichotomy]]:
@@ -364,8 +386,9 @@ def _edge_exponents(indices: Iterable[int], m: int) -> np.ndarray:
     return _DIGIT_EXP[_digits(indices, m)]
 
 
-def _class_keys(g: MixedGraph, tree: _Edges, cotree: _Edges, indices: Iterable[int]) -> np.ndarray:
-    """Switching-class key of each orientation index of g.
+def _class_keys(g: MixedGraph, tree: _Edges, cotree: _Edges, digits: np.ndarray) -> np.ndarray:
+    """Switching-class key of each orientation of g, given by its base-3
+    digits (``_digits``).
 
     With e(a, b) the i-exponent of H[a, b] and pot[v] the sum of those
     exponents along the tree path from vertex 0 to v, cotree edge j = (a, b)
@@ -374,7 +397,7 @@ def _class_keys(g: MixedGraph, tree: _Edges, cotree: _Edges, indices: Iterable[i
     key fixes the switching class and with it the spectrum.
     """
     pos = {e: i for i, e in enumerate(edge_list(g))}
-    exps = _edge_exponents(indices, len(pos))
+    exps = _DIGIT_EXP[digits]
     pot = np.zeros((len(exps), g.n), dtype=np.int16)
     for p, v in tree:
         pot[:, v] = pot[:, p] + (exps[:, pos[p, v]] if p < v else -exps[:, pos[v, p]])
@@ -382,6 +405,21 @@ def _class_keys(g: MixedGraph, tree: _Edges, cotree: _Edges, indices: Iterable[i
     for j, (a, b) in enumerate(cotree):
         keys += ((pot[:, a] + exps[:, pos[a, b]] - pot[:, b]) % 4).astype(np.int64) << 2 * j
     return keys
+
+
+#: Bit 0 of each of the 32 base-4 digits an int64 class key can hold.
+_LOW_BITS = int("01" * 32, 2)
+
+
+def _converse_keys(keys: np.ndarray) -> np.ndarray:
+    """The class key of the converse of each class in ``keys``.
+
+    The converse conjugates H, which negates every holonomy, so each base-4
+    digit h becomes (4 - h) mod 4: 0 and 2 stay, 1 and 3 swap, which flips
+    the high bit of every digit whose low bit is set.  Conjugate matrices
+    have the same spectrum, so a class and its converse share a verdict.
+    """
+    return keys ^ (keys & _LOW_BITS) << 1
 
 
 def _class_matrices(n: int, tree: _Edges, cotree: _Edges, keys: np.ndarray) -> np.ndarray:
@@ -401,23 +439,38 @@ def _class_matrices(n: int, tree: _Edges, cotree: _Edges, keys: np.ndarray) -> n
     return h
 
 
-def _class_verdicts(g: MixedGraph, memo: dict[int, Trichotomy]) -> Iterator[Trichotomy]:
-    """The exact verdict of every orientation of g, in index order.
+def _class_verdicts(
+    g: MixedGraph, memo: dict[int, Trichotomy]
+) -> Iterator[tuple[np.ndarray, list[Trichotomy]]]:
+    """The base-3 digits and exact verdicts of every orientation of g, in
+    blocks of ``_BLOCK`` indices in index order.
 
-    Orientations are keyed in chunks of ``_BLOCK`` indices by ``_class_keys``;
-    each key not yet in ``memo`` is decided once by ``_decide``, on its class
-    representative, and stored there, so ``memo`` ends up holding one verdict
-    per switching class of g.
+    Each block's digits are read once, and ``_class_keys`` keys them.  Of
+    each converse pair of keys not yet in ``memo`` only the smaller is
+    decided; its verdict is stored under both keys, so ``memo`` ends up
+    holding one verdict per switching class of g.  The converse of an
+    orientation is an orientation, so every key stored is met.
     """
     tree, cotree = _spanning_tree(g)
-    total = orientation_count(g)
+    m = g.edge_count()
+    total = 3 ** m
     for start in range(0, total, _BLOCK):
-        keys = _class_keys(g, tree, cotree, range(start, min(start + _BLOCK, total)))
-        fresh = [k for k in np.unique(keys).tolist() if k not in memo]
-        if fresh:
-            rows = _char_poly_rows(_class_matrices(g.n, tree, cotree, np.array(fresh)))
-            memo.update(zip(fresh, _decide(rows)))
-        yield from map(memo.__getitem__, keys.tolist())
+        digits = _digits(np.arange(start, min(start + _BLOCK, total)), m)
+        keys = _class_keys(g, tree, cotree, digits)
+        canon = np.unique(np.minimum(keys, _converse_keys(keys))).tolist()
+        fresh = np.array([k for k in canon if k not in memo], dtype=np.int64)
+        if len(fresh):
+            verdicts = _decide(_char_poly_rows(_class_matrices(g.n, tree, cotree, fresh)))
+            memo.update(zip(fresh.tolist(), verdicts))
+            memo.update(zip(_converse_keys(fresh).tolist(), verdicts))
+        yield digits, list(map(memo.__getitem__, keys.tolist()))
+
+
+def _sweep(g: MixedGraph, memo: dict[int, Trichotomy]) -> Iterator[tuple[MixedGraph, Trichotomy]]:
+    """Every orientation of g with its exact verdict, in index order, from
+    one digit pass per block of ``_class_verdicts``."""
+    for digits, verdicts in _class_verdicts(g, memo):
+        yield from zip(_built(g, digits), verdicts)
 
 
 def derive_scattered_catalog() -> Catalog:
@@ -434,10 +487,9 @@ def derive_scattered_catalog() -> Catalog:
     rows: list[ReconciliationRow] = []
     for label in SPORADIC_LABELS:
         g = sporadic_underlying()[label]
+        verdicts = (exact for _, block in _class_verdicts(g, {}) for exact in block)
         survivors = [
-            orientation(g, i)
-            for i, exact in enumerate(_class_verdicts(g, {}))
-            if exact is Trichotomy.GREATER
+            orientation(g, i) for i, exact in enumerate(verdicts) if exact is Trichotomy.GREATER
         ]
         classes = iso_classes(survivors)
         reps = [decode(g.n, key) for key in sorted(classes)]
@@ -486,6 +538,7 @@ class LevelStats:
     underlying_graphs: int = 0
     orientations: int = 0
     classes: int = 0  # switching classes decided by the exact oracle
+    polys: int = 0  # class char polys computed, one per converse pair of classes
     accepts: dict[str, int] = field(default_factory=dict)
     rejects: int = 0
     boundary_equal: int = 0
@@ -538,7 +591,7 @@ class CensusReport:
             fams = " ".join(f"{k}={v}" for k, v in sorted(lv.accepts.items()))
             add(
                 f"n={lv.n}: underlying={lv.underlying_graphs}"
-                f" orientations={lv.orientations} accepts[{fams}]"
+                f" orientations={lv.orientations} polys={lv.polys} accepts[{fams}]"
                 f" rejects={lv.rejects} boundary-equal={lv.boundary_equal}"
                 f" mismatches={len(lv.mismatches)}",
                 lv.mismatches,
@@ -575,13 +628,13 @@ def _tally(decided: Iterable[tuple[MixedGraph, Trichotomy]]) -> LevelStats:
     """Classify each orientation and compare it with its exact verdict.
 
     ``decided`` pairs each orientation with the exact comparison of its
-    smallest eigenvalue against -(1+sqrt5)/2, from ``_class_verdicts`` or
+    smallest eigenvalue against -(1+sqrt5)/2, from ``_sweep`` or
     ``_decided``.  Counts accepts by family, rejects and exact-EQUAL
     boundaries, and records the encoding of every orientation whose verdict
     disagrees with the exact comparison.  ``n``, ``underlying_graphs``,
-    ``classes`` and ``label`` are left for the caller: ``_tally_underlying``
-    fills the first three, ``verify_main_theorem`` sets ``n`` of the n=6
-    sample and ``label`` of each deep family graph.
+    ``classes``, ``polys`` and ``label`` are left for the caller:
+    ``_tally_underlying`` fills the first four, ``verify_main_theorem`` sets
+    ``n`` of the n=6 sample and ``label`` of each deep family graph.
 
     Each orientation goes to ``classify_threshold``'s body without its
     connectivity check, so every one must orient a nonempty connected
@@ -590,30 +643,38 @@ def _tally(decided: Iterable[tuple[MixedGraph, Trichotomy]]) -> LevelStats:
     output of ``enumerate_connected_graphs``, which keeps only connected
     graphs.
     """
-    stats = LevelStats(0)
+    orientations = rejects = boundary_equal = 0
+    accepts: dict[str, int] = {}
+    mismatches = []
+    classify, greater, equal = _classify, Trichotomy.GREATER, Trichotomy.EQUAL
     for m, exact in decided:
-        cert = _classify(m)
-        stats.orientations += 1
+        cert = classify(m)
+        orientations += 1
         if cert.accepted:
             family = cert.family.value
-            stats.accepts[family] = stats.accepts.get(family, 0) + 1
+            accepts[family] = accepts.get(family, 0) + 1
         else:
-            stats.rejects += 1
-        if exact is Trichotomy.EQUAL:
-            stats.boundary_equal += 1
-        if cert.accepted != (exact is Trichotomy.GREATER):
-            stats.mismatches.append(m.encode())
-    return stats
+            rejects += 1
+        if exact is equal:
+            boundary_equal += 1
+        if cert.accepted != (exact is greater):
+            mismatches.append(m.encode())
+    return LevelStats(
+        0, orientations=orientations, accepts=accepts, rejects=rejects,
+        boundary_equal=boundary_equal, mismatches=mismatches,
+    )
 
 
 def _tally_underlying(g: MixedGraph) -> LevelStats:
     """``_tally`` over every orientation of one underlying graph, decided
-    once per switching class (a pool task).  Raises ValueError when g is
-    empty or disconnected."""
+    once per converse pair of switching classes (a pool task).  Raises
+    ValueError when g is empty or disconnected."""
     _check_classifiable(g)
     memo: dict[int, Trichotomy] = {}
-    stats = _tally(zip(enumerate_orientations(g), _class_verdicts(g, memo)))
+    stats = _tally(_sweep(g, memo))
+    keys = np.fromiter(memo, dtype=np.int64, count=len(memo))
     stats.n, stats.underlying_graphs, stats.classes = g.n, 1, len(memo)
+    stats.polys = int(np.count_nonzero(keys <= _converse_keys(keys)))
     return stats
 
 
@@ -624,6 +685,7 @@ def _merged(stats: LevelStats, parts: Iterable[LevelStats]) -> LevelStats:
         stats.underlying_graphs += part.underlying_graphs
         stats.orientations += part.orientations
         stats.classes += part.classes
+        stats.polys += part.polys
         for family, count in part.accepts.items():
             stats.accepts[family] = stats.accepts.get(family, 0) + count
         stats.rejects += part.rejects
@@ -667,11 +729,22 @@ def _k6_triangles(indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _k6_class_block(start: int) -> list[int]:
-    """Keys in [start, start + _K6_CLASS_BLOCK) whose class has lambda_min
-    above -(1+sqrt5)/2, decided exactly by ``_decide`` (a pool task)."""
+    """Keys of the classes with lambda_min above -(1+sqrt5)/2, decided
+    exactly by ``_decide``, among the converse pairs whose smaller key lies
+    in [start, start + _K6_CLASS_BLOCK) (a pool task).
+
+    Each such key comes with its converse key, which may lie in another
+    block; sorted, without repeats.  The smaller key of a pair is the one
+    whose highest odd digit is 1, so a block whose top four digits hold an
+    odd digit decides all of its keys or none.
+    """
     keys = np.arange(start, min(start + _K6_CLASS_BLOCK, _K6_CLASSES), dtype=np.int64)
+    keys = keys[keys <= _converse_keys(keys)]
+    if not len(keys):
+        return []
     verdicts = _decide(_char_poly_rows(_class_matrices(6, _K6_TREE, _K6_COTREE, keys)))
-    return [k for k, v in zip(keys.tolist(), verdicts) if v is Trichotomy.GREATER]
+    above = keys[[v is Trichotomy.GREATER for v in verdicts]]
+    return sorted({*above.tolist(), *_converse_keys(above).tolist()})
 
 
 def _k6_chunk(start: int, above: tuple[int, ...]) -> tuple[int, int]:

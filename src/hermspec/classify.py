@@ -661,6 +661,22 @@ FORBIDDEN_SUBGRAPHS: tuple[tuple[str, MixedGraph], ...] = (
 )
 
 
+#: Like ``_shape_of``, the search reads only which pairs are joined, so
+#: every orientation and switching of one underlying graph shares an entry:
+#: the n <= 5 census's 1,091 forbidden-subgraph rejects lie on 17 graphs.
+#: An entry holds the adjacency tuple, a name and an embedding, about
+#: 0.7 kB at n = 12, so at most about 0.7 MB.
+@lru_cache(maxsize=1024)
+def _forbidden_of(adjacency: tuple[int, ...]) -> tuple[str, tuple[int, ...]] | None:
+    """The first of ``FORBIDDEN_SUBGRAPHS`` induced in the graph with these
+    neighbour bitmasks, as (name, first embedding), or None."""
+    for name, pattern in FORBIDDEN_SUBGRAPHS:
+        hit = next(_embeddings(adjacency, pattern), None)
+        if hit is not None:
+            return name, hit
+    return None
+
+
 def _witness_spectrum(sub: MixedGraph) -> tuple[Trichotomy, float]:
     """Exact comparison against -(1+sqrt5)/2 and float lambda_min of ``sub``."""
     summary = eigenvalues(sub)
@@ -828,16 +844,15 @@ def _classify(m: MixedGraph) -> Certificate:
         return _cycle_certificate(quad, (k[a][b], k[b][c], k[c][d], k[d][a]))
     fam = _family_of(m)
     if fam is None:
-        for name, pattern in FORBIDDEN_SUBGRAPHS:
-            hit = next(_embeddings(m.adjacency, pattern), None)
-            if hit is not None:
-                return Certificate(
-                    False, None, None,
-                    _witness_from_subgraph(m, "forbidden-subgraph", hit, name),
-                )
-        raise RuntimeError(
-            "graph outside all families contains no forbidden subgraph; "
-            "this contradicts the classification theorem"
+        forbidden = _forbidden_of(m.adjacency)
+        if forbidden is None:
+            raise RuntimeError(
+                "graph outside all families contains no forbidden subgraph; "
+                "this contradicts the classification theorem"
+            )
+        name, hit = forbidden
+        return Certificate(
+            False, None, None, _witness_from_subgraph(m, "forbidden-subgraph", hit, name)
         )
     if fam.label == "complete":
         match = recognize_knst(m)

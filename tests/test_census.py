@@ -218,23 +218,24 @@ def test_census_pool_matches_serial():
     assert body(pooled) == body(serial)
     assert [lv.classes for lv in pooled.levels] == [lv.classes for lv in serial.levels]
     assert [lv.classes for lv in serial.levels] == [1, 1, 5, 90]
+    assert [lv.polys for lv in pooled.levels] == [lv.polys for lv in serial.levels] == [1, 1, 4, 54]
 
 
 _N4_TEXT = """\
 census: exhaustive classifier check up to 4 vertices
-n=1: underlying=1 orientations=1 accepts[H3=1] rejects=0 boundary-equal=0 mismatches=0
-n=2: underlying=1 orientations=3 accepts[H3=3] rejects=0 boundary-equal=0 mismatches=0
-n=3: underlying=2 orientations=36 accepts[H3=7 H4=9] rejects=20 boundary-equal=0 mismatches=0
-n=4: underlying=6 orientations=1188 accepts[H1=37 H3=15 H4=21] rejects=1115 boundary-equal=27 mismatches=0
+n=1: underlying=1 orientations=1 polys=1 accepts[H3=1] rejects=0 boundary-equal=0 mismatches=0
+n=2: underlying=1 orientations=3 polys=1 accepts[H3=3] rejects=0 boundary-equal=0 mismatches=0
+n=3: underlying=2 orientations=36 polys=4 accepts[H3=7 H4=9] rejects=20 boundary-equal=0 mismatches=0
+n=4: underlying=6 orientations=1188 polys=54 accepts[H1=37 H3=15 H4=21] rejects=1115 boundary-equal=27 mismatches=0
 result: PASS"""
 
 _N6_TEXT = """\
 census: exhaustive classifier check up to 6 vertices with six-vertex deep sweep
-n=1: underlying=1 orientations=1 accepts[H3=1] rejects=0 boundary-equal=0 mismatches=0
-n=2: underlying=1 orientations=3 accepts[H3=3] rejects=0 boundary-equal=0 mismatches=0
-n=3: underlying=2 orientations=36 accepts[H3=7 H4=9] rejects=20 boundary-equal=0 mismatches=0
-n=4: underlying=6 orientations=1188 accepts[H1=37 H3=15 H4=21] rejects=1115 boundary-equal=27 mismatches=0
-n=5: underlying=21 orientations=105705 accepts[H1=36 H2=49 H3=31 H4=45] rejects=105544 boundary-equal=165 mismatches=0
+n=1: underlying=1 orientations=1 polys=1 accepts[H3=1] rejects=0 boundary-equal=0 mismatches=0
+n=2: underlying=1 orientations=3 polys=1 accepts[H3=3] rejects=0 boundary-equal=0 mismatches=0
+n=3: underlying=2 orientations=36 polys=4 accepts[H3=7 H4=9] rejects=20 boundary-equal=0 mismatches=0
+n=4: underlying=6 orientations=1188 polys=54 accepts[H1=37 H3=15 H4=21] rejects=1115 boundary-equal=27 mismatches=0
+n=5: underlying=21 orientations=105705 polys=3091 accepts[H1=36 H2=49 H3=31 H4=45] rejects=105544 boundary-equal=165 mismatches=0
 deep K_2.K_5: orientations=177147 accepted=93 boundary-equal=0 mismatches=0
 deep K_3.K_4: orientations=19683 accepted=105 boundary-equal=0 mismatches=0
 deep k24-plus-2edges: orientations=59049 accepted=60 boundary-equal=0 mismatches=0
@@ -255,7 +256,7 @@ def test_report_text_is_pinned():
     # The --nmax 6 report, with the counts of a clean run.
     n5 = LevelStats(
         5, 21, 105705, accepts={"H1": 36, "H2": 49, "H3": 31, "H4": 45},
-        rejects=105544, boundary_equal=165,
+        rejects=105544, boundary_equal=165, polys=3091,
     )
 
     def deep(orientations, accepts, label):
@@ -299,7 +300,7 @@ def test_class_representatives_share_the_spectrum():
             total = orientation_count(g)
             for start in range(0, total, census._BLOCK):
                 indices = range(start, min(start + census._BLOCK, total))
-                keys = census._class_keys(g, tree, cotree, indices)
+                keys = census._class_keys(g, tree, cotree, census._digits(indices, g.edge_count()))
                 rows = _char_poly_rows(census._class_matrices(n, tree, cotree, keys))
                 ref = char_poly_rows([orientation(g, i) for i in indices])
                 assert (rows == ref).all(), (g.encode(), start)
@@ -308,15 +309,17 @@ def test_class_representatives_share_the_spectrum():
 def test_class_verdicts_match_block_decide():
     for label, g in census._deep_family_graphs()[1:]:
         memo = {}
-        verdicts = list(census._class_verdicts(g, memo))
+        graphs, verdicts = zip(*census._sweep(g, memo))
+        assert list(graphs) == list(enumerate_orientations(g)), label
         ref = [exact for _, exact in census._decided(enumerate_orientations(g))]
-        assert verdicts == ref, label
+        assert list(verdicts) == ref, label
         assert len(memo) == {"K_3.K_4": 256, "k24-plus-2edges": 1024}[label]
     # On K_6 the star at vertex 0 is the BFS tree, so the generic key is the
     # triangle key of the K_6 sweep.
     rng = random.Random(9)
     indices = [rng.randrange(3 ** 15) for _ in range(600)]
-    keys = census._class_keys(complete_graph(6), census._K6_TREE, census._K6_COTREE, indices)
+    digits = census._digits(indices, 15)
+    keys = census._class_keys(complete_graph(6), census._K6_TREE, census._K6_COTREE, digits)
     assert (keys == census._k6_triangles(indices)[1]).all()
 
 
@@ -359,12 +362,18 @@ def test_taylor_oracle_matches_sturm_on_class_polynomials():
     for n in range(1, 6):
         for g in enumerate_connected_graphs(n):
             tree, cotree = census._spanning_tree(g)
-            keys = census._class_keys(g, tree, cotree, range(orientation_count(g)))
+            digits = census._digits(range(orientation_count(g)), g.edge_count())
+            keys = census._class_keys(g, tree, cotree, digits)
             census_polys |= _class_polys(g, tree, cotree, np.unique(keys))
+    # A class and its converse share their char poly
+    # (test_converse_classes_share_char_polys), so the converse-canonical
+    # K_6 keys reach every K_6 class polynomial.
     k6_polys = set()
     for start in range(0, census._K6_CLASSES, census._K6_CLASS_BLOCK):
         keys = np.arange(start, start + census._K6_CLASS_BLOCK, dtype=np.int64)
-        k6_polys |= _class_polys(complete_graph(6), census._K6_TREE, census._K6_COTREE, keys)
+        keys = keys[keys <= census._converse_keys(keys)]
+        if len(keys):
+            k6_polys |= _class_polys(complete_graph(6), census._K6_TREE, census._K6_COTREE, keys)
     golden = Counter()
     for row in census_polys | k6_polys:
         p = IntPolynomial(row[::-1])
@@ -375,3 +384,41 @@ def test_taylor_oracle_matches_sturm_on_class_polynomials():
                 golden[exact] += 1
     assert (len(census_polys), len(k6_polys)) == (278, 480)
     assert golden == {Trichotomy.LESS: 262, Trichotomy.GREATER: 12, Trichotomy.EQUAL: 4}
+
+
+def test_converse_classes_share_char_polys():
+    # The converse of a mixed graph has the conjugate Hermitian matrix, so a
+    # class key and its converse key give equal class char polys; the census
+    # decides one of each pair and stores the verdict under both.
+    classes, polys = [], []
+    for n in range(1, 6):
+        n_classes = n_polys = 0
+        for g in enumerate_connected_graphs(n):
+            tree, cotree = census._spanning_tree(g)
+            digits = census._digits(range(orientation_count(g)), g.edge_count())
+            met = np.unique(census._class_keys(g, tree, cotree, digits))
+            converse = census._converse_keys(met)
+            rows = _char_poly_rows(census._class_matrices(n, tree, cotree, met))
+            conv_rows = _char_poly_rows(census._class_matrices(n, tree, cotree, converse))
+            assert (rows == conv_rows).all(), g.encode()
+            assert set(converse.tolist()) == set(met.tolist()), g.encode()
+            memo = {}
+            for _ in census._class_verdicts(g, memo):
+                pass
+            assert sorted(memo) == met.tolist(), g.encode()
+            n_classes += len(met)
+            n_polys += int((met <= converse).sum())
+        classes.append(n_classes)
+        polys.append(n_polys)
+    assert classes == [1, 1, 5, 90, 5990]
+    assert polys == [1, 1, 4, 54, 3091]
+    rng = np.random.default_rng(26)
+    keys = rng.integers(0, census._K6_CLASSES, size=20000, dtype=np.int64)
+    converse = census._converse_keys(keys)
+    assert ((converse >> 2 * np.arange(10)[:, None] & 3) == (-(keys >> 2 * np.arange(10)[:, None]) & 3)).all()
+    tree, cotree = census._K6_TREE, census._K6_COTREE
+    rows = _char_poly_rows(census._class_matrices(6, tree, cotree, keys))
+    assert (rows == _char_poly_rows(census._class_matrices(6, tree, cotree, converse))).all()
+    # 1,024 of the 4^10 K_6 keys are their own converse; the rest pair up.
+    every = np.arange(census._K6_CLASSES, dtype=np.int64)
+    assert int((every <= census._converse_keys(every)).sum()) == 524800

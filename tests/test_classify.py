@@ -921,6 +921,32 @@ def test_cycle_certificate_memo_matches_unmemoized_witness():
     assert (info.misses, info.hits) == (363, 105588 - 363)
 
 
+def test_forbidden_memo_matches_unmemoized_search():
+    # The forbidden-subgraph search is memoized on the adjacency tuple; every
+    # certificate must equal the one a fresh search over the patterns gives.
+    classify._forbidden_of.cache_clear()
+    rejects, graphs = 0, set()
+    for n in range(1, 6):
+        for g in enumerate_connected_graphs(n):
+            for m in enumerate_orientations(g):
+                cert = classify_threshold(m)
+                if cert.witness is None or cert.witness.kind != "forbidden-subgraph":
+                    continue
+                u = underlying_graph(m)
+                name, hit = next(
+                    (name, hit) for name, p in FORBIDDEN_SUBGRAPHS
+                    if (hit := find_induced(u, p)) is not None
+                )
+                witness = classify._witness_from_subgraph(m, "forbidden-subgraph", hit, name)
+                assert cert == Certificate(False, None, None, witness), m.encode()
+                assert cert.verify(m)
+                rejects += 1
+                graphs.add(g)
+    assert (rejects, len(graphs)) == (1091, 17)
+    info = classify._forbidden_of.cache_info()
+    assert (info.misses, info.hits) == (17, 1091 - 17)
+
+
 def test_threshold_witness_is_not_cached():
     classify._small_witness_spectrum.cache_clear()
     m = coalescence(complete_graph(4), 0, complete_graph(4), 0)  # s = t = 3
