@@ -117,7 +117,7 @@ class _Rows(dict):
 
     Row u sets pair (u, v) to the kind of the digit of edge uv and row v
     sets (v, u) to its flip, so rows picked with one orientation's keys
-    form a valid kind table, which ``orientation`` and ``_oriented`` build
+    form a valid kind table, which ``orientation`` and ``_built`` build
     into a MixedGraph without re-validating it."""
 
     def __init__(self, n: int, u: int, neighbors: tuple[int, ...]) -> None:
@@ -378,12 +378,6 @@ def _digits(indices: Iterable[int], m: int) -> np.ndarray:
         digits[:, e] = rem % 3
         rem //= 3
     return digits
-
-
-def _edge_exponents(indices: Iterable[int], m: int) -> np.ndarray:
-    """i-exponent of H[u, v] on each of m edges (u, v), u < v, in
-    ``edge_list`` order, one row per orientation index."""
-    return _DIGIT_EXP[_digits(indices, m)]
 
 
 def _class_keys(g: MixedGraph, tree: _Edges, cotree: _Edges, digits: np.ndarray) -> np.ndarray:
@@ -718,7 +712,7 @@ def _k6_triangles(indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     significant first; they span the cycle space, so the key fixes the
     switching class and with it the spectrum.
     """
-    exps = _edge_exponents(indices, 15)
+    exps = _DIGIT_EXP[_digits(indices, 15)]
     pos = _K6_EDGE_POS
     hol = np.stack(
         [exps[:, pos[(a, b)]] + exps[:, pos[(b, c)]] - exps[:, pos[(a, c)]]

@@ -56,6 +56,7 @@ def test_orientation_indexing():
     seen = {m.encode() for m in enumerate_orientations(g)}
     assert len(seen) == 9
     assert all(underlying_graph(m) == g for m in enumerate_orientations(g))
+    assert list(enumerate_orientations(build(0, []))) == [build(0, [])]
 
 
 def test_enumerate_orientations_validation():
