@@ -13,24 +13,28 @@ each orientation by the holonomies of its cotree edges, with respect to a
 BFS spanning tree from vertex 0, and decides each class once.  The converse
 of a mixed graph has the conjugate Hermitian matrix and so the same spectrum
 (Guo & Mohar, JGT 85 (2017)), so a class and its converse class share one
-decision: one batched Faddeev-LeVerrier call over one representative of each
-converse pair gives their characteristic polynomials, and each distinct
+decision: batched Faddeev-LeVerrier calls over one representative of each
+converse pair give their characteristic polynomials, and each distinct
 polynomial is compared once per process against -(1+sqrt5)/2 by the exact
 integer Taylor-shift test, ``taylor_compare_min_root``.  The classifier
 decides by Sturm chains, so oracle and classifier reach their verdicts by
 different exact methods.  Random samples, which share few classes, are
 decided the same way in blocks of orientations.
 
+An exhaustive sweep reads the base-3 digits and the class keys of
+``_KEY_BLOCK`` orientations at a time, in int8 arithmetic mod 4, and
+computes the characteristic polynomials of the block's new classes in
+batches of at most ``_BLOCK``, the batch that bounds the sweep's memory.
 Orientations are built from per-vertex row tables: row u of an
 orientation's kind table depends only on the digits of u's incident edges,
-so each distinct row is built once per underlying graph and shared.  An
-exhaustive sweep reads each block's base-3 digits once, for both the row
-keys and the class keys.
+so each distinct row is built once per underlying graph and shared, and the
+row keys come from the same digits as the class keys.
 
 The six-vertex complete graph has 3^15 = 14,348,907 orientations, too many
-to build one by one, so its sweep decides all 4^10 classes in pool blocks
-and reads each orientation's key, the holonomies of the ten triangles
-through vertex 0, in numpy.
+to build one by one, so its sweep decides its 4^10 classes in pool blocks,
+only the 136 blocks that hold the smaller key of a converse pair, and reads
+each orientation's key, the holonomies of the ten triangles through vertex
+0, in numpy.
 """
 
 from __future__ import annotations
@@ -92,12 +96,19 @@ _KIND_OF_DIGIT = (
     int(EdgeKind.UNDIRECTED), int(EdgeKind.ARC_OUT), int(EdgeKind.ARC_IN)
 )
 
-#: Orientations per batched exact comparison.  Larger blocks find few more
-#: repeated polynomials but hold more matrices at once.
+#: Rows per batched exact comparison: the char-poly batch of the class
+#: sweeps and the orientation block of samples.  The (rows, n, n) complex
+#: matrices of one batch set the sweeps' peak memory; larger batches find few
+#: more repeated polynomials but hold more matrices at once.
 _BLOCK = 3 ** 5
 
+#: Orientations per class-key pass of an exhaustive sweep.  A pass holds
+#: its digits, keys, verdicts and row keys, about 0.6 MB at this size on K_5
+#: (tracemalloc), and pays its fixed numpy overhead once per 27 batches.
+_KEY_BLOCK = 3 ** 8
+
 #: i-exponent of orientation digits 0, 1, 2, and the unit i^h for h = 0..3.
-_DIGIT_EXP = np.array([_EXP_FROM_KIND[k] for k in _KIND_OF_DIGIT], dtype=np.int16)
+_DIGIT_EXP = np.array([_EXP_FROM_KIND[k] for k in _KIND_OF_DIGIT], dtype=np.int8)
 _UNIT = np.array(_UNIT_FROM_EXP)
 
 
@@ -108,6 +119,24 @@ def edge_list(g: MixedGraph) -> tuple[tuple[int, int], ...]:
 
 def orientation_count(g: MixedGraph) -> int:
     return 3 ** g.edge_count()
+
+
+#: One entry per underlying graph, as for ``_row_tables``.
+@lru_cache(maxsize=256)
+def _edge_positions(g: MixedGraph) -> dict[tuple[int, int], int]:
+    """Position of each edge (u < v) of g in ``edge_list`` order."""
+    return {e: i for i, e in enumerate(edge_list(g))}
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-d array, sorted: ``np.unique`` by a sort
+    and a neighbour compare, without the ``numpy.ma`` import that the first
+    ``np.unique`` of a process pays."""
+    ordered = np.sort(values)
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
 class _Rows(dict):
@@ -237,9 +266,8 @@ def enumerate_connected_graphs(n: int) -> list[MixedGraph]:
         order = [idx[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
         pmask = bits[:, order] @ weights
         np.minimum(canon, pmask, out=canon)
-    reps = np.unique(canon)
     out = []
-    for mask in reps.tolist():
+    for mask in _distinct(canon).tolist():
         kinds = [[0] * n for _ in range(n)]
         for i, (u, v) in enumerate(pairs):
             if mask >> i & 1:
@@ -389,15 +417,24 @@ def _class_keys(g: MixedGraph, tree: _Edges, cotree: _Edges, digits: np.ndarray)
     has holonomy pot[a] + e(a, b) - pot[b] (mod 4), read as base-4 digit j,
     least significant first.  The cotree edges close a cycle basis, so the
     key fixes the switching class and with it the spectrum.
+
+    Exponents, potentials and holonomies are int8, one row per edge or
+    vertex, reduced mod 4 by ``& 3`` (two's complement keeps that right
+    for negative sums); only the key itself is int64.
     """
-    pos = {e: i for i, e in enumerate(edge_list(g))}
-    exps = _DIGIT_EXP[digits]
-    pot = np.zeros((len(exps), g.n), dtype=np.int16)
+    pos = _edge_positions(g)
+    exps = _DIGIT_EXP[digits.T]
+    pot = np.zeros((g.n, len(digits)), dtype=np.int8)
     for p, v in tree:
-        pot[:, v] = pot[:, p] + (exps[:, pos[p, v]] if p < v else -exps[:, pos[v, p]])
-    keys = np.zeros(len(exps), dtype=np.int64)
+        if p < v:
+            np.add(pot[p], exps[pos[p, v]], out=pot[v])
+        else:
+            np.subtract(pot[p], exps[pos[v, p]], out=pot[v])
+        pot[v] &= 3
+    keys = np.zeros(len(digits), dtype=np.int64)
     for j, (a, b) in enumerate(cotree):
-        keys += ((pot[:, a] + exps[:, pos[a, b]] - pot[:, b]) % 4).astype(np.int64) << 2 * j
+        hol = (pot[a] + exps[pos[a, b]] - pot[b]) & 3
+        keys |= hol.astype(np.int64) << 2 * j
     return keys
 
 
@@ -437,26 +474,28 @@ def _class_verdicts(
     g: MixedGraph, memo: dict[int, Trichotomy]
 ) -> Iterator[tuple[np.ndarray, list[Trichotomy]]]:
     """The base-3 digits and exact verdicts of every orientation of g, in
-    blocks of ``_BLOCK`` indices in index order.
+    blocks of ``_KEY_BLOCK`` indices in index order.
 
     Each block's digits are read once, and ``_class_keys`` keys them.  Of
     each converse pair of keys not yet in ``memo`` only the smaller is
-    decided; its verdict is stored under both keys, so ``memo`` ends up
-    holding one verdict per switching class of g.  The converse of an
-    orientation is an orientation, so every key stored is met.
+    decided, in batches of at most ``_BLOCK`` keys; its verdict is stored
+    under both keys, so ``memo`` ends up holding one verdict per switching
+    class of g.  The converse of an orientation is an orientation, so every
+    key stored is met.
     """
     tree, cotree = _spanning_tree(g)
     m = g.edge_count()
     total = 3 ** m
-    for start in range(0, total, _BLOCK):
-        digits = _digits(np.arange(start, min(start + _BLOCK, total)), m)
+    for start in range(0, total, _KEY_BLOCK):
+        digits = _digits(np.arange(start, min(start + _KEY_BLOCK, total)), m)
         keys = _class_keys(g, tree, cotree, digits)
-        canon = np.unique(np.minimum(keys, _converse_keys(keys))).tolist()
+        canon = _distinct(np.minimum(keys, _converse_keys(keys))).tolist()
         fresh = np.array([k for k in canon if k not in memo], dtype=np.int64)
-        if len(fresh):
-            verdicts = _decide(_char_poly_rows(_class_matrices(g.n, tree, cotree, fresh)))
-            memo.update(zip(fresh.tolist(), verdicts))
-            memo.update(zip(_converse_keys(fresh).tolist(), verdicts))
+        for i in range(0, len(fresh), _BLOCK):
+            batch = fresh[i:i + _BLOCK]
+            verdicts = _decide(_char_poly_rows(_class_matrices(g.n, tree, cotree, batch)))
+            memo.update(zip(batch.tolist(), verdicts))
+            memo.update(zip(_converse_keys(batch).tolist(), verdicts))
         yield digits, list(map(memo.__getitem__, keys.tolist()))
 
 
@@ -701,6 +740,11 @@ _K6_CLASS_BLOCK = 4 ** 6
 #: The star at vertex 0 and the ten edges (a, b) closing the triangles
 #: (0, a, b), so ``_class_keys`` on K_6 is the key of ``_k6_triangles``.
 _K6_TREE, _K6_COTREE = _spanning_tree(complete_graph(6))
+#: Starts of the 136 class blocks that hold the smaller key of some converse
+#: pair (``_k6_class_block``); the other 120 hold none.
+_K6_CLASS_STARTS = tuple(
+    s for s in range(0, _K6_CLASSES, _K6_CLASS_BLOCK) if s <= _converse_keys(s)
+)
 
 
 def _k6_triangles(indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -710,16 +754,16 @@ def _k6_triangles(indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     i-exponent 0 for H[a, b] H[b, c] H[c, a].  The key reads the holonomy
     exponents of the ten triangles (0, a, b) as base-4 digits, least
     significant first; they span the cycle space, so the key fixes the
-    switching class and with it the spectrum.
+    switching class and with it the spectrum.  Holonomies are int8 mod 4,
+    as in ``_class_keys``.
     """
-    exps = _DIGIT_EXP[_digits(indices, 15)]
+    exps = _DIGIT_EXP[_digits(indices, 15).T]
     pos = _K6_EDGE_POS
     hol = np.stack(
-        [exps[:, pos[(a, b)]] + exps[:, pos[(b, c)]] - exps[:, pos[(a, c)]]
-         for a, b, c in _K6_TRIANGLES],
-        axis=1,
-    ) % 4
-    return ~hol.any(axis=1), hol[:, :10] @ 4 ** np.arange(10, dtype=np.int64)
+        [exps[pos[(a, b)]] + exps[pos[(b, c)]] - exps[pos[(a, c)]]
+         for a, b, c in _K6_TRIANGLES]
+    ) & 3
+    return ~hol.any(axis=0), 4 ** np.arange(10, dtype=np.int64) @ hol[:10]
 
 
 def _k6_class_block(start: int) -> list[int]:
@@ -730,7 +774,9 @@ def _k6_class_block(start: int) -> list[int]:
     Each such key comes with its converse key, which may lie in another
     block; sorted, without repeats.  The smaller key of a pair is the one
     whose highest odd digit is 1, so a block whose top four digits hold an
-    odd digit decides all of its keys or none.
+    odd digit decides all of its keys or none, and a block holds a key to
+    decide exactly when its start is its own smaller key
+    (``_K6_CLASS_STARTS``).
     """
     keys = np.arange(start, min(start + _K6_CLASS_BLOCK, _K6_CLASSES), dtype=np.int64)
     keys = keys[keys <= _converse_keys(keys)]
@@ -753,7 +799,7 @@ def _k6_chunk(start: int, above: tuple[int, ...]) -> tuple[int, int]:
 
 
 def _k6_sweep(pmap: Callable, rng: random.Random, subsample: int) -> K6Stats:
-    blocks = pmap(_k6_class_block, range(0, _K6_CLASSES, _K6_CLASS_BLOCK))
+    blocks = pmap(_k6_class_block, _K6_CLASS_STARTS)
     above = tuple(key for keys in blocks for key in keys)
     stats = K6Stats(total=3 ** 15)
     chunks = pmap(partial(_k6_chunk, above=above), range(0, 3 ** 15, _K6_CHUNK))

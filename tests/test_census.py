@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hermspec
 import hermspec.census as census
 from hermspec.census import (
     CensusReport,
@@ -30,6 +35,7 @@ from hermspec.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    hermitian_matrix,
     is_connected,
     make_knst,
     path_graph,
@@ -337,6 +343,105 @@ def test_k6_class_representatives_share_the_spectrum():
     k6 = complete_graph(6)
     for i, row in zip(indices, rows):
         assert char_poly(orientation(k6, i)).coeffs == tuple(row[::-1].tolist())
+
+
+#: i-exponent of H[u, v], u < v, for orientation digits 0, 1, 2: 1, i, -i.
+_DIGIT_EXPONENT = (0, 1, 3)
+
+
+def _reference_keys(g: MixedGraph, tree, cotree, digits: np.ndarray) -> np.ndarray:
+    """``census._class_keys`` written out in int64, reduced ``% 4`` once per
+    holonomy."""
+    pos = {e: i for i, e in enumerate(edge_list(g))}
+    exps = np.array(_DIGIT_EXPONENT, dtype=np.int64)[digits]
+    pot = np.zeros((len(digits), g.n), dtype=np.int64)
+    for p, v in tree:
+        pot[:, v] = pot[:, p] + (exps[:, pos[p, v]] if p < v else -exps[:, pos[v, p]])
+    keys = np.zeros(len(digits), dtype=np.int64)
+    for j, (a, b) in enumerate(cotree):
+        keys += (pot[:, a] + exps[:, pos[a, b]] - pot[:, b]) % 4 * 4 ** j
+    return keys
+
+
+def test_class_keys_match_int64_reference():
+    edge = path_graph(2)
+    for digit, e in enumerate(_DIGIT_EXPONENT):
+        assert hermitian_matrix(orientation(edge, digit))[0, 1] == 1j ** e
+    graphs = [g for n in range(1, 6) for g in enumerate_connected_graphs(n)]
+    graphs += [g for _, g in census._deep_family_graphs()]
+    for g in graphs:
+        tree, cotree = census._spanning_tree(g)
+        digits = census._digits(range(orientation_count(g)), g.edge_count())
+        keys = census._class_keys(g, tree, cotree, digits)
+        assert keys.dtype == np.int64
+        assert (keys == _reference_keys(g, tree, cotree, digits)).all(), g.encode()
+    rng = random.Random(27)
+    digits = census._digits([rng.randrange(3 ** 15) for _ in range(600)], 15)
+    k6, tree, cotree = complete_graph(6), census._K6_TREE, census._K6_COTREE
+    assert (census._class_keys(k6, tree, cotree, digits)
+            == _reference_keys(k6, tree, cotree, digits)).all()
+
+
+def test_class_sweep_batches_stay_within_block(monkeypatch):
+    # The class sweeps key _KEY_BLOCK orientations at a time but compute
+    # char polys in batches of at most _BLOCK keys, the batch that bounds
+    # their memory.
+    batches = []
+    real = census._char_poly_rows
+
+    def recorded(h):
+        batches.append(len(h))
+        return real(h)
+
+    monkeypatch.setattr(census, "_char_poly_rows", recorded)
+    k5 = complete_graph(5)
+    for g in (k5, dict(census._deep_family_graphs())["k24-plus-2edges"]):
+        assert orientation_count(g) >= 9 * census._KEY_BLOCK
+        batches.clear()
+        stats = census._tally_underlying(g)
+        assert 0 < max(batches) <= census._BLOCK, g.encode()
+        assert sum(batches) == stats.polys
+    monkeypatch.undo()
+    graphs, verdicts = zip(*census._sweep(k5, {}))
+    assert list(graphs) == list(enumerate_orientations(k5))
+    assert list(verdicts) == [exact for _, exact in census._decided(enumerate_orientations(k5))]
+
+
+def test_k6_class_blocks_dispatched():
+    # Only blocks holding the smaller key of some converse pair go to the
+    # pool: the 16 blocks whose top four digits are all even hold 2,080 such
+    # keys each, and of the other 240 exactly half hold 4,096.
+    starts = range(0, census._K6_CLASSES, census._K6_CLASS_BLOCK)
+    holding = []
+    for start in starts:
+        keys = np.arange(start, start + census._K6_CLASS_BLOCK, dtype=np.int64)
+        if (keys <= census._converse_keys(keys)).any():
+            holding.append(start)
+    assert census._K6_CLASS_STARTS == tuple(holding)
+    assert len(holding) == 136
+    for start in sorted(set(starts) - set(holding)):
+        assert census._k6_class_block(start) == [], start
+
+
+#: Run in a fresh interpreter, since sys.modules is shared by the whole process.
+_CENSUS_MODULES = """\
+import sys
+from hermspec.census import verify_main_theorem
+
+print(verify_main_theorem(5).ok, "numpy.ma" in sys.modules)
+"""
+
+
+def test_census_never_imports_numpy_ma():
+    # The first np.unique of a process imports numpy.ma, about 15 ms of a
+    # fresh census; the census finds distinct keys by a sort instead.
+    src = str(Path(hermspec.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _CENSUS_MODULES],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert done.stdout.split() == ["True", "False"]
 
 
 def test_k6_class_table_and_chunk():
