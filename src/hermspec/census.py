@@ -103,8 +103,8 @@ _KIND_OF_DIGIT = (
 _BLOCK = 3 ** 5
 
 #: Orientations per class-key pass of an exhaustive sweep.  A pass holds
-#: its digits, keys, verdicts and row keys, about 0.6 MB at this size on K_5
-#: (tracemalloc), and pays its fixed numpy overhead once per 27 batches.
+#: its digits and keys as arrays, a few tens of bytes per orientation, and
+#: pays its fixed numpy overhead once per 27 blocks of ``_BLOCK``.
 _KEY_BLOCK = 3 ** 8
 
 #: i-exponent of orientation digits 0, 1, 2, and the unit i^h for h = 0..3.
@@ -474,14 +474,16 @@ def _class_verdicts(
     g: MixedGraph, memo: dict[int, Trichotomy]
 ) -> Iterator[tuple[np.ndarray, list[Trichotomy]]]:
     """The base-3 digits and exact verdicts of every orientation of g, in
-    blocks of ``_KEY_BLOCK`` indices in index order.
+    blocks of ``_BLOCK`` indices in index order.
 
-    Each block's digits are read once, and ``_class_keys`` keys them.  Of
-    each converse pair of keys not yet in ``memo`` only the smaller is
-    decided, in batches of at most ``_BLOCK`` keys; its verdict is stored
-    under both keys, so ``memo`` ends up holding one verdict per switching
-    class of g.  The converse of an orientation is an orientation, so every
-    key stored is met.
+    Digits are read and keyed by ``_class_keys`` once per ``_KEY_BLOCK``
+    indices.  Of each converse pair of keys not yet in ``memo`` only the
+    smaller is decided, in batches of at most ``_BLOCK`` keys; its verdict
+    is stored under both keys, so ``memo`` ends up holding one verdict per
+    switching class of g.  The converse of an orientation is an
+    orientation, so every key stored is met.  The verdicts and the
+    orientations built from them go out ``_BLOCK`` at a time, which keeps
+    their Python objects to one block's worth.
     """
     tree, cotree = _spanning_tree(g)
     m = g.edge_count()
@@ -496,7 +498,8 @@ def _class_verdicts(
             verdicts = _decide(_char_poly_rows(_class_matrices(g.n, tree, cotree, batch)))
             memo.update(zip(batch.tolist(), verdicts))
             memo.update(zip(_converse_keys(batch).tolist(), verdicts))
-        yield digits, list(map(memo.__getitem__, keys.tolist()))
+        for i in range(0, len(keys), _BLOCK):
+            yield digits[i:i + _BLOCK], list(map(memo.__getitem__, keys[i:i + _BLOCK].tolist()))
 
 
 def _sweep(g: MixedGraph, memo: dict[int, Trichotomy]) -> Iterator[tuple[MixedGraph, Trichotomy]]:

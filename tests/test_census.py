@@ -315,13 +315,14 @@ def test_class_representatives_share_the_spectrum():
 
 
 def test_class_verdicts_match_block_decide():
-    for label, g in census._deep_family_graphs()[1:]:
+    # K_5's 3^10 orientations span nine key blocks of _KEY_BLOCK.
+    for label, g in [("K_5", complete_graph(5)), *census._deep_family_graphs()[1:]]:
         memo = {}
         graphs, verdicts = zip(*census._sweep(g, memo))
         assert list(graphs) == list(enumerate_orientations(g)), label
         ref = [exact for _, exact in census._decided(enumerate_orientations(g))]
         assert list(verdicts) == ref, label
-        assert len(memo) == {"K_3.K_4": 256, "k24-plus-2edges": 1024}[label]
+        assert len(memo) == {"K_5": 4 ** 6 - 1, "K_3.K_4": 256, "k24-plus-2edges": 1024}[label]
     # On K_6 the star at vertex 0 is the BFS tree, so the generic key is the
     # triangle key of the K_6 sweep.
     rng = random.Random(9)
@@ -394,17 +395,12 @@ def test_class_sweep_batches_stay_within_block(monkeypatch):
         return real(h)
 
     monkeypatch.setattr(census, "_char_poly_rows", recorded)
-    k5 = complete_graph(5)
-    for g in (k5, dict(census._deep_family_graphs())["k24-plus-2edges"]):
+    for g in (complete_graph(5), dict(census._deep_family_graphs())["k24-plus-2edges"]):
         assert orientation_count(g) >= 9 * census._KEY_BLOCK
         batches.clear()
         stats = census._tally_underlying(g)
         assert 0 < max(batches) <= census._BLOCK, g.encode()
         assert sum(batches) == stats.polys
-    monkeypatch.undo()
-    graphs, verdicts = zip(*census._sweep(k5, {}))
-    assert list(graphs) == list(enumerate_orientations(k5))
-    assert list(verdicts) == [exact for _, exact in census._decided(enumerate_orientations(k5))]
 
 
 def test_k6_class_blocks_dispatched():
