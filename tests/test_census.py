@@ -429,8 +429,8 @@ print(verify_main_theorem(5).ok, "numpy.ma" in sys.modules)
 
 
 def test_census_never_imports_numpy_ma():
-    # The first np.unique of a process imports numpy.ma, about 15 ms of a
-    # fresh census; the census finds distinct keys by a sort instead.
+    # The first np.unique of a process imports numpy.ma, which a fresh
+    # census would pay for; the census finds distinct keys by a sort instead.
     src = str(Path(hermspec.__file__).resolve().parent.parent)
     done = subprocess.run(
         [sys.executable, "-c", _CENSUS_MODULES],
