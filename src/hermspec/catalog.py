@@ -5,8 +5,10 @@ eigenvalue stays strictly above -(1+sqrt5)/2 without belonging to the
 clique-based families: the 4-cycle, the diamond, K_{2,3} plus an edge, and
 K_{2,4} plus two disjoint edges.  The catalog stores one representative per
 isomorphism class of such orientations together with its characteristic
-polynomial and smallest eigenvalue, plus reconciliation counts (labeled
-orientations, isomorphism classes, switching-isomorphism classes).
+polynomial and smallest eigenvalue, plus reconciliation counts: labeled
+orientations and their orbits under the shape's automorphisms keyed by
+encoding (iso), by the smaller encoding of an orientation and its converse
+(converse) or by switching class (switch-iso).
 
 The shipped file ``data/scattered_catalog.txt`` is generated by
 ``hermspec.census.derive_scattered_catalog`` and regeneration must

@@ -19,7 +19,10 @@ polynomial is compared once per process against -(1+sqrt5)/2 by the exact
 integer Taylor-shift test, ``taylor_compare_min_root``.  The classifier
 decides by Sturm chains, so oracle and classifier reach their verdicts by
 different exact methods.  Random samples, which share few classes, are
-decided the same way in blocks of orientations.
+decided the same way in blocks of orientations.  The catalog counts its
+survivors by one rule, ``_orbits``: the smallest key over the shape's
+automorphisms, of the encoding, of the smaller encoding of an orientation
+and its converse, or of the class key.
 
 An exhaustive sweep reads the base-3 digits and the class keys of
 ``_KEY_BLOCK`` orientations at a time, in int8 arithmetic mod 4, and
@@ -57,7 +60,7 @@ from .catalog import (
     SPORADIC_LABELS,
     sporadic_underlying,
 )
-from .classify import _automorphisms, _check_classifiable, _classify, _embeddings
+from .classify import _automorphisms, _check_classifiable, _classify
 from .graphs import (
     _EXP_FROM_KIND,
     _FLIP,
@@ -74,7 +77,6 @@ from .graphs import (
 from .polynomials import Trichotomy, taylor_compare_min_root
 from .quadratic import NEG_GOLDEN
 from .spectra import _char_poly_rows, char_poly, char_poly_rows, eigenvalues
-from .switching import switching_equivalent
 
 __all__ = [
     "edge_list",
@@ -83,8 +85,6 @@ __all__ = [
     "enumerate_orientations",
     "enumerate_connected_graphs",
     "iso_classes",
-    "DedupClass",
-    "dedup_classes",
     "derive_scattered_catalog",
     "LevelStats",
     "K6Stats",
@@ -119,13 +119,6 @@ def edge_list(g: MixedGraph) -> tuple[tuple[int, int], ...]:
 
 def orientation_count(g: MixedGraph) -> int:
     return 3 ** g.edge_count()
-
-
-#: One entry per underlying graph, as for ``_row_tables``.
-@lru_cache(maxsize=256)
-def _edge_positions(g: MixedGraph) -> dict[tuple[int, int], int]:
-    """Position of each edge (u < v) of g in ``edge_list`` order."""
-    return {e: i for i, e in enumerate(edge_list(g))}
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -249,10 +242,11 @@ def enumerate_connected_graphs(n: int) -> list[MixedGraph]:
 
     One representative per isomorphism class, chosen as the lexicographically
     smallest edge bitmask, sorted by (edge count, bitmask).  Limited to
-    n <= 7.  Expected counts: 1, 1, 2, 6, 21, 112 for n = 1..6.
+    n <= 6, as n = 7 takes 5,040 passes over 2^21 edge sets, one per vertex
+    permutation.  Expected counts: 1, 1, 2, 6, 21, 112 for n = 1..6.
     """
-    if not 1 <= n <= 7:
-        raise ValueError("graph enumeration limited to 1 <= n <= 7")
+    if not 1 <= n <= 6:
+        raise ValueError("graph enumeration limited to 1 <= n <= 6")
     if n == 1:
         return [MixedGraph(1, ((0,),))]
     pairs = list(combinations(range(n), 2))
@@ -279,6 +273,32 @@ def enumerate_connected_graphs(n: int) -> list[MixedGraph]:
     return [g for _, _, g in out]
 
 
+def _orbits(g: MixedGraph, graphs: list[MixedGraph], key: Callable) -> dict:
+    """Orientations of the labeled graph g, grouped in input order by the
+    smallest key that ``key(relabelings)`` gives their relabelings by g's
+    automorphisms: the classes under relabeling and the equivalence the key
+    decides, which must commute with relabeling and keep the underlying
+    graph, so that only automorphisms relate orientations."""
+    auts = _automorphisms(g)
+    keys = list(key([m.relabel(p) for m in graphs for p in auts]))
+    orbits: dict = {}
+    for i, m in enumerate(graphs):
+        orbits.setdefault(min(keys[i * len(auts):(i + 1) * len(auts)]), []).append(m)
+    return orbits
+
+
+def _converse_encoding(m: MixedGraph) -> str:
+    """``_orbits`` key of classes under relabeling and arc reversal."""
+    return min(m.encode(), converse(m).encode())
+
+
+def _switching_keys(g: MixedGraph, graphs: list[MixedGraph]) -> list[int]:
+    """``_orbits`` key of classes under relabeling and switching: the
+    ``_class_keys`` key of each orientation of the connected graph g."""
+    digits = [[_KIND_OF_DIGIT.index(m.kinds[u][v]) for u, v in edge_list(g)] for m in graphs]
+    return _class_keys(g, *_spanning_tree(g), np.array(digits, dtype=np.int8)).tolist()
+
+
 def iso_classes(graphs: list[MixedGraph]) -> dict[str, list[MixedGraph]]:
     """Group orientations of one labeled underlying graph by isomorphism.
 
@@ -287,58 +307,7 @@ def iso_classes(graphs: list[MixedGraph]) -> dict[str, list[MixedGraph]]:
     """
     if not graphs:
         return {}
-    auts = _automorphisms(underlying_graph(graphs[0]))
-    classes: dict[str, list[MixedGraph]] = {}
-    for g in graphs:
-        canon = min(g.relabel(list(p)).encode() for p in auts)
-        classes.setdefault(canon, []).append(g)
-    return classes
-
-
-@dataclass(frozen=True)
-class DedupClass:
-    """One equivalence class under combined relabeling and switching."""
-
-    representative: MixedGraph  # the member with the smallest encoding
-    members: tuple[MixedGraph, ...]
-
-
-def dedup_classes(graphs: list[MixedGraph]) -> list[DedupClass]:
-    """Partition graphs under combined vertex relabeling and switching.
-
-    All inputs must share a vertex count.  Switching never changes the
-    underlying graph, so the only relabelings tried are the isomorphisms
-    between underlying graphs.  Classes are returned sorted by
-    representative encoding; the representative is the minimal encoding
-    within the class.  Graphs with different characteristic polynomials are
-    never equivalent, which prunes most pairwise tests.
-    """
-    if not graphs:
-        return []
-    n = graphs[0].n
-    if any(g.n != n for g in graphs):
-        raise ValueError("all graphs must share a vertex count")
-    buckets: dict[tuple[int, ...], list[list[MixedGraph]]] = {}
-    for g in graphs:
-        key = char_poly(g).coeffs
-        classes = buckets.setdefault(key, [])
-        for members in classes:
-            rep = members[0]
-            if any(
-                switching_equivalent(g.relabel(p), rep) is not None
-                for p in _embeddings(rep.adjacency, g)
-            ):
-                members.append(g)
-                break
-        else:
-            classes.append([g])
-    out = []
-    for classes in buckets.values():
-        for members in classes:
-            best = min(members, key=lambda m: m.encode())
-            out.append(DedupClass(best, tuple(members)))
-    out.sort(key=lambda c: c.representative.encode())
-    return out
+    return _orbits(underlying_graph(graphs[0]), graphs, partial(map, MixedGraph.encode))
 
 
 #: The n <= 5 census meets 278 distinct class polynomials, the K_6 class
@@ -422,7 +391,7 @@ def _class_keys(g: MixedGraph, tree: _Edges, cotree: _Edges, digits: np.ndarray)
     vertex, reduced mod 4 by ``& 3`` (two's complement keeps that right
     for negative sums); only the key itself is int64.
     """
-    pos = _edge_positions(g)
+    pos = {(u, v): e for e, (u, v, _, _) in enumerate(_row_tables(g)[0])}
     exps = _DIGIT_EXP[digits.T]
     pot = np.zeros((g.n, len(digits)), dtype=np.int8)
     for p, v in tree:
@@ -514,10 +483,11 @@ def derive_scattered_catalog() -> Catalog:
 
     For each of the four sporadic underlying graphs, every orientation is
     tested with the exact eigenvalue comparison of its switching class, and
-    only the survivors are built; they are grouped into
-    isomorphism classes and the lexicographically smallest encoding of each
-    class becomes the pinned representative.  The result is deterministic,
-    so regeneration must reproduce the shipped file byte for byte.
+    only the survivors are built; their three class counts are ``_orbits``
+    counts, and the lexicographically smallest encoding of each
+    isomorphism class becomes the pinned representative.  The result is
+    deterministic, so regeneration must reproduce the shipped file byte for
+    byte.
     """
     records: list[CatalogRecord] = []
     rows: list[ReconciliationRow] = []
@@ -529,12 +499,6 @@ def derive_scattered_catalog() -> Catalog:
         ]
         classes = iso_classes(survivors)
         reps = [decode(g.n, key) for key in sorted(classes)]
-        combined = dedup_classes(reps)
-        auts = _automorphisms(underlying_graph(g))
-        converse_keys = {
-            min(key, min(converse(decode(g.n, key)).relabel(list(p)).encode() for p in auts))
-            for key in classes
-        }
         for i, rep in enumerate(reps):
             lam = eigenvalues(rep).lambda_min
             records.append(
@@ -554,8 +518,8 @@ def derive_scattered_catalog() -> Catalog:
                 underlying=label,
                 labeled=len(survivors),
                 iso_classes=len(classes),
-                converse_classes=len(converse_keys),
-                switch_iso_classes=len(combined),
+                converse_classes=len(_orbits(g, reps, partial(map, _converse_encoding))),
+                switch_iso_classes=len(_orbits(g, reps, partial(_switching_keys, g))),
             )
         )
     return Catalog(1, tuple(records), tuple(rows))
@@ -733,8 +697,7 @@ def _merged(stats: LevelStats, parts: Iterable[LevelStats]) -> LevelStats:
 
 # --- K_6 sweep by switching class -----------------------------------------
 
-_K6_EDGES = tuple(combinations(range(6), 2))
-_K6_EDGE_POS = {e: i for i, e in enumerate(_K6_EDGES)}
+_K6_EDGE_POS = {(u, v): e for e, (u, v, _, _) in enumerate(_row_tables(complete_graph(6))[0])}
 #: In combinations order, so the ten triangles through vertex 0 come first.
 _K6_TRIANGLES = tuple(combinations(range(6), 3))
 _K6_CHUNK = 3 ** 9  # 19,683 orientations per chunk, 3^6 chunks in total

@@ -749,21 +749,19 @@ def _witness_from_subgraph(
 
 
 def _match_catalog(m: MixedGraph, fam: FamilyMatch) -> H1Details | None:
-    """H1 details of m, whose underlying graph ``fam`` names a sporadic shape."""
-    catalog = load_builtin()
-    canon = sporadic_underlying()[fam.label]
-    iso = fam.embedding
-    # iso maps canon labels to m vertices; invert to relabel m onto canon.
+    """H1 details of m, whose underlying graph ``fam`` names a sporadic shape,
+    against the shape's first record only: a shape's scattered orientations
+    form one class under relabeling and switching (switch-iso=1)."""
+    record = load_builtin().by_underlying(fam.label)[0]
+    # fam.embedding maps canon labels to m vertices; invert to relabel m onto canon.
     base = [0] * m.n
-    for canon_v, m_v in enumerate(iso):
+    for canon_v, m_v in enumerate(fam.embedding):
         base[m_v] = canon_v
-    for record in catalog.by_underlying(fam.label):
-        target = record.graph()
-        for aut in _automorphisms(canon):
-            total = tuple([aut[b] for b in base])
-            d = switching_equivalent(m.relabel(total), target)
-            if d is not None:
-                return H1Details(record.rec_id, total, d)
+    for aut in _automorphisms(sporadic_underlying()[fam.label]):
+        total = tuple([aut[b] for b in base])
+        d = switching_equivalent(m.relabel(total), record.graph())
+        if d is not None:
+            return H1Details(record.rec_id, total, d)
     return None
 
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from functools import partial
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +17,8 @@ import hermspec
 import hermspec.census as census
 from hermspec.census import (
     CensusReport,
-    DedupClass,
     K6Stats,
     LevelStats,
-    dedup_classes,
     edge_list,
     enumerate_connected_graphs,
     enumerate_orientations,
@@ -27,6 +27,7 @@ from hermspec.census import (
     orientation_count,
     verify_main_theorem,
 )
+from hermspec.catalog import sporadic_underlying
 from hermspec.classify import Family
 from hermspec.graphs import (
     EdgeKind,
@@ -44,6 +45,7 @@ from hermspec.graphs import (
 from hermspec.polynomials import IntPolynomial, Trichotomy, compare_min_root, taylor_compare_min_root
 from hermspec.quadratic import NEG_GOLDEN, NEG_SQRT2, NEG_SQRT3
 from hermspec.spectra import _char_poly_rows, char_poly, char_poly_rows
+from hermspec.switching import switching_equivalent
 
 
 def test_orientation_indexing():
@@ -133,6 +135,8 @@ def test_enumerate_connected_graphs_counts():
     with pytest.raises(ValueError):
         enumerate_connected_graphs(0)
     with pytest.raises(ValueError):
+        enumerate_connected_graphs(7)
+    with pytest.raises(ValueError):
         enumerate_connected_graphs(8)
 
 
@@ -143,33 +147,83 @@ def test_iso_classes_of_triangles():
     assert sum(len(v) for v in classes.values()) == 27
 
 
-def test_dedup_classes_triangles_and_quads():
-    tri = dedup_classes(list(enumerate_orientations(complete_graph(3))))
-    assert [len(c.members) for c in sorted(tri, key=lambda c: -len(c.members))] == [
-        14,
-        7,
-        6,
-    ]
-    quad = dedup_classes(list(enumerate_orientations(cycle_graph(4))))
-    assert sorted(len(c.members) for c in quad) == [20, 21, 40]
-    for cls in tri + quad:
-        assert isinstance(cls, DedupClass)
-        assert cls.representative in cls.members
-        ref = char_poly(cls.representative)
-        assert all(char_poly(m) == ref for m in cls.members)
+def _switching_orbits(g: MixedGraph, graphs: list[MixedGraph]) -> dict:
+    return census._orbits(g, graphs, partial(census._switching_keys, g))
 
 
-def test_dedup_classes_knst_all_equivalent():
-    for n in (5, 9):
-        graphs = [make_knst(s, n - s) for s in range(n + 1)]
-        out = dedup_classes(graphs)
-        assert len(out) == 1 and len(out[0].members) == n + 1
+def test_switching_orbits_triangles_and_quads():
+    tri = _switching_orbits(complete_graph(3), list(enumerate_orientations(complete_graph(3))))
+    assert sorted((len(v) for v in tri.values()), reverse=True) == [14, 7, 6]
+    quad = _switching_orbits(cycle_graph(4), list(enumerate_orientations(cycle_graph(4))))
+    assert sorted(len(v) for v in quad.values()) == [20, 21, 40]
+    for members in [*tri.values(), *quad.values()]:
+        ref = char_poly(members[0])
+        assert all(char_poly(m) == ref for m in members)
 
 
-def test_dedup_classes_validation():
+def test_switching_orbits_knst_all_equivalent():
+    graphs = [make_knst(s, 5 - s) for s in range(6)]
+    assert list(_switching_orbits(complete_graph(5), graphs).values()) == [graphs]
+
+
+def test_orbits_validation():
+    # An orientation of another vertex count is no orientation of g.
     with pytest.raises(ValueError):
-        dedup_classes([complete_graph(2), complete_graph(3)])
-    assert dedup_classes([]) == []
+        _switching_orbits(complete_graph(3), [complete_graph(2)])
+    assert iso_classes([]) == {}
+
+
+def _switching_iso_reference(graphs: list[MixedGraph]) -> list[list[MixedGraph]]:
+    """Classes under relabeling and switching by pairwise search: each graph
+    joins the first class whose first member some relabeling of it is
+    switching equivalent to."""
+    perms = list(permutations(range(graphs[0].n)))
+    classes: list[list[MixedGraph]] = []
+    for m in graphs:
+        for members in classes:
+            if any(switching_equivalent(m.relabel(p), members[0]) is not None for p in perms):
+                members.append(m)
+                break
+        else:
+            classes.append([m])
+    return classes
+
+
+def _encoded(classes) -> set[frozenset[str]]:
+    return {frozenset(m.encode() for m in members) for members in classes}
+
+
+def _survivors(g: MixedGraph) -> list[MixedGraph]:
+    """Orientations of g with lambda_min above -(1+sqrt5)/2."""
+    verdicts = (exact for _, block in census._class_verdicts(g, {}) for exact in block)
+    return [orientation(g, i) for i, exact in enumerate(verdicts) if exact is Trichotomy.GREATER]
+
+
+def test_switching_orbits_match_pairwise_search():
+    # Every orientation of K_3, C_4 and the diamond, then each sporadic
+    # shape's scattered orientations, which form one class per shape.
+    shapes = sporadic_underlying()
+    cases = [(g, list(enumerate_orientations(g)))
+             for g in (complete_graph(3), cycle_graph(4), shapes["diamond"])]
+    cases += [(g, _survivors(g)) for g in shapes.values()]
+    counts = []
+    for g, graphs in cases:
+        orbits = _switching_orbits(g, graphs)
+        assert _encoded(orbits.values()) == _encoded(_switching_iso_reference(graphs)), g.encode()
+        counts.append(len(orbits))
+    assert counts == [3, 3, 7, 1, 1, 1, 1]
+
+
+def test_switching_keys_are_class_keys():
+    # The key _orbits reads for switching is _class_keys of the orientation's
+    # own digits, so the catalog and the sweeps share one switching key.
+    for n in range(1, 5):
+        for g in enumerate_connected_graphs(n):
+            tree, cotree = census._spanning_tree(g)
+            keys = census._switching_keys(g, list(enumerate_orientations(g)))
+            for i, key in enumerate(keys):
+                ref = census._class_keys(g, tree, cotree, census._digits([i], g.edge_count()))
+                assert [key] == ref.tolist(), (g.encode(), i)
 
 
 def test_verify_small_census():

@@ -1153,6 +1153,18 @@ def test_classify_accept_h1_catalog():
         assert cert2.verify(scrambled)
 
 
+def test_h1_accepts_name_the_first_record_of_their_shape():
+    # A shape's scattered orientations form one class under relabeling and
+    # switching (switch-iso=1), so the first record matches every one.
+    accepts = 0
+    for label, g in sporadic_underlying().items():
+        for cert in map(classify_threshold, enumerate_orientations(g)):
+            if cert.family is Family.H1:
+                assert cert.details.catalog_id == f"{label}-01"
+                accepts += 1
+    assert accepts == 20 + 17 + 36 + 60
+
+
 def test_classify_reject_witnesses():
     tilted = build(3, [(0, 1, "arc"), (1, 2, "undirected"), (0, 2, "undirected")])
     cert = classify_threshold(tilted)
