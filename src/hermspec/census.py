@@ -28,10 +28,12 @@ An exhaustive sweep reads the base-3 digits and the class keys of
 ``_KEY_BLOCK`` orientations at a time, in int8 arithmetic mod 4, and
 computes the characteristic polynomials of the block's new classes in
 batches of at most ``_BLOCK``, the batch that bounds the sweep's memory.
-Orientations are built from per-vertex row tables: row u of an
+Kind tables are built from per-vertex row tables: row u of an
 orientation's kind table depends only on the digits of u's incident edges,
 so each distinct row is built once per underlying graph and shared, and the
-row keys come from the same digits as the class keys.
+row keys come from the same digits as the class keys.  The classifier's
+triangle stage reads each bare table, and only a table that passes it, 2,613
+of the 106,933 at n <= 5, is built into a MixedGraph for the rest.
 
 The six-vertex complete graph has 3^15 = 14,348,907 orientations, too many
 to build one by one, so its sweep decides its 4^10 classes in pool blocks,
@@ -60,7 +62,7 @@ from .catalog import (
     SPORADIC_LABELS,
     sporadic_underlying,
 )
-from .classify import _automorphisms, _check_classifiable, _classify
+from .classify import _automorphisms, _check_classifiable, _classify, _triangle_reject
 from .graphs import (
     _EXP_FROM_KIND,
     _FLIP,
@@ -139,8 +141,8 @@ class _Rows(dict):
 
     Row u sets pair (u, v) to the kind of the digit of edge uv and row v
     sets (v, u) to its flip, so rows picked with one orientation's keys
-    form a valid kind table, which ``orientation`` and ``_built`` build
-    into a MixedGraph without re-validating it."""
+    form a valid kind table, which ``orientation``, ``_oriented`` and the
+    census tally build into a MixedGraph without re-validating it."""
 
     def __init__(self, n: int, u: int, neighbors: tuple[int, ...]) -> None:
         super().__init__()
@@ -204,9 +206,12 @@ def orientation(g: MixedGraph, index: int) -> MixedGraph:
     return MixedGraph._trusted(g.n, tuple(map(_Rows.__getitem__, rows, keys)))
 
 
-def _built(g: MixedGraph, digits: np.ndarray) -> Iterator[MixedGraph]:
-    """The orientations of g whose base-3 digits (``_digits``) are the rows
-    of ``digits``, in order.
+_Kinds = tuple[tuple[int, ...], ...]
+
+
+def _built(g: MixedGraph, digits: np.ndarray) -> Iterator[_Kinds]:
+    """The kind tables of the orientations of g whose base-3 digits
+    (``_digits``) are the rows of ``digits``, in order.
 
     Each vertex's rows are looked up for the whole block at once, and zip
     joins the per-vertex lists into kind tables.  Row keys are int64, which
@@ -215,17 +220,16 @@ def _built(g: MixedGraph, digits: np.ndarray) -> Iterator[MixedGraph]:
     _, weights, rows = _row_tables(g)
     keys = (digits @ weights).T.tolist()
     if not rows:  # the empty graph has one orientation, itself
-        return iter([MixedGraph._trusted(0, ())] * len(digits))
-    tables = zip(*[map(row.__getitem__, col) for row, col in zip(rows, keys)])
-    return map(partial(MixedGraph._trusted, g.n), tables)
+        return iter([()] * len(digits))
+    return zip(*[map(row.__getitem__, col) for row, col in zip(rows, keys)])
 
 
 def _oriented(g: MixedGraph, indices: Sequence[int]) -> Iterator[MixedGraph]:
     """The orientations of g at ``indices``, in order, built in blocks of
     ``_BLOCK`` indices."""
-    m = len(_row_tables(g)[0])
+    m, trusted = len(_row_tables(g)[0]), partial(MixedGraph._trusted, g.n)
     for start in range(0, len(indices), _BLOCK):
-        yield from _built(g, _digits(indices[start:start + _BLOCK], m))
+        yield from map(trusted, _built(g, _digits(indices[start:start + _BLOCK], m)))
 
 
 def enumerate_orientations(g: MixedGraph) -> Iterator[MixedGraph]:
@@ -333,15 +337,16 @@ def _decide(rows: np.ndarray) -> list[Trichotomy]:
     return list(map(_poly_verdict, map(tuple, rows.tolist())))
 
 
-def _decided(graphs: Iterable[MixedGraph]) -> Iterator[tuple[MixedGraph, Trichotomy]]:
-    """Each graph with its exact verdict, decided in blocks of ``_BLOCK``.
+def _decided(graphs: Iterable[MixedGraph]) -> Iterator[tuple[_Kinds, Trichotomy]]:
+    """The kind table of each graph with its exact verdict, decided in
+    blocks of ``_BLOCK``.
 
     For samples, which share few switching classes; the graphs must share
     one vertex count.
     """
     it = iter(graphs)
     while block := list(islice(it, _BLOCK)):
-        yield from zip(block, _decide(char_poly_rows(block)))
+        yield from zip([m.kinds for m in block], _decide(char_poly_rows(block)))
 
 
 _Edges = tuple[tuple[int, int], ...]
@@ -471,9 +476,9 @@ def _class_verdicts(
             yield digits[i:i + _BLOCK], list(map(memo.__getitem__, keys[i:i + _BLOCK].tolist()))
 
 
-def _sweep(g: MixedGraph, memo: dict[int, Trichotomy]) -> Iterator[tuple[MixedGraph, Trichotomy]]:
-    """Every orientation of g with its exact verdict, in index order, from
-    one digit pass per block of ``_class_verdicts``."""
+def _sweep(g: MixedGraph, memo: dict[int, Trichotomy]) -> Iterator[tuple[_Kinds, Trichotomy]]:
+    """The kind table of every orientation of g with its exact verdict, in
+    index order, from one digit pass per block of ``_class_verdicts``."""
     for digits, verdicts in _class_verdicts(g, memo):
         yield from zip(_built(g, digits), verdicts)
 
@@ -624,31 +629,37 @@ class CensusReport:
         return "\n".join(lines)
 
 
-def _tally(decided: Iterable[tuple[MixedGraph, Trichotomy]]) -> LevelStats:
+def _tally(decided: Iterable[tuple[_Kinds, Trichotomy]]) -> LevelStats:
     """Classify each orientation and compare it with its exact verdict.
 
-    ``decided`` pairs each orientation with the exact comparison of its
-    smallest eigenvalue against -(1+sqrt5)/2, from ``_sweep`` or
-    ``_decided``.  Counts accepts by family, rejects and exact-EQUAL
-    boundaries, and records the encoding of every orientation whose verdict
-    disagrees with the exact comparison.  ``n``, ``underlying_graphs``,
-    ``classes``, ``polys`` and ``label`` are left for the caller:
-    ``_tally_underlying`` fills the first four, ``verify_main_theorem`` sets
-    ``n`` of the n=6 sample and ``label`` of each deep family graph.
+    ``decided`` pairs the kind table of each orientation with the exact
+    comparison of its smallest eigenvalue against -(1+sqrt5)/2, from
+    ``_sweep`` or ``_decided``.  Counts accepts by family, rejects and
+    exact-EQUAL boundaries, and records the encoding of every orientation
+    whose verdict disagrees with the exact comparison.  ``n``,
+    ``underlying_graphs``, ``classes``, ``polys`` and ``label`` are left for
+    the caller: ``_tally_underlying`` fills the first four,
+    ``verify_main_theorem`` sets ``n`` of the n=6 sample and ``label`` of
+    each deep family graph.
 
-    Each orientation goes to ``classify_threshold``'s body without its
-    connectivity check, so every one must orient a nonempty connected
-    underlying graph: ``_tally_underlying`` checks its graph once, and the
-    K_6 subsample and the n=6 sample orient ``complete_graph(6)`` and the
-    output of ``enumerate_connected_graphs``, which keeps only connected
-    graphs.
+    Each certificate is ``_classify``'s: its triangle stage runs on the bare
+    table (``_triangle_reject``), and only a table that passes it is built
+    into a MixedGraph, without re-validation, for the rest of ``_classify``,
+    whose own triangle scan then finds nothing.  Most orientations leave at
+    a triangle, so most are never built.  ``_classify`` is
+    ``classify_threshold``'s body without its connectivity check, so every
+    orientation must orient a nonempty connected underlying graph:
+    ``_tally_underlying`` checks its graph once, and the K_6 subsample and
+    the n=6 sample orient ``complete_graph(6)`` and the output of
+    ``enumerate_connected_graphs``, which keeps only connected graphs.
     """
     orientations = rejects = boundary_equal = 0
     accepts: dict[str, int] = {}
     mismatches = []
-    classify, greater, equal = _classify, Trichotomy.GREATER, Trichotomy.EQUAL
-    for m, exact in decided:
-        cert = classify(m)
+    reject, classify, trusted = _triangle_reject, _classify, MixedGraph._trusted
+    greater, equal = Trichotomy.GREATER, Trichotomy.EQUAL
+    for table, exact in decided:
+        cert = reject(table) or classify(trusted(len(table), table))
         orientations += 1
         if cert.accepted:
             family = cert.family.value
@@ -658,7 +669,7 @@ def _tally(decided: Iterable[tuple[MixedGraph, Trichotomy]]) -> LevelStats:
         if exact is equal:
             boundary_equal += 1
         if cert.accepted != (exact is greater):
-            mismatches.append(m.encode())
+            mismatches.append(trusted(len(table), table).encode())
     return LevelStats(
         0, orientations=orientations, accepts=accepts, rejects=rejects,
         boundary_equal=boundary_equal, mismatches=mismatches,
@@ -723,7 +734,12 @@ def _k6_triangles(indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     switching class and with it the spectrum.  Holonomies are int8 mod 4,
     as in ``_class_keys``.
     """
-    exps = _DIGIT_EXP[_digits(indices, 15).T]
+    return _k6_holonomies(_DIGIT_EXP[_digits(indices, 15).T])
+
+
+def _k6_holonomies(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_k6_triangles`` of the orientations whose edge i-exponents are the
+    columns of ``exps``, one row per edge."""
     pos = _K6_EDGE_POS
     hol = np.stack(
         [exps[pos[(a, b)]] + exps[pos[(b, c)]] - exps[pos[(a, c)]]
@@ -753,14 +769,26 @@ def _k6_class_block(start: int) -> list[int]:
     return sorted({*above.tolist(), *_converse_keys(above).tolist()})
 
 
+@lru_cache(maxsize=1)
+def _k6_low_exps() -> np.ndarray:
+    """i-exponents of the nine low edges of every K_6 chunk, (9, _K6_CHUNK):
+    a chunk starts at a multiple of 3^9, so their digits are those of
+    0 .. 3^9 - 1 in every chunk."""
+    return _DIGIT_EXP[_digits(range(_K6_CHUNK), 9).T]
+
+
 def _k6_chunk(start: int, above: tuple[int, ...]) -> tuple[int, int]:
-    """Scan one chunk of K_6 orientations; returns (accepted, mismatches).
+    """Scan the chunk of K_6 orientations from ``start``, a multiple of
+    ``_K6_CHUNK``; returns (accepted, mismatches).
 
     An orientation is accepted by its triangle verdict, and is a mismatch
     when that verdict differs from whether its class key is in ``above``,
     the keys of the classes that lie exactly above the threshold.
     """
-    accept, keys = _k6_triangles(range(start, min(start + _K6_CHUNK, 3 ** 15)))
+    exps = np.empty((15, _K6_CHUNK), dtype=np.int8)
+    exps[:9] = _k6_low_exps()
+    exps[9:] = _DIGIT_EXP[_digits([start // _K6_CHUNK], 6).T]
+    accept, keys = _k6_holonomies(exps)
     return int(accept.sum()), int((accept != np.isin(keys, above)).sum())
 
 

@@ -229,19 +229,26 @@ _BAD_TRIANGLE = tuple(
 )
 
 
-def find_forbidden_triangle(m: MixedGraph) -> tuple[int, int, int] | None:
-    """First triangle whose holonomy is not one, scanning lexicographically.
+@lru_cache(maxsize=64)
+def _above(n: int) -> tuple[tuple[int, ...], ...]:
+    """``tuple(range(u + 1, n))`` for each u < n: the triangle scan's loops."""
+    return tuple(tuple(range(u + 1, n)) for u in range(n))
 
-    It reads rows u and v of the kind table only, never ``adjacency``: most
-    census orientations leave here, before anything builds that.
-    """
-    n, kinds = m.n, m.kinds
-    for u in range(n):
-        ku = kinds[u]
-        for v in range(u + 1, n):
+
+def find_forbidden_triangle(m: MixedGraph) -> tuple[int, int, int] | None:
+    """First triangle whose holonomy is not one, scanning lexicographically."""
+    return _bad_triangle(m.kinds)
+
+
+def _bad_triangle(kinds: tuple[tuple[int, ...], ...]) -> tuple[int, int, int] | None:
+    """``find_forbidden_triangle`` on a bare kind table.  It reads rows u and v
+    only: most census orientations leave here, before any graph is built."""
+    above = _above(len(kinds))
+    for u, ku in enumerate(kinds):
+        for v in above[u]:
             if ku[v]:
                 bad, kv = _BAD_TRIANGLE[ku[v]], kinds[v]
-                for w in range(v + 1, n):
+                for w in above[v]:
                     if bad[kv[w]][ku[w]]:
                         return (u, v, w)
     return None
@@ -730,6 +737,15 @@ def _cycle_certificate(cycle: tuple[int, ...], along: tuple[int, ...]) -> Certif
     return Certificate(False, None, None, witness)
 
 
+def _triangle_reject(kinds: tuple, tri: tuple | None = None) -> Certificate | None:
+    """``_classify``'s triangle stage on a bare kind table: the certificate
+    of ``tri``, by default of the first forbidden triangle, or None."""
+    if (tri := tri or _bad_triangle(kinds)) is None:
+        return None
+    u, v, w = tri
+    return _cycle_certificate(tri, (kinds[u][v], kinds[v][w], kinds[w][u]))
+
+
 def _witness_from_subgraph(
     m: MixedGraph, kind: str, vertices: tuple[int, ...], pattern: str | None = None
 ) -> RejectWitness:
@@ -834,8 +850,7 @@ def _classify(m: MixedGraph) -> Certificate:
     k = m.kinds
     tri = find_forbidden_triangle(m)
     if tri is not None:
-        u, v, w = tri
-        return _cycle_certificate(tri, (k[u][v], k[v][w], k[w][u]))
+        return _triangle_reject(k, tri)
     quad = find_forbidden_quadrangle(m)
     if quad is not None:
         a, b, c, d = quad

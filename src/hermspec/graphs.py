@@ -120,8 +120,10 @@ class MixedGraph:
         Only for tables taken from validated graphs by an operation that
         keeps them valid (restriction, relabeling, forgetting orientation,
         switching in ``apply_switch``), built symmetric from the kind
-        alphabet, or filled pair by pair by ``parse_mgfile`` after it checks
-        each edge; every other table goes through the public constructor.
+        alphabet (the census's orientation rows, which its tally builds
+        into a graph only past the classifier's triangle stage), or filled
+        pair by pair by ``parse_mgfile`` after it checks each edge; every
+        other table goes through the public constructor.
         """
         g = object.__new__(cls)
         attrs = g.__dict__

@@ -28,7 +28,8 @@ from hermspec.census import (
     verify_main_theorem,
 )
 from hermspec.catalog import sporadic_underlying
-from hermspec.classify import Family
+import hermspec.classify as classify
+from hermspec.classify import Certificate, Family, KnstMatch, find_forbidden_triangle, recognize_knst
 from hermspec.graphs import (
     EdgeKind,
     MixedGraph,
@@ -270,6 +271,59 @@ def test_census_reports_classifier_errors(monkeypatch):
     assert "result: FAIL" in report.text()
 
 
+def test_census_reports_triangle_stage_errors(monkeypatch):
+    # The census runs the classifier's triangle stage on bare kind tables;
+    # a stage that rejects the triangle-safe K_n[s, t] forms must surface as
+    # mismatches, each recorded by the encoding of its orientation.
+    real = census._triangle_reject
+    forms = []
+
+    def rejects_knst(table):
+        m = MixedGraph(len(table), table)
+        if isinstance(recognize_knst(m), KnstMatch):
+            forms.append(m.encode())
+            return Certificate(False, None, None, None)
+        return real(table)
+
+    monkeypatch.setattr(census, "_triangle_reject", rejects_knst)
+    report = verify_main_theorem(n_max=3)
+    assert not report.ok
+    assert [len(lv.mismatches) for lv in report.levels] == [1, 3, 7]
+    assert [m for lv in report.levels for m in lv.mismatches] == sorted(forms[:4]) + sorted(forms[4:])
+    assert [lv.accepts for lv in report.levels] == [{}, {}, {"H4": 9}]
+    assert "result: FAIL" in report.text()
+
+
+def test_census_certificates_are_the_classifiers(monkeypatch):
+    # Every orientation with n <= 5 gets exactly _classify's certificate: the
+    # memoized object itself on a triangle reject, decided on the bare kind
+    # table, and an equal one otherwise, from a graph built only for the
+    # orientations that pass the triangle stage.
+    stage, rest = census._triangle_reject, census._classify
+    seen = Counter()
+
+    def triangle(table):
+        cert = stage(table)
+        if cert is not None:
+            assert cert is classify._classify(MixedGraph(len(table), table))
+            seen["triangle"] += 1
+        return cert
+
+    def past_triangles(m):
+        cert = rest(m)
+        assert find_forbidden_triangle(m) is None
+        assert cert == classify._classify(MixedGraph(m.n, m.kinds)), m.encode()
+        seen["rest"] += 1
+        return cert
+
+    monkeypatch.setattr(census, "_triangle_reject", triangle)
+    monkeypatch.setattr(census, "_classify", past_triangles)
+    report = verify_main_theorem(n_max=5)
+    assert report.ok
+    assert sum(lv.orientations for lv in report.levels) == 106_933
+    assert seen == {"triangle": 104_320, "rest": 2_613}
+
+
 def test_census_pool_matches_serial():
     def body(report):
         return [line for line in report.text().splitlines() if not line.startswith("elapsed:")]
@@ -372,8 +426,8 @@ def test_class_verdicts_match_block_decide():
     # K_5's 3^10 orientations span nine key blocks of _KEY_BLOCK.
     for label, g in [("K_5", complete_graph(5)), *census._deep_family_graphs()[1:]]:
         memo = {}
-        graphs, verdicts = zip(*census._sweep(g, memo))
-        assert list(graphs) == list(enumerate_orientations(g)), label
+        tables, verdicts = zip(*census._sweep(g, memo))
+        assert list(tables) == [m.kinds for m in enumerate_orientations(g)], label
         ref = [exact for _, exact in census._decided(enumerate_orientations(g))]
         assert list(verdicts) == ref, label
         assert len(memo) == {"K_5": 4 ** 6 - 1, "K_3.K_4": 256, "k24-plus-2edges": 1024}[label]
@@ -384,6 +438,13 @@ def test_class_verdicts_match_block_decide():
     digits = census._digits(indices, 15)
     keys = census._class_keys(complete_graph(6), census._K6_TREE, census._K6_COTREE, digits)
     assert (keys == census._k6_triangles(indices)[1]).all()
+    # A chunk takes its nine low digits from one shared table and its six
+    # high digits from its start; it must read as the digits of its indices.
+    for start in (0, 5 * census._K6_CHUNK, 3 ** 15 - census._K6_CHUNK):
+        accept, keys = census._k6_triangles(range(start, start + census._K6_CHUNK))
+        above = tuple(sorted(set(keys[::7].tolist())))
+        want = int(accept.sum()), int((accept != np.isin(keys, above)).sum())
+        assert census._k6_chunk(start, above) == want and want[1] > 0
 
 
 def test_k6_class_representatives_share_the_spectrum():

@@ -184,6 +184,18 @@ def test_scans_match_their_loop_references():
         graphs.append(_random_mixed(rng, rng.randint(1, 12), rng.uniform(0.05, 1.0)))
     for n in range(1, 13):
         graphs.append(random_switch(make_knst(n // 3, n - n // 3), rng)[0])
+    # Past n = 12, with and without a triangle to find; reorienting the last
+    # pair of a triangle-safe form puts its first bad triangle at the end.
+    for n in range(13, 17):
+        graphs += [_random_mixed(rng, n, rng.uniform(0.05, 1.0)) for _ in range(40)]
+        safe = random_switch(make_knst(n // 3, n - n // 3), rng)[0]
+        table = [list(row) for row in safe.kinds]
+        undirected = table[n - 2][n - 1] == EdgeKind.UNDIRECTED
+        table[n - 2][n - 1] = EdgeKind.ARC_OUT if undirected else EdgeKind.UNDIRECTED
+        table[n - 1][n - 2] = EdgeKind.ARC_IN if undirected else EdgeKind.UNDIRECTED
+        graphs += [safe, MixedGraph(n, tuple(map(tuple, table)))]
+        assert _triangle_reference(graphs[-2]) is None
+        assert _triangle_reference(graphs[-1]) == (0, n - 2, n - 1)
     triangles = quadrangles = 0
     for m in graphs:
         want = _triangle_reference(m)
