@@ -37,9 +37,10 @@ of the 106,933 at n <= 5, is built into a MixedGraph for the rest.
 
 The six-vertex complete graph has 3^15 = 14,348,907 orientations, too many
 to build one by one, so its sweep decides its 4^10 classes in pool blocks,
-only the 136 blocks that hold the smaller key of a converse pair, and reads
-each orientation's key, the holonomies of the ten triangles through vertex
-0, in numpy.
+only the 136 blocks that hold the smaller key of a converse pair, and scans
+its orientations in numpy chunks with the kernels every graph shares:
+``_triangle_safe`` and ``_class_keys``, whose keys on K_6 are the holonomies
+of the ten triangles through vertex 0.
 """
 
 from __future__ import annotations
@@ -299,8 +300,8 @@ def _converse_encoding(m: MixedGraph) -> str:
 def _switching_keys(g: MixedGraph, graphs: list[MixedGraph]) -> list[int]:
     """``_orbits`` key of classes under relabeling and switching: the
     ``_class_keys`` key of each orientation of the connected graph g."""
-    digits = [[_KIND_OF_DIGIT.index(m.kinds[u][v]) for u, v in edge_list(g)] for m in graphs]
-    return _class_keys(g, *_spanning_tree(g), np.array(digits, dtype=np.int8)).tolist()
+    exps = [[_EXP_FROM_KIND[m.kinds[u][v]] for m in graphs] for u, v in edge_list(g)]
+    return _class_keys(g, np.array(exps, dtype=np.int8).reshape(-1, len(graphs))).tolist()
 
 
 def iso_classes(graphs: list[MixedGraph]) -> dict[str, list[MixedGraph]]:
@@ -352,6 +353,7 @@ def _decided(graphs: Iterable[MixedGraph]) -> Iterator[tuple[_Kinds, Trichotomy]
 _Edges = tuple[tuple[int, int], ...]
 
 
+@lru_cache(maxsize=256)
 def _spanning_tree(g: MixedGraph) -> tuple[_Edges, _Edges]:
     """BFS spanning tree of a connected g from vertex 0, and its cotree.
 
@@ -382,34 +384,55 @@ def _digits(indices: Iterable[int], m: int) -> np.ndarray:
     return digits
 
 
-def _class_keys(g: MixedGraph, tree: _Edges, cotree: _Edges, digits: np.ndarray) -> np.ndarray:
-    """Switching-class key of each orientation of g, given by its base-3
-    digits (``_digits``).
+def _class_keys(g: MixedGraph, exps: np.ndarray) -> np.ndarray:
+    """Switching-class key of each orientation of g, given by its edge
+    i-exponents ``exps`` (``_DIGIT_EXP[digits.T]``: one row per edge in
+    ``edge_list`` order, one column per orientation).
 
     With e(a, b) the i-exponent of H[a, b] and pot[v] the sum of those
-    exponents along the tree path from vertex 0 to v, cotree edge j = (a, b)
-    has holonomy pot[a] + e(a, b) - pot[b] (mod 4), read as base-4 digit j,
-    least significant first.  The cotree edges close a cycle basis, so the
-    key fixes the switching class and with it the spectrum.
+    exponents along the ``_spanning_tree`` path from vertex 0 to v, cotree
+    edge j = (a, b) has holonomy pot[a] + e(a, b) - pot[b] (mod 4), read as
+    base-4 digit j, least significant first.  The cotree edges close a cycle
+    basis, so the key fixes the switching class and with it the spectrum.
 
     Exponents, potentials and holonomies are int8, one row per edge or
     vertex, reduced mod 4 by ``& 3`` (two's complement keeps that right
-    for negative sums); only the key itself is int64.
+    for negative sums); only the key itself is int64, shifted and or-ed in
+    place from the last digit down.
     """
+    tree, cotree = _spanning_tree(g)
     pos = {(u, v): e for e, (u, v, _, _) in enumerate(_row_tables(g)[0])}
-    exps = _DIGIT_EXP[digits.T]
-    pot = np.zeros((g.n, len(digits)), dtype=np.int8)
+    pot = np.zeros((g.n, exps.shape[1]), dtype=np.int8)
     for p, v in tree:
         if p < v:
             np.add(pot[p], exps[pos[p, v]], out=pot[v])
         else:
             np.subtract(pot[p], exps[pos[v, p]], out=pot[v])
         pot[v] &= 3
-    keys = np.zeros(len(digits), dtype=np.int64)
-    for j, (a, b) in enumerate(cotree):
-        hol = (pot[a] + exps[pos[a, b]] - pot[b]) & 3
-        keys |= hol.astype(np.int64) << 2 * j
+    keys = np.zeros(exps.shape[1], dtype=np.int64)
+    for a, b in reversed(cotree):
+        keys <<= 2
+        keys |= (pot[a] + exps[pos[a, b]] - pot[b]) & 3
     return keys
+
+
+@lru_cache(maxsize=256)
+def _triangles(g: MixedGraph) -> tuple[tuple[int, int, int], ...]:
+    """Edge positions (ab, bc, ac) of each triangle a < b < c of g."""
+    pos = {e: i for i, e in enumerate(edge_list(g))}
+    return tuple((pos[a, b], pos[b, c], pos[a, c]) for a, b, c in combinations(range(g.n), 3)
+                 if {(a, b), (b, c), (a, c)} <= pos.keys())
+
+
+def _triangle_safe(g: MixedGraph, exps: np.ndarray) -> np.ndarray:
+    """The classifier's triangle verdict, ``_bad_triangle(table) is None``,
+    of each orientation of g given as for ``_class_keys``: every triangle
+    (a, b, c) has holonomy exponent e(a, b) + e(b, c) - e(a, c) = 0 mod 4,
+    so the low two bits of their bitwise or are 0."""
+    bits = np.zeros(exps.shape[1], dtype=np.int8)
+    for ab, bc, ac in _triangles(g):
+        bits |= exps[ab] + exps[bc] - exps[ac]
+    return bits & 3 == 0
 
 
 #: Bit 0 of each of the 32 base-4 digits an int64 class key can hold.
@@ -427,15 +450,17 @@ def _converse_keys(keys: np.ndarray) -> np.ndarray:
     return keys ^ (keys & _LOW_BITS) << 1
 
 
-def _class_matrices(n: int, tree: _Edges, cotree: _Edges, keys: np.ndarray) -> np.ndarray:
-    """One Hermitian (n, n) class representative per key of ``_class_keys``.
+def _class_matrices(g: MixedGraph, keys: np.ndarray) -> np.ndarray:
+    """One Hermitian (n, n) class representative per key of ``_class_keys``
+    on g.
 
     It has entry 1 on every tree edge and i^h on cotree edge (a, b), where h
     is the key's digit for that edge.  Switching by diag(i^pot) takes every
     orientation of the class to it.  h = 2 gives -1, which no mixed graph
     has, but only the spectrum is used.
     """
-    h = np.zeros((len(keys), n, n), dtype=np.complex128)
+    tree, cotree = _spanning_tree(g)
+    h = np.zeros((len(keys), g.n, g.n), dtype=np.complex128)
     for p, v in tree:
         h[:, p, v] = h[:, v, p] = 1
     for j, (a, b) in enumerate(cotree):
@@ -459,17 +484,16 @@ def _class_verdicts(
     orientations built from them go out ``_BLOCK`` at a time, which keeps
     their Python objects to one block's worth.
     """
-    tree, cotree = _spanning_tree(g)
     m = g.edge_count()
     total = 3 ** m
     for start in range(0, total, _KEY_BLOCK):
         digits = _digits(np.arange(start, min(start + _KEY_BLOCK, total)), m)
-        keys = _class_keys(g, tree, cotree, digits)
+        keys = _class_keys(g, _DIGIT_EXP[digits.T])
         canon = _distinct(np.minimum(keys, _converse_keys(keys))).tolist()
         fresh = np.array([k for k in canon if k not in memo], dtype=np.int64)
         for i in range(0, len(fresh), _BLOCK):
             batch = fresh[i:i + _BLOCK]
-            verdicts = _decide(_char_poly_rows(_class_matrices(g.n, tree, cotree, batch)))
+            verdicts = _decide(_char_poly_rows(_class_matrices(g, batch)))
             memo.update(zip(batch.tolist(), verdicts))
             memo.update(zip(_converse_keys(batch).tolist(), verdicts))
         for i in range(0, len(keys), _BLOCK):
@@ -708,44 +732,17 @@ def _merged(stats: LevelStats, parts: Iterable[LevelStats]) -> LevelStats:
 
 # --- K_6 sweep by switching class -----------------------------------------
 
-_K6_EDGE_POS = {(u, v): e for e, (u, v, _, _) in enumerate(_row_tables(complete_graph(6))[0])}
-#: In combinations order, so the ten triangles through vertex 0 come first.
-_K6_TRIANGLES = tuple(combinations(range(6), 3))
+_K6 = complete_graph(6)
 _K6_CHUNK = 3 ** 9  # 19,683 orientations per chunk, 3^6 chunks in total
+#: The BFS tree of K_6 is the star at vertex 0, so its ten cotree edges
+#: (a, b) close the triangles (0, a, b) and a class key has ten digits.
 _K6_CLASSES = 4 ** 10
 _K6_CLASS_BLOCK = 4 ** 6
-#: The star at vertex 0 and the ten edges (a, b) closing the triangles
-#: (0, a, b), so ``_class_keys`` on K_6 is the key of ``_k6_triangles``.
-_K6_TREE, _K6_COTREE = _spanning_tree(complete_graph(6))
 #: Starts of the 136 class blocks that hold the smaller key of some converse
 #: pair (``_k6_class_block``); the other 120 hold none.
 _K6_CLASS_STARTS = tuple(
     s for s in range(0, _K6_CLASSES, _K6_CLASS_BLOCK) if s <= _converse_keys(s)
 )
-
-
-def _k6_triangles(indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Triangle verdict and switching-class key of each K_6 orientation.
-
-    The verdict holds when all 20 triangles (a, b, c) have holonomy one, i.e.
-    i-exponent 0 for H[a, b] H[b, c] H[c, a].  The key reads the holonomy
-    exponents of the ten triangles (0, a, b) as base-4 digits, least
-    significant first; they span the cycle space, so the key fixes the
-    switching class and with it the spectrum.  Holonomies are int8 mod 4,
-    as in ``_class_keys``.
-    """
-    return _k6_holonomies(_DIGIT_EXP[_digits(indices, 15).T])
-
-
-def _k6_holonomies(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_k6_triangles`` of the orientations whose edge i-exponents are the
-    columns of ``exps``, one row per edge."""
-    pos = _K6_EDGE_POS
-    hol = np.stack(
-        [exps[pos[(a, b)]] + exps[pos[(b, c)]] - exps[pos[(a, c)]]
-         for a, b, c in _K6_TRIANGLES]
-    ) & 3
-    return ~hol.any(axis=0), 4 ** np.arange(10, dtype=np.int64) @ hol[:10]
 
 
 def _k6_class_block(start: int) -> list[int]:
@@ -764,7 +761,7 @@ def _k6_class_block(start: int) -> list[int]:
     keys = keys[keys <= _converse_keys(keys)]
     if not len(keys):
         return []
-    verdicts = _decide(_char_poly_rows(_class_matrices(6, _K6_TREE, _K6_COTREE, keys)))
+    verdicts = _decide(_char_poly_rows(_class_matrices(_K6, keys)))
     above = keys[[v is Trichotomy.GREATER for v in verdicts]]
     return sorted({*above.tolist(), *_converse_keys(above).tolist()})
 
@@ -781,15 +778,16 @@ def _k6_chunk(start: int, above: tuple[int, ...]) -> tuple[int, int]:
     """Scan the chunk of K_6 orientations from ``start``, a multiple of
     ``_K6_CHUNK``; returns (accepted, mismatches).
 
-    An orientation is accepted by its triangle verdict, and is a mismatch
-    when that verdict differs from whether its class key is in ``above``,
-    the keys of the classes that lie exactly above the threshold.
+    An orientation is accepted by its triangle verdict (``_triangle_safe``),
+    and is a mismatch when that verdict differs from whether its class key
+    (``_class_keys``) is in ``above``, the keys of the classes that lie
+    exactly above the threshold.
     """
     exps = np.empty((15, _K6_CHUNK), dtype=np.int8)
     exps[:9] = _k6_low_exps()
     exps[9:] = _DIGIT_EXP[_digits([start // _K6_CHUNK], 6).T]
-    accept, keys = _k6_holonomies(exps)
-    return int(accept.sum()), int((accept != np.isin(keys, above)).sum())
+    accept = _triangle_safe(_K6, exps)
+    return int(accept.sum()), int((accept != np.isin(_class_keys(_K6, exps), above)).sum())
 
 
 def _k6_sweep(pmap: Callable, rng: random.Random, subsample: int) -> K6Stats:
@@ -800,8 +798,7 @@ def _k6_sweep(pmap: Callable, rng: random.Random, subsample: int) -> K6Stats:
     for accepted, mismatches in chunks:
         stats.accepted += accepted
         stats.mismatches += mismatches
-    k6 = complete_graph(6)
-    drawn = _tally(_decided(_oriented(k6, [rng.randrange(3 ** 15) for _ in range(subsample)])))
+    drawn = _tally(_decided(_oriented(_K6, [rng.randrange(3 ** 15) for _ in range(subsample)])))
     stats.subsample = drawn.orientations
     stats.subsample_mismatches = drawn.mismatches
     return stats

@@ -7,7 +7,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from functools import partial
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +47,12 @@ from hermspec.polynomials import IntPolynomial, Trichotomy, compare_min_root, ta
 from hermspec.quadratic import NEG_GOLDEN, NEG_SQRT2, NEG_SQRT3
 from hermspec.spectra import _char_poly_rows, char_poly, char_poly_rows
 from hermspec.switching import switching_equivalent
+
+
+def _exps(indices, m: int) -> np.ndarray:
+    """Edge i-exponents of the orientations at ``indices`` of a graph with m
+    edges, as the census kernels read them."""
+    return census._DIGIT_EXP[census._digits(indices, m).T]
 
 
 def test_orientation_indexing():
@@ -220,10 +226,9 @@ def test_switching_keys_are_class_keys():
     # own digits, so the catalog and the sweeps share one switching key.
     for n in range(1, 5):
         for g in enumerate_connected_graphs(n):
-            tree, cotree = census._spanning_tree(g)
             keys = census._switching_keys(g, list(enumerate_orientations(g)))
             for i, key in enumerate(keys):
-                ref = census._class_keys(g, tree, cotree, census._digits([i], g.edge_count()))
+                ref = census._class_keys(g, _exps([i], g.edge_count()))
                 assert [key] == ref.tolist(), (g.encode(), i)
 
 
@@ -416,8 +421,8 @@ def test_class_representatives_share_the_spectrum():
             total = orientation_count(g)
             for start in range(0, total, census._BLOCK):
                 indices = range(start, min(start + census._BLOCK, total))
-                keys = census._class_keys(g, tree, cotree, census._digits(indices, g.edge_count()))
-                rows = _char_poly_rows(census._class_matrices(n, tree, cotree, keys))
+                keys = census._class_keys(g, _exps(indices, g.edge_count()))
+                rows = _char_poly_rows(census._class_matrices(g, keys))
                 ref = char_poly_rows([orientation(g, i) for i in indices])
                 assert (rows == ref).all(), (g.encode(), start)
 
@@ -431,20 +436,46 @@ def test_class_verdicts_match_block_decide():
         ref = [exact for _, exact in census._decided(enumerate_orientations(g))]
         assert list(verdicts) == ref, label
         assert len(memo) == {"K_5": 4 ** 6 - 1, "K_3.K_4": 256, "k24-plus-2edges": 1024}[label]
-    # On K_6 the star at vertex 0 is the BFS tree, so the generic key is the
-    # triangle key of the K_6 sweep.
+    # On K_6 the star at vertex 0 is the BFS tree, so the key holds the
+    # holonomies of the triangles (0, a, b) as base-4 digits.
+    k6 = complete_graph(6)
     rng = random.Random(9)
-    indices = [rng.randrange(3 ** 15) for _ in range(600)]
-    digits = census._digits(indices, 15)
-    keys = census._class_keys(complete_graph(6), census._K6_TREE, census._K6_COTREE, digits)
-    assert (keys == census._k6_triangles(indices)[1]).all()
+    exps = _exps([rng.randrange(3 ** 15) for _ in range(600)], 15)
+    e, pos = exps.astype(np.int64), {pair: i for i, pair in enumerate(edge_list(k6))}
+    ref = sum(
+        (e[pos[0, a]] + e[pos[a, b]] - e[pos[0, b]]) % 4 * 4 ** j
+        for j, (a, b) in enumerate(combinations(range(1, 6), 2))
+    )
+    assert (census._class_keys(k6, exps) == ref).all()
     # A chunk takes its nine low digits from one shared table and its six
     # high digits from its start; it must read as the digits of its indices.
     for start in (0, 5 * census._K6_CHUNK, 3 ** 15 - census._K6_CHUNK):
-        accept, keys = census._k6_triangles(range(start, start + census._K6_CHUNK))
+        exps = _exps(range(start, start + census._K6_CHUNK), 15)
+        accept, keys = census._triangle_safe(k6, exps), census._class_keys(k6, exps)
         above = tuple(sorted(set(keys[::7].tolist())))
         want = int(accept.sum()), int((accept != np.isin(keys, above)).sum())
         assert census._k6_chunk(start, above) == want and want[1] > 0
+
+
+def test_triangle_safe_is_the_classifiers_triangle_verdict():
+    # The K_6 sweep accepts by the triangle mask, so the mask must be the
+    # classifier's triangle scan: on every orientation with n <= 5, on
+    # seeded K_6 orientations and on the first K_6 chunk.
+    passed = total = 0
+    for n in range(1, 6):
+        for g in enumerate_connected_graphs(n):
+            tables = [m.kinds for m in enumerate_orientations(g)]
+            safe = census._triangle_safe(g, _exps(range(len(tables)), g.edge_count()))
+            assert safe.tolist() == [classify._bad_triangle(t) is None for t in tables], g.encode()
+            passed, total = passed + int(safe.sum()), total + len(tables)
+    assert (passed, total) == (2613, 106933)
+    k6 = complete_graph(6)
+    rng = random.Random(31)
+    for indices in ([rng.randrange(3 ** 15) for _ in range(2000)], range(census._K6_CHUNK)):
+        safe = census._triangle_safe(k6, _exps(indices, 15))
+        want = [classify._bad_triangle(m.kinds) is None for m in census._oriented(k6, indices)]
+        assert safe.tolist() == want
+    assert census._k6_chunk(0, above=())[0] == int(safe.sum()) == 7
 
 
 def test_k6_class_representatives_share_the_spectrum():
@@ -454,9 +485,9 @@ def test_k6_class_representatives_share_the_spectrum():
     # equal char polys tie the digit order to the one alphabet.
     rng = random.Random(6)
     indices = [rng.randrange(3 ** 15) for _ in range(600)]
-    _, keys = census._k6_triangles(indices)
-    rows = _char_poly_rows(census._class_matrices(6, census._K6_TREE, census._K6_COTREE, keys))
     k6 = complete_graph(6)
+    keys = census._class_keys(k6, _exps(indices, 15))
+    rows = _char_poly_rows(census._class_matrices(k6, keys))
     for i, row in zip(indices, rows):
         assert char_poly(orientation(k6, i)).coeffs == tuple(row[::-1].tolist())
 
@@ -488,13 +519,14 @@ def test_class_keys_match_int64_reference():
     for g in graphs:
         tree, cotree = census._spanning_tree(g)
         digits = census._digits(range(orientation_count(g)), g.edge_count())
-        keys = census._class_keys(g, tree, cotree, digits)
+        keys = census._class_keys(g, census._DIGIT_EXP[digits.T])
         assert keys.dtype == np.int64
         assert (keys == _reference_keys(g, tree, cotree, digits)).all(), g.encode()
     rng = random.Random(27)
     digits = census._digits([rng.randrange(3 ** 15) for _ in range(600)], 15)
-    k6, tree, cotree = complete_graph(6), census._K6_TREE, census._K6_COTREE
-    assert (census._class_keys(k6, tree, cotree, digits)
+    k6 = complete_graph(6)
+    tree, cotree = census._spanning_tree(k6)
+    assert (census._class_keys(k6, census._DIGIT_EXP[digits.T])
             == _reference_keys(k6, tree, cotree, digits)).all()
 
 
@@ -562,14 +594,14 @@ def test_k6_class_table_and_chunk():
     assert census._k6_chunk(0, above=()) == (7, 7)
     # Orientation 1 (one arc, 0 -> 1) fails its triangles; listing its class
     # as above the threshold must show up as a mismatch.
-    _, (key,) = census._k6_triangles([1])
+    (key,) = census._class_keys(complete_graph(6), _exps([1], 15))
     assert key == 1 + 4 + 16 + 64
     accepted, mismatches = census._k6_chunk(0, above=(0, key))
     assert accepted == 7 and mismatches >= 1
 
 
-def _class_polys(g: MixedGraph, tree, cotree, keys) -> set[tuple[int, ...]]:
-    rows = _char_poly_rows(census._class_matrices(g.n, tree, cotree, keys))
+def _class_polys(g: MixedGraph, keys) -> set[tuple[int, ...]]:
+    rows = _char_poly_rows(census._class_matrices(g, keys))
     return set(map(tuple, np.unique(rows, axis=0).tolist()))
 
 
@@ -579,10 +611,8 @@ def test_taylor_oracle_matches_sturm_on_class_polynomials():
     census_polys = set()
     for n in range(1, 6):
         for g in enumerate_connected_graphs(n):
-            tree, cotree = census._spanning_tree(g)
-            digits = census._digits(range(orientation_count(g)), g.edge_count())
-            keys = census._class_keys(g, tree, cotree, digits)
-            census_polys |= _class_polys(g, tree, cotree, np.unique(keys))
+            keys = census._class_keys(g, _exps(range(orientation_count(g)), g.edge_count()))
+            census_polys |= _class_polys(g, np.unique(keys))
     # A class and its converse share their char poly
     # (test_converse_classes_share_char_polys), so the converse-canonical
     # K_6 keys reach every K_6 class polynomial.
@@ -591,7 +621,7 @@ def test_taylor_oracle_matches_sturm_on_class_polynomials():
         keys = np.arange(start, start + census._K6_CLASS_BLOCK, dtype=np.int64)
         keys = keys[keys <= census._converse_keys(keys)]
         if len(keys):
-            k6_polys |= _class_polys(complete_graph(6), census._K6_TREE, census._K6_COTREE, keys)
+            k6_polys |= _class_polys(complete_graph(6), keys)
     golden = Counter()
     for row in census_polys | k6_polys:
         p = IntPolynomial(row[::-1])
@@ -612,12 +642,11 @@ def test_converse_classes_share_char_polys():
     for n in range(1, 6):
         n_classes = n_polys = 0
         for g in enumerate_connected_graphs(n):
-            tree, cotree = census._spanning_tree(g)
-            digits = census._digits(range(orientation_count(g)), g.edge_count())
-            met = np.unique(census._class_keys(g, tree, cotree, digits))
+            exps = _exps(range(orientation_count(g)), g.edge_count())
+            met = np.unique(census._class_keys(g, exps))
             converse = census._converse_keys(met)
-            rows = _char_poly_rows(census._class_matrices(n, tree, cotree, met))
-            conv_rows = _char_poly_rows(census._class_matrices(n, tree, cotree, converse))
+            rows = _char_poly_rows(census._class_matrices(g, met))
+            conv_rows = _char_poly_rows(census._class_matrices(g, converse))
             assert (rows == conv_rows).all(), g.encode()
             assert set(converse.tolist()) == set(met.tolist()), g.encode()
             memo = {}
@@ -635,9 +664,9 @@ def test_converse_classes_share_char_polys():
     converse = census._converse_keys(keys)
     shifts = 2 * np.arange(10)[:, None]  # digit by digit, h becomes (4 - h) mod 4
     assert ((converse >> shifts & 3) == (-(keys >> shifts) & 3)).all()
-    tree, cotree = census._K6_TREE, census._K6_COTREE
-    rows = _char_poly_rows(census._class_matrices(6, tree, cotree, keys))
-    assert (rows == _char_poly_rows(census._class_matrices(6, tree, cotree, converse))).all()
+    k6 = complete_graph(6)
+    rows = _char_poly_rows(census._class_matrices(k6, keys))
+    assert (rows == _char_poly_rows(census._class_matrices(k6, converse))).all()
     # 1,024 of the 4^10 K_6 keys are their own converse; the rest pair up.
     every = np.arange(census._K6_CLASSES, dtype=np.int64)
     assert int((every <= census._converse_keys(every)).sum()) == 524800

@@ -553,6 +553,15 @@ def test_automorphisms_match_permutation_filter():
         assert classify._automorphisms(g) == want
 
 
+#: Forbidden graphs that contain an induced copy of an entry of
+#: ``FORBIDDEN_SUBGRAPHS``, so the search never names them first.
+_REDUNDANT_FORBIDDEN = (
+    ("K_{2,3}", join(build(2, []), build(3, []))),
+    ("K_2 v 3K_1", join(complete_graph(2), build(3, []))),
+    ("2K_1 v K_3", join(build(2, []), complete_graph(3))),
+)
+
+
 def test_embeddings_match_permutation_filter():
     from itertools import permutations
 
@@ -560,6 +569,7 @@ def test_embeddings_match_permutation_filter():
     graphs = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
     graphs += [_random_mixed(rng, rng.randrange(1, 9), rng.uniform(0.2, 0.9)) for _ in range(40)]
     patterns = [p for _, p in FORBIDDEN_SUBGRAPHS] + list(sporadic_underlying().values())
+    patterns += [p for _, p in _REDUNDANT_FORBIDDEN]
     patterns += [build(0, []), build(9, [])]  # empty, and larger than every g
     for g in graphs:
         for pattern in patterns:
@@ -1259,8 +1269,24 @@ def test_certificates_match_exact_comparison():
         assert cert.verify(m)
 
 
+def test_forbidden_subgraphs_are_irredundant():
+    # No entry contains an induced copy of an earlier one, so each can be
+    # the first hit; each dropped graph contains an entry, so a graph free
+    # of the list is free of it too.
+    def contains(g, p):
+        return next(classify._embeddings(g.adjacency, p), None) is not None
+
+    for i, (name, g) in enumerate(FORBIDDEN_SUBGRAPHS):
+        assert not any(contains(g, p) for _, p in FORBIDDEN_SUBGRAPHS[:i]), name
+    for name, g in _REDUNDANT_FORBIDDEN:
+        assert compare_lambda_min(g, NEG_GOLDEN) is not Trichotomy.GREATER, name
+        hits = [kept for kept, p in FORBIDDEN_SUBGRAPHS if contains(g, p)]
+        assert hits == {"K_{2,3}": ["K_{1,3}"], "K_2 v 3K_1": ["K_{1,3}"],
+                        "2K_1 v K_3": ["K_2 v K_{1,2}"]}[name]
+
+
 def test_forbidden_subgraphs_all_fail_threshold():
-    assert len(FORBIDDEN_SUBGRAPHS) == 8
+    assert len(FORBIDDEN_SUBGRAPHS) == 5
     names = [name for name, _ in FORBIDDEN_SUBGRAPHS]
     assert names[0] == "P_4"
     for name, g in FORBIDDEN_SUBGRAPHS:
