@@ -63,7 +63,7 @@ from .catalog import (
     SPORADIC_LABELS,
     sporadic_underlying,
 )
-from .classify import _automorphisms, _check_classifiable, _classify, _triangle_reject
+from .classify import _automorphisms, _bad_triangle, _check_classifiable, _classify
 from .graphs import (
     _EXP_FROM_KIND,
     _FLIP,
@@ -666,11 +666,12 @@ def _tally(decided: Iterable[tuple[_Kinds, Trichotomy]]) -> LevelStats:
     ``verify_main_theorem`` sets ``n`` of the n=6 sample and ``label`` of
     each deep family graph.
 
-    Each certificate is ``_classify``'s: its triangle stage runs on the bare
-    table (``_triangle_reject``), and only a table that passes it is built
-    into a MixedGraph, without re-validation, for the rest of ``_classify``,
-    whose own triangle scan then finds nothing.  Most orientations leave at
-    a triangle, so most are never built.  ``_classify`` is
+    The verdict is ``_classify``'s: its triangle scan runs first on the bare
+    table (``_bad_triangle``), and a forbidden triangle counts as a reject
+    with no certificate built.  Only a table that passes it is built into a
+    MixedGraph, without re-validation, for ``_classify``, whose own triangle
+    scan then finds nothing.  Most orientations leave at a triangle, so most
+    are never built.  ``_classify`` is
     ``classify_threshold``'s body without its connectivity check, so every
     orientation must orient a nonempty connected underlying graph:
     ``_tally_underlying`` checks its graph once, and the K_6 subsample and
@@ -680,19 +681,21 @@ def _tally(decided: Iterable[tuple[_Kinds, Trichotomy]]) -> LevelStats:
     orientations = rejects = boundary_equal = 0
     accepts: dict[str, int] = {}
     mismatches = []
-    reject, classify, trusted = _triangle_reject, _classify, MixedGraph._trusted
+    bad_triangle, classify, trusted = _bad_triangle, _classify, MixedGraph._trusted
     greater, equal = Trichotomy.GREATER, Trichotomy.EQUAL
     for table, exact in decided:
-        cert = reject(table) or classify(trusted(len(table), table))
         orientations += 1
-        if cert.accepted:
+        accepted = bad_triangle(table) is None and (
+            cert := classify(trusted(len(table), table))
+        ).accepted
+        if accepted:
             family = cert.family.value
             accepts[family] = accepts.get(family, 0) + 1
         else:
             rejects += 1
         if exact is equal:
             boundary_equal += 1
-        if cert.accepted != (exact is greater):
+        if accepted != (exact is greater):
             mismatches.append(trusted(len(table), table).encode())
     return LevelStats(
         0, orientations=orientations, accepts=accepts, rejects=rejects,

@@ -437,22 +437,27 @@ def underlying_family(g: MixedGraph) -> FamilyMatch | None:
 def _family_of(g: MixedGraph) -> FamilyMatch | None:
     """``underlying_family`` of the underlying graph of a g already known
     connected; it reads only which pairs are connected, so g may be oriented."""
-    return _shape_of(g.adjacency)
+    return _shape_of(g.adjacency)[0]
 
 
 #: A stream of classify calls meets the same underlying graph again and
-#: again, in every orientation and switching of it, so shapes are memoized
-#: on the adjacency tuple.  An entry holds that tuple and a FamilyMatch:
-#: 0.6 to 0.9 kB for n = 12, so at most about 0.9 MB for 1024 entries.
+#: again, in every orientation and switching of it, so its shape is memoized
+#: on the adjacency tuple: the n <= 5 census's 1,091 forbidden-subgraph
+#: rejects lie on 17 graphs.  An entry holds that tuple and a FamilyMatch or
+#: a forbidden hit: 0.6 to 0.9 kB for n = 12, so at most about 0.9 MB.
 @lru_cache(maxsize=1024)
-def _shape_of(adjacency: tuple[int, ...]) -> FamilyMatch | None:
-    """``_family_of`` of a connected graph with these neighbour bitmasks."""
+def _shape_of(
+    adjacency: tuple[int, ...]
+) -> tuple[FamilyMatch | None, tuple[str, tuple[int, ...]] | None]:
+    """(``_family_of``, None) of a connected graph with these neighbour
+    bitmasks when it has a family shape, else (None, the first of
+    ``FORBIDDEN_SUBGRAPHS`` induced in it as (name, first embedding))."""
     n = len(adjacency)
     full = (1 << n) - 1
     closed = [row | 1 << u for u, row in enumerate(adjacency)]
     hubs = [v for v in range(n) if closed[v] == full]
     if len(hubs) == n:
-        return FamilyMatch("complete", s=max(n - 1, 0), t=0)
+        return FamilyMatch("complete", s=max(n - 1, 0), t=0), None
     # Two cliques sharing one join vertex: the join vertex is the only one
     # adjacent to everything, and every other vertex's closed neighbourhood
     # without it is one of two complementary cliques.
@@ -470,14 +475,18 @@ def _shape_of(adjacency: tuple[int, ...]) -> FamilyMatch | None:
                 c1, c2 = c2, c1
             return FamilyMatch(
                 "two-cliques", s=len(c1), t=len(c2), cut_vertex=v, parts=(c1, c2)
-            )
+            ), None
     edges = sum(map(int.bit_count, adjacency)) // 2
     for label, pattern in sporadic_underlying().items():
         if n == pattern.n and edges == pattern.edge_count():
             hit = next(_embeddings(adjacency, pattern), None)
             if hit is not None:
-                return FamilyMatch(label, embedding=hit)
-    return None
+                return FamilyMatch(label, embedding=hit), None
+    for name, pattern in FORBIDDEN_SUBGRAPHS:
+        hit = next(_embeddings(adjacency, pattern), None)
+        if hit is not None:
+            return None, (name, hit)
+    return None, None
 
 
 class Family(Enum):
@@ -583,7 +592,7 @@ class Certificate:
                 for block, knst in ((det.block1, det.knst1), (det.block2, det.knst2)):
                     if knst is None or _knst_on(m, block) != knst:
                         return False
-                return _two_clique_bound(det.s, det.t)[1] is Trichotomy.GREATER
+                return _two_clique_bound(det.s, det.t)[0] is Trichotomy.GREATER
             if self.family is Family.H1 and isinstance(self.details, H1Details):
                 record = load_builtin().by_id(self.details.catalog_id)
                 if record is None or not _all_ints(self.details.perm):
@@ -614,7 +623,7 @@ class Certificate:
                 sub = induced(m, w.vertices)
                 if w.kind in ("triangle", "quadrangle"):
                     size = 3 if w.kind == "triangle" else 4
-                    if sub.n != size or _cycle_pattern(sub.kinds) != w.pattern:
+                    if sub.n != size or _cycle_pattern(sub) != w.pattern:
                         return False
                 elif w.kind == "forbidden-subgraph":
                     named = [p for name, p in FORBIDDEN_SUBGRAPHS if name == w.pattern]
@@ -667,22 +676,6 @@ FORBIDDEN_SUBGRAPHS: tuple[tuple[str, MixedGraph], ...] = (
 )
 
 
-#: Like ``_shape_of``, the search reads only which pairs are joined, so
-#: every orientation and switching of one underlying graph shares an entry:
-#: the n <= 5 census's 1,091 forbidden-subgraph rejects lie on 17 graphs.
-#: An entry holds the adjacency tuple, a name and an embedding, about
-#: 0.7 kB at n = 12, so at most about 0.7 MB.
-@lru_cache(maxsize=1024)
-def _forbidden_of(adjacency: tuple[int, ...]) -> tuple[str, tuple[int, ...]] | None:
-    """The first of ``FORBIDDEN_SUBGRAPHS`` induced in the graph with these
-    neighbour bitmasks, as (name, first embedding), or None."""
-    for name, pattern in FORBIDDEN_SUBGRAPHS:
-        hit = next(_embeddings(adjacency, pattern), None)
-        if hit is not None:
-            return name, hit
-    return None
-
-
 def _witness_spectrum(sub: MixedGraph) -> tuple[Trichotomy, float]:
     """Exact comparison against -(1+sqrt5)/2 and float lambda_min of ``sub``."""
     summary = eigenvalues(sub)
@@ -697,52 +690,41 @@ def _small_witness_spectrum(
     return _witness_spectrum(MixedGraph(len(kinds), kinds))
 
 
-@lru_cache(maxsize=128)
-def _cycle_pattern(kinds: tuple[tuple[int, ...], ...]) -> str:
-    """Triangle type or quadrangle tag of a kind table in cyclic order.
-
-    There are 27 mixed triangles and 81 mixed quadrangles of this form.
-    """
-    q = MixedGraph(len(kinds), kinds)
+def _cycle_pattern(q: MixedGraph) -> str:
+    """Triangle type or quadrangle tag of a mixed triangle or quadrangle."""
     return triangle_type(q).value if q.n == 3 else quad_class(q).tag.value
 
 
-#: The n <= 5 census meets 363 keys; larger graphs, as ``hermspec classify``
-#: sees them, share few, so a bigger memo mostly holds memory.
-@lru_cache(maxsize=1024)
-def _cycle_certificate(cycle: tuple[int, ...], along: tuple[int, ...]) -> Certificate:
-    """Reject certificate of a forbidden triangle or induced quadrangle.
-
-    Keyed on ``(cycle, along)``: ``cycle`` lists the witness vertices in
-    cyclic order and ``along`` the kind of each pair (cycle[i], cycle[i + 1]).
-    A triangle has no other pairs and an induced quadrangle has no chords,
-    so ``along`` fixes the witness's kind table and with it the pattern,
-    comparison and lambda_min that ``_witness_from_subgraph`` would give.
-    The certificate does not depend on the graph's order, so graphs of every
-    size share it: on n <= 5 the census meets 140 distinct triangle
-    certificates in 104,320 triangle rejects.
+#: The key space is the 27 mixed triangles and 81 mixed quadrangles in
+#: cyclic order, of which the classifier rejects on 20 and 61, so with 128
+#: entries the memo never evicts.
+@lru_cache(maxsize=128)
+def _cycle_witness(along: tuple[int, ...]) -> tuple[str, str, Trichotomy, float]:
+    """Kind, pattern, comparison and lambda_min of the reject witness on a
+    triangle or induced quadrangle whose consecutive pairs, in cyclic order,
+    have the kinds ``along``.  A triangle has no other pairs and an induced
+    quadrangle has no chords, so ``along`` fixes the witness's kind table and
+    with it every field ``_witness_from_subgraph`` would give but the vertices.
     """
-    size = len(cycle)
+    size = len(along)
     table = [[0] * size for _ in range(size)]
     for i, kind in enumerate(along):
         j = (i + 1) % size
         table[i][j], table[j][i] = kind, _FLIP[kind]
     kinds = tuple(map(tuple, table))
     comparison, lam = _small_witness_spectrum(kinds)
-    witness = RejectWitness(
-        "triangle" if size == 3 else "quadrangle",
-        _cycle_pattern(kinds), cycle, comparison, lam,
+    kind = "triangle" if size == 3 else "quadrangle"
+    return kind, _cycle_pattern(MixedGraph(size, kinds)), comparison, lam
+
+
+def _cycle_certificate(cycle: tuple[int, ...], along: tuple[int, ...]) -> Certificate:
+    """Reject certificate of a forbidden triangle or induced quadrangle:
+    ``cycle`` lists its vertices in cyclic order, ``along`` as for
+    ``_cycle_witness``."""
+    kind, pattern, comparison, lam = _cycle_witness(along)
+    return Certificate(
+        False, None, None, RejectWitness(kind, pattern, cycle, comparison, lam)
     )
-    return Certificate(False, None, None, witness)
-
-
-def _triangle_reject(kinds: tuple, tri: tuple | None = None) -> Certificate | None:
-    """``_classify``'s triangle stage on a bare kind table: the certificate
-    of ``tri``, by default of the first forbidden triangle, or None."""
-    if (tri := tri or _bad_triangle(kinds)) is None:
-        return None
-    u, v, w = tri
-    return _cycle_certificate(tri, (kinds[u][v], kinds[v][w], kinds[w][u]))
 
 
 def _witness_from_subgraph(
@@ -754,12 +736,12 @@ def _witness_from_subgraph(
     so their spectra are memoized.  Without ``pattern``, a triangle or
     quadrangle (in cyclic order) is named from its kind table.  The
     classifier builds triangle and quadrangle certificates through
-    ``_cycle_certificate``, which must agree with this.
+    ``_cycle_witness``, which must agree with this.
     """
     kinds = tuple(tuple(m.kinds[u][v] for v in vertices) for u in vertices)
     comparison, lam = _small_witness_spectrum(kinds)
     if pattern is None:
-        pattern = _cycle_pattern(kinds)
+        pattern = _cycle_pattern(MixedGraph(len(kinds), kinds))
     return RejectWitness(kind, pattern, vertices, comparison, lam)
 
 
@@ -812,11 +794,12 @@ def _check_classifiable(m: MixedGraph) -> None:
 
 
 @lru_cache(maxsize=256)
-def _two_clique_bound(s: int, t: int) -> tuple[IntPolynomial, Trichotomy]:
-    """``f_cubic(s, t)`` and the exact comparison of its smallest root with
-    -(1+sqrt5)/2: the block bound of two cliques at a cut vertex."""
+def _two_clique_bound(s: int, t: int) -> tuple[Trichotomy, float]:
+    """The exact comparison of the smallest root of ``f_cubic(s, t)`` with
+    -(1+sqrt5)/2, and that root: the block bound of two cliques at a cut
+    vertex."""
     cubic = f_cubic(s, t)
-    return cubic, compare_lambda_min(cubic, NEG_GOLDEN)
+    return compare_lambda_min(cubic, NEG_GOLDEN), _smallest_root(cubic)
 
 
 def _smallest_root(cubic: IntPolynomial) -> float:
@@ -849,14 +832,14 @@ def _classify(m: MixedGraph) -> Certificate:
     k = m.kinds
     tri = find_forbidden_triangle(m)
     if tri is not None:
-        return _triangle_reject(k, tri)
+        u, v, w = tri
+        return _cycle_certificate(tri, (k[u][v], k[v][w], k[w][u]))
     quad = find_forbidden_quadrangle(m)
     if quad is not None:
         a, b, c, d = quad
         return _cycle_certificate(quad, (k[a][b], k[b][c], k[c][d], k[d][a]))
-    fam = _family_of(m)
+    fam, forbidden = _shape_of(m.adjacency)
     if fam is None:
-        forbidden = _forbidden_of(m.adjacency)
         if forbidden is None:
             raise RuntimeError(
                 "graph outside all families contains no forbidden subgraph; "
@@ -873,15 +856,15 @@ def _classify(m: MixedGraph) -> Certificate:
         return Certificate(True, Family.H3, H3Details(match), None)
     if fam.label == "two-cliques":
         c1, c2 = fam.parts
-        cubic, bound = _two_clique_bound(fam.s, fam.t)
+        bound, lam = _two_clique_bound(fam.s, fam.t)
         if bound is not Trichotomy.GREATER:
             # Two cliques at a cut vertex form a chordal graph, and a chordal
             # mixed graph whose triangles all have holonomy one is balanced
             # (Reff, LAA 436 (2012); Guo and Mohar, JGT 85 (2017)), so m has
             # the spectrum of its underlying graph: -1 and the roots of the
-            # cubic, whose smallest is below -1 here.  ``bound`` is then the
-            # exact comparison of lambda_min(m); verify recomputes both.
-            lam = _smallest_root(cubic)
+            # cubic, whose smallest is below -1 here.  ``bound`` and ``lam``
+            # are then lambda_min(m), exactly compared and as a float; verify
+            # recomputes both.
             witness = RejectWitness(
                 "threshold", "two-cliques", tuple(range(m.n)), bound, lam
             )

@@ -226,7 +226,10 @@ def eigenvalues(m: MixedGraph) -> SpectralSummary:
     return SpectralSummary(n, tuple(float(x) for x in w[::-1]), poly)
 
 
-@lru_cache(maxsize=200_000)
+#: A classify stream meets few distinct polynomials here: 37 after three
+#: 25,000-text classify_mix streams, 38 with an n <= 5 census as well, which
+#: decides its own polynomials elsewhere.
+@lru_cache(maxsize=1024)
 def _compare_cached(poly: IntPolynomial, c: QuadraticNumber) -> Trichotomy:
     return compare_min_root(poly, c)
 

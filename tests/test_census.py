@@ -29,7 +29,7 @@ from hermspec.census import (
 )
 from hermspec.catalog import sporadic_underlying
 import hermspec.classify as classify
-from hermspec.classify import Certificate, Family, KnstMatch, find_forbidden_triangle, recognize_knst
+from hermspec.classify import Family, KnstMatch, find_forbidden_triangle, recognize_knst
 from hermspec.graphs import (
     EdgeKind,
     MixedGraph,
@@ -277,20 +277,20 @@ def test_census_reports_classifier_errors(monkeypatch):
 
 
 def test_census_reports_triangle_stage_errors(monkeypatch):
-    # The census runs the classifier's triangle stage on bare kind tables;
-    # a stage that rejects the triangle-safe K_n[s, t] forms must surface as
-    # mismatches, each recorded by the encoding of its orientation.
-    real = census._triangle_reject
+    # The census runs the classifier's triangle scan on bare kind tables;
+    # a scan that finds a triangle in the triangle-safe K_n[s, t] forms must
+    # surface as mismatches, each recorded by the encoding of its orientation.
+    real = census._bad_triangle
     forms = []
 
     def rejects_knst(table):
         m = MixedGraph(len(table), table)
         if isinstance(recognize_knst(m), KnstMatch):
             forms.append(m.encode())
-            return Certificate(False, None, None, None)
+            return (0, 1, 2)
         return real(table)
 
-    monkeypatch.setattr(census, "_triangle_reject", rejects_knst)
+    monkeypatch.setattr(census, "_bad_triangle", rejects_knst)
     report = verify_main_theorem(n_max=3)
     assert not report.ok
     assert [len(lv.mismatches) for lv in report.levels] == [1, 3, 7]
@@ -300,19 +300,21 @@ def test_census_reports_triangle_stage_errors(monkeypatch):
 
 
 def test_census_certificates_are_the_classifiers(monkeypatch):
-    # Every orientation with n <= 5 gets exactly _classify's certificate: the
-    # memoized object itself on a triangle reject, decided on the bare kind
-    # table, and an equal one otherwise, from a graph built only for the
-    # orientations that pass the triangle stage.
-    stage, rest = census._triangle_reject, census._classify
+    # Every orientation with n <= 5 gets exactly _classify's verdict: a
+    # triangle reject is decided on the bare kind table, at the vertices of
+    # _classify's triangle witness, with no certificate built; every other
+    # orientation gets a certificate equal to _classify's, from a graph built
+    # only for the orientations that pass the triangle stage.
+    stage, rest = census._bad_triangle, census._classify
     seen = Counter()
 
     def triangle(table):
-        cert = stage(table)
-        if cert is not None:
-            assert cert is classify._classify(MixedGraph(len(table), table))
+        tri = stage(table)
+        if tri is not None:
+            witness = classify._classify(MixedGraph(len(table), table)).witness
+            assert witness.kind == "triangle" and witness.vertices == tri
             seen["triangle"] += 1
-        return cert
+        return tri
 
     def past_triangles(m):
         cert = rest(m)
@@ -321,7 +323,7 @@ def test_census_certificates_are_the_classifiers(monkeypatch):
         seen["rest"] += 1
         return cert
 
-    monkeypatch.setattr(census, "_triangle_reject", triangle)
+    monkeypatch.setattr(census, "_bad_triangle", triangle)
     monkeypatch.setattr(census, "_classify", past_triangles)
     report = verify_main_theorem(n_max=5)
     assert report.ok

@@ -4,14 +4,16 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from hermspec.catalog import load_builtin, sporadic_underlying
 import hermspec.classify as classify
 import hermspec.spectra as spectra
-from hermspec.census import enumerate_connected_graphs, enumerate_orientations, orientation
+from hermspec.census import (
+    enumerate_connected_graphs, enumerate_orientations, orientation, verify_main_theorem,
+)
 from hermspec.classify import (
     FORBIDDEN_SUBGRAPHS,
     Certificate,
@@ -900,7 +902,7 @@ def test_verify_checks_every_field_of_a_certificate():
 
 
 def test_witness_memo_matches_uncached_spectra():
-    classify._cycle_certificate.cache_clear()
+    classify._cycle_witness.cache_clear()
     classify._small_witness_spectrum.cache_clear()
     rng = random.Random(31)
     graphs = enumerate_connected_graphs(5)
@@ -921,8 +923,63 @@ def test_witness_memo_matches_uncached_spectra():
     assert rejects > 200 and info.hits > 0 and info.misses > 0
 
 
+def _forbidden_cycles() -> set[tuple[int, ...]]:
+    """The ``along`` kinds, in cyclic order, of every triangle and induced
+    quadrangle whose smallest eigenvalue is at the threshold or below."""
+    return {
+        along
+        for size in (3, 4)
+        for along in product((1, 2, 3), repeat=size)
+        if classify._cycle_witness.__wrapped__(along)[2] is not Trichotomy.GREATER
+    }
+
+
+def test_cycle_witness_key_space_is_the_forbidden_cycles():
+    # Of the 27 mixed triangles and 81 mixed quadrangles, exactly the 20 and
+    # 61 whose holonomy is not safe fail the threshold; the census reaches
+    # the memo only through _classify's quadrangle stage.
+    safe = {t.value for t in SAFE_TRIANGLES} | {q.value for q in SAFE_QUADS}
+    counts = Counter()
+    for size in (3, 4):
+        for along in product((1, 2, 3), repeat=size):
+            kind, pattern, comparison, _ = classify._cycle_witness.__wrapped__(along)
+            assert (comparison is Trichotomy.GREATER) == (pattern in safe), along
+            counts[kind, comparison is Trichotomy.GREATER] += 1
+    assert counts == {
+        ("triangle", False): 20, ("triangle", True): 7,
+        ("quadrangle", False): 61, ("quadrangle", True): 20,
+    }
+    classify._cycle_witness.cache_clear()
+    assert verify_main_theorem(n_max=5).ok
+    info = classify._cycle_witness.cache_info()
+    assert info.hits + info.misses == 1268  # the quadrangle rejects only
+    assert info.currsize == info.misses <= 61
+
+
+def test_cycle_witness_is_shared_across_relabelings_and_switchings():
+    # The witness memo is keyed on the cycle's kinds alone, so relabeled and
+    # switched copies of one reject miss it once per distinct kind sequence.
+    rng = random.Random(32)
+    # A holonomy -1 triangle and a holonomy +1 quadrangle, each with a pendant arc.
+    tri_reject = build(4, [(0, 1, "arc"), (1, 2, "arc"), (0, 2, "undirected"), (2, 3, "arc")])
+    quad_reject = build(5, [(u, (u + 1) % 4, "undirected") for u in range(4)] + [(3, 4, "arc")])
+    for m, kind in ((tri_reject, "triangle"), (quad_reject, "quadrangle")):
+        classify._cycle_witness.cache_clear()
+        shapes = set()
+        for _ in range(20):
+            g = _scrambled(m, rng)
+            cert = classify_threshold(g)
+            w = cert.witness
+            assert w.kind == kind and cert.verify(g), g.encode()
+            vs = w.vertices
+            shapes.add(tuple(g.kinds[u][v] for u, v in zip(vs, vs[1:] + vs[:1])))
+        info = classify._cycle_witness.cache_info()
+        assert (info.misses, info.hits) == (len(shapes), 20 - len(shapes)), kind
+        assert len(shapes) < 20
+
+
 def test_cycle_certificate_memo_matches_unmemoized_witness():
-    classify._cycle_certificate.cache_clear()
+    classify._cycle_witness.cache_clear()
     exits = Counter()
     for n in range(1, 6):
         for g in enumerate_connected_graphs(n):
@@ -938,15 +995,20 @@ def test_cycle_certificate_memo_matches_unmemoized_witness():
                 assert cert.verify(m)
                 exits[kind] += 1
     assert exits == {"triangle": 104320, "quadrangle": 1268}
-    # 140 distinct triangle and 223 distinct quadrangle certificates.
-    info = classify._cycle_certificate.cache_info()
-    assert (info.misses, info.hits) == (363, 105588 - 363)
+    # Each of the 20 forbidden triangles and 61 forbidden quadrangles misses
+    # once, and the memo then holds exactly those.
+    info = classify._cycle_witness.cache_info()
+    assert (info.misses, info.hits) == (81, 105588 - 81)
+    for along in _forbidden_cycles():
+        classify._cycle_witness(along)
+    assert classify._cycle_witness.cache_info().misses == 81
 
 
 def test_forbidden_memo_matches_unmemoized_search():
-    # The forbidden-subgraph search is memoized on the adjacency tuple; every
-    # certificate must equal the one a fresh search over the patterns gives.
-    classify._forbidden_of.cache_clear()
+    # The forbidden-subgraph search is memoized with the shape on the
+    # adjacency tuple; every certificate must equal the one a fresh search
+    # over the patterns gives.
+    classify._shape_of.cache_clear()
     rejects, graphs = 0, set()
     for n in range(1, 6):
         for g in enumerate_connected_graphs(n):
@@ -965,8 +1027,10 @@ def test_forbidden_memo_matches_unmemoized_search():
                 rejects += 1
                 graphs.add(g)
     assert (rejects, len(graphs)) == (1091, 17)
-    info = classify._forbidden_of.cache_info()
-    assert (info.misses, info.hits) == (17, 1091 - 17)
+    # 1,345 orientations pass the triangle and quadrangle stages, on 29
+    # underlying graphs.
+    info = classify._shape_of.cache_info()
+    assert (info.misses, info.hits) == (29, 1345 - 29)
 
 
 def test_threshold_witness_is_not_cached():
@@ -1139,7 +1203,12 @@ def test_shape_memo_matches_the_uncached_shape():
             graphs += [g.relabel(rng.sample(range(n), n)) for _ in range(30)]
     labels = Counter()
     for g in graphs:
-        want = classify._shape_of.__wrapped__(g.adjacency)
+        want, forbidden = classify._shape_of.__wrapped__(g.adjacency)
+        fresh = None if want else next(
+            (name, hit) for name, p in FORBIDDEN_SUBGRAPHS
+            if (hit := next(classify._embeddings(g.adjacency, p), None)) is not None
+        )
+        assert forbidden == fresh, g.encode()
         for _ in range(2):  # a miss, then a hit
             got = classify._family_of(g)
             assert got == want, g.encode()
