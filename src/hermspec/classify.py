@@ -569,7 +569,7 @@ class Certificate:
                 return False
             if self.family is Family.H3 and isinstance(self.details, H3Details):
                 knst = self.details.knst
-                return isinstance(knst, KnstMatch) and recognize_knst(m) == knst
+                return isinstance(knst, KnstMatch) and _knst_on(m, range(m.n)) == knst
             if self.family in (Family.H2, Family.H4) and isinstance(
                 self.details, H2H4Details
             ):
@@ -583,6 +583,8 @@ class Certificate:
                 if sorted(det.block1 + det.block2[1:]) != list(range(m.n)):
                     return False
                 if (len(det.block1) - 1, len(det.block2) - 1) != (det.s, det.t):
+                    return False
+                if min(det.s, det.t) < 1:  # a block of the cut vertex alone
                     return False
                 if (self.family is Family.H4) != (det.t == 1):
                     return False
@@ -745,29 +747,9 @@ def _witness_from_subgraph(
     return RejectWitness(kind, pattern, vertices, comparison, lam)
 
 
-def _match_catalog(m: MixedGraph, fam: FamilyMatch) -> H1Details | None:
-    """H1 details of m, whose underlying graph ``fam`` names a sporadic shape,
-    against the shape's first record only: a shape's scattered orientations
-    form one class under relabeling and switching (switch-iso=1)."""
-    record = load_builtin().by_underlying(fam.label)[0]
-    # fam.embedding maps canon labels to m vertices; invert to relabel m onto canon.
-    base = [0] * m.n
-    for canon_v, m_v in enumerate(fam.embedding):
-        base[m_v] = canon_v
-    for aut in _automorphisms(sporadic_underlying()[fam.label]):
-        total = tuple([aut[b] for b in base])
-        d = switching_equivalent(m.relabel(total), record.graph())
-        if d is not None:
-            return H1Details(record.rec_id, total, d)
-    return None
-
-
 @lru_cache(maxsize=256)
 def _automorphisms(g: MixedGraph) -> tuple[tuple[int, ...], ...]:
-    """Automorphisms of g's underlying graph in ``itertools.permutations`` order.
-
-    The order fixes which one ``_match_catalog`` puts into an H1 ``perm``.
-    """
+    """Automorphisms of g's underlying graph in ``itertools.permutations`` order."""
     return tuple(_embeddings(g.adjacency, g))
 
 
@@ -850,8 +832,8 @@ def _classify(m: MixedGraph) -> Certificate:
             False, None, None, _witness_from_subgraph(m, "forbidden-subgraph", hit, name)
         )
     if fam.label == "complete":
-        match = recognize_knst(m)
-        if not isinstance(match, KnstMatch):
+        match = _knst_on(m, range(m.n))
+        if match is None:
             raise RuntimeError("complete graph with safe triangles must be K_n[s,t]")
         return Certificate(True, Family.H3, H3Details(match), None)
     if fam.label == "two-cliques":
@@ -877,13 +859,22 @@ def _classify(m: MixedGraph) -> Certificate:
         family = Family.H4 if fam.t == 1 else Family.H2
         details = H2H4Details(fam.cut_vertex, block1, block2, k1, k2, fam.s, fam.t)
         return Certificate(True, family, details, None)
-    details = _match_catalog(m, fam)
-    if details is None:
+    # On each sporadic shape, the orientations free of forbidden triangles
+    # and quadrangles form one labeled switching class: the screens fix the
+    # holonomy of every cycle (Guo and Mohar, JGT 85 (2017)).  So m, relabeled
+    # back along fam.embedding onto the catalog labels, switches to the
+    # shape's first record with no automorphism tried.
+    record = load_builtin().by_underlying(fam.label)[0]
+    perm = [0] * m.n
+    for canon_v, m_v in enumerate(fam.embedding):
+        perm[m_v] = canon_v
+    diagonal = switching_equivalent(m.relabel(perm), record.graph())
+    if diagonal is None:
         raise RuntimeError(
             f"orientation of {fam.label} passed the local checks "
             "but is missing from the catalog"
         )
-    return Certificate(True, Family.H1, details, None)
+    return Certificate(True, Family.H1, H1Details(record.rec_id, tuple(perm), diagonal), None)
 
 
 @dataclass(frozen=True)
@@ -918,8 +909,8 @@ def classify_sqrt2(m: MixedGraph, strict: bool = True) -> Sqrt2Verdict:
     apply and the verdict reports the exact comparison with a scope note.
     """
     _check_classifiable(m)
-    match = recognize_knst(m)
-    if isinstance(match, KnstMatch):
+    match = _knst_on(m, range(m.n))
+    if match is not None:
         return Sqrt2Verdict(
             True, strict, "Knst", match, compare_lambda_min(m, NEG_SQRT2)
         )

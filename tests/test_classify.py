@@ -5,10 +5,12 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
 from hermspec.catalog import load_builtin, sporadic_underlying
+import hermspec.census as census
 import hermspec.classify as classify
 import hermspec.spectra as spectra
 from hermspec.census import (
@@ -56,6 +58,7 @@ from hermspec.graphs import (
     star_graph,
     underlying_graph,
 )
+from hermspec.mgfile import parse_mgfile
 from hermspec.polynomials import Trichotomy
 from hermspec.quadratic import NEG_GOLDEN
 from hermspec.spectra import compare_lambda_min, eigenvalues, f_cubic
@@ -740,6 +743,12 @@ def test_verify_rejects_forged_h2_h4_fields():
     assert not forge(m, Family.H2, blocks, 3, 2, knst1=k3).verify(m)
     assert not forge(m, Family.H2, blocks, 3, 2, block2=(0, 4, 4)).verify(m)
 
+    # K_3 split into itself and the cut vertex alone passes every block
+    # check, but two cliques have sizes s, t >= 1: False, not a raise.
+    tri = make_knst(3, 0)
+    assert not forge(tri, Family.H2, ((0, 1, 2), (0,)), 2, 0).verify(tri)
+    assert not forge(tri, Family.H2, ((0,), (0, 1, 2)), 0, 2).verify(tri)
+
 
 def test_verify_h3_requires_a_partition():
     m = make_knst(3, 2)
@@ -1171,7 +1180,7 @@ def test_one_triangle_scan_per_clique_family_classify_and_verify(monkeypatch):
 
 def test_one_sporadic_embedding_search_per_h1_classify(monkeypatch):
     records = load_builtin().records
-    for record in records:  # warm the automorphism memo, which searches too
+    for record in records:  # warm the catalog and the other memos first
         classify_threshold(record.graph())
     searches = []
     embeddings = classify._embeddings
@@ -1254,6 +1263,62 @@ def test_h1_accepts_name_the_first_record_of_their_shape():
                 assert cert.details.catalog_id == f"{label}-01"
                 accepts += 1
     assert accepts == 20 + 17 + 36 + 60
+
+
+def test_screened_sporadic_orientations_form_one_labeled_switching_class():
+    # An H1 classify makes one switching search, against the shape's first
+    # record, with no automorphism of the shape tried.  It rests on this: on
+    # each sporadic shape, the orientations free of forbidden triangles and
+    # quadrangles are exactly those above the threshold, and all of them lie
+    # in one switching class of the labeled shape.
+    counts = {}
+    for label, g in sporadic_underlying().items():
+        orientations = list(enumerate_orientations(g))
+        screened = [
+            m for m in orientations
+            if classify._bad_triangle(m.kinds) is None and find_forbidden_quadrangle(m) is None
+        ]
+        greater = [
+            m for m, (_, exact) in zip(orientations, census._decided(orientations))
+            if exact is Trichotomy.GREATER
+        ]
+        assert screened == greater, label
+        assert len(set(census._switching_keys(g, screened))) == 1, label
+        counts[label] = (len(orientations), len(screened))
+    assert counts == {
+        "c4": (81, 20),
+        "diamond": (243, 17),
+        "k23-plus-edge": (2187, 36),
+        "k24-plus-2edges": (59049, 60),
+    }
+
+
+def test_h1_perm_inverts_the_shape_embedding(monkeypatch):
+    # H1 classify relabels along the inverse of the shape's embedding and
+    # tries no automorphism: every H1 perm of the n <= 5 census and of a
+    # classify stream is that inverse, and the automorphism memo stays empty.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    graphs = [parse_mgfile(text) for text in workloads.generate_mix(1, 25000)]
+    classify._automorphisms.cache_clear()
+    certified = []
+
+    def recording(m):
+        cert = classify._classify(m)
+        certified.append((m, cert))
+        return cert
+
+    monkeypatch.setattr(census, "_classify", recording)
+    assert verify_main_theorem(n_max=5).ok
+    in_census = len(certified)
+    certified += [(m, classify_threshold(m)) for m in graphs]
+    h1 = [i for i, (_, cert) in enumerate(certified) if cert.family is Family.H1]
+    for m, cert in (certified[i] for i in h1):
+        embedding = classify._family_of(m).embedding
+        assert [cert.details.perm[v] for v in embedding] == list(range(m.n))
+    assert sum(i < in_census for i in h1) == 37 + 36 < len(h1)
+    assert classify._automorphisms.cache_info().currsize == 0
 
 
 def test_classify_reject_witnesses():
