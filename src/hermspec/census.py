@@ -63,13 +63,14 @@ from .catalog import (
     SPORADIC_LABELS,
     sporadic_underlying,
 )
-from .classify import _automorphisms, _bad_triangle, _check_classifiable, _classify
+from .classify import _bad_triangle, _check_classifiable, _classify, _embeddings
 from .graphs import (
     _EXP_FROM_KIND,
     _FLIP,
     _UNIT_FROM_EXP,
     EdgeKind,
     MixedGraph,
+    build,
     coalescence,
     complete_graph,
     converse,
@@ -252,8 +253,6 @@ def enumerate_connected_graphs(n: int) -> list[MixedGraph]:
     """
     if not 1 <= n <= 6:
         raise ValueError("graph enumeration limited to 1 <= n <= 6")
-    if n == 1:
-        return [MixedGraph(1, ((0,),))]
     pairs = list(combinations(range(n), 2))
     m = len(pairs)
     idx = {pair: i for i, pair in enumerate(pairs)}
@@ -267,15 +266,17 @@ def enumerate_connected_graphs(n: int) -> list[MixedGraph]:
         np.minimum(canon, pmask, out=canon)
     out = []
     for mask in _distinct(canon).tolist():
-        kinds = [[0] * n for _ in range(n)]
-        for i, (u, v) in enumerate(pairs):
-            if mask >> i & 1:
-                kinds[u][v] = kinds[v][u] = 1
-        g = MixedGraph(n, tuple(tuple(row) for row in kinds))
+        g = build(n, [(u, v, "undirected") for i, (u, v) in enumerate(pairs) if mask >> i & 1])
         if is_connected(g):
             out.append((g.edge_count(), mask, g))
     out.sort(key=lambda t: (t[0], t[1]))
     return [g for _, _, g in out]
+
+
+@lru_cache(maxsize=256)
+def _automorphisms(g: MixedGraph) -> tuple[tuple[int, ...], ...]:
+    """Automorphisms of g's underlying graph in ``itertools.permutations`` order."""
+    return tuple(_embeddings(g.adjacency, g))
 
 
 def _orbits(g: MixedGraph, graphs: list[MixedGraph], key: Callable) -> dict:

@@ -565,7 +565,7 @@ class Certificate:
         whole graph on a two-cliques shape, with its lambda_min within 1e-9.
         """
         if self.accepted:
-            if self.witness is not None:
+            if self.witness is not None or m.n == 0:  # nothing to classify
                 return False
             if self.family is Family.H3 and isinstance(self.details, H3Details):
                 knst = self.details.knst
@@ -621,20 +621,30 @@ class Certificate:
                 if fam is None or fam.label != "two-cliques":
                     return False
                 comparison, lam = _witness_spectrum(m)
-            else:
+            elif w.kind in ("triangle", "quadrangle"):
+                vs, size = w.vertices, 3 if w.kind == "triangle" else 4
+                if len(vs) != size or len(set(vs)) != size:
+                    return False
+                if not all(0 <= v < m.n for v in vs):
+                    return False
+                cycle = vs if size == 3 else _cycle_order4(m, vs)
+                if cycle is None:
+                    return False
+                along = tuple(m.kinds[a][b] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+                if not all(along):  # three vertices that are not a triangle
+                    return False
+                _, pattern, comparison, lam = _cycle_witness(along)
+                if pattern != w.pattern:
+                    return False
+            elif w.kind == "forbidden-subgraph":
                 sub = induced(m, w.vertices)
-                if w.kind in ("triangle", "quadrangle"):
-                    size = 3 if w.kind == "triangle" else 4
-                    if sub.n != size or _cycle_pattern(sub) != w.pattern:
-                        return False
-                elif w.kind == "forbidden-subgraph":
-                    named = [p for name, p in FORBIDDEN_SUBGRAPHS if name == w.pattern]
-                    if named != [underlying_graph(sub)]:
-                        return False
-                else:
+                named = [p for name, p in FORBIDDEN_SUBGRAPHS if name == w.pattern]
+                if named != [underlying_graph(sub)]:
                     return False
                 comparison, lam = _small_witness_spectrum(sub.kinds)
-        except ValueError:  # bad vertices, not a cycle, or a disconnected graph
+            else:
+                return False
+        except ValueError:  # bad vertices, or a disconnected graph
             return False
         return (
             comparison is w.comparison
@@ -698,8 +708,9 @@ def _cycle_pattern(q: MixedGraph) -> str:
 
 
 #: The key space is the 27 mixed triangles and 81 mixed quadrangles in
-#: cyclic order, of which the classifier rejects on 20 and 61, so with 128
-#: entries the memo never evicts.
+#: cyclic order, 108 keys: the classifier rejects on 20 and 61 of them and
+#: ``Certificate.verify`` may read any, so with 128 entries the memo never
+#: evicts.
 @lru_cache(maxsize=128)
 def _cycle_witness(along: tuple[int, ...]) -> tuple[str, str, Trichotomy, float]:
     """Kind, pattern, comparison and lambda_min of the reject witness on a
@@ -709,14 +720,10 @@ def _cycle_witness(along: tuple[int, ...]) -> tuple[str, str, Trichotomy, float]
     with it every field ``_witness_from_subgraph`` would give but the vertices.
     """
     size = len(along)
-    table = [[0] * size for _ in range(size)]
-    for i, kind in enumerate(along):
-        j = (i + 1) % size
-        table[i][j], table[j][i] = kind, _FLIP[kind]
-    kinds = tuple(map(tuple, table))
-    comparison, lam = _small_witness_spectrum(kinds)
+    cycle = build(size, [(i, (i + 1) % size, EdgeKind(k)) for i, k in enumerate(along)])
+    comparison, lam = _small_witness_spectrum(cycle.kinds)
     kind = "triangle" if size == 3 else "quadrangle"
-    return kind, _cycle_pattern(MixedGraph(size, kinds)), comparison, lam
+    return kind, _cycle_pattern(cycle), comparison, lam
 
 
 def _cycle_certificate(cycle: tuple[int, ...], along: tuple[int, ...]) -> Certificate:
@@ -745,12 +752,6 @@ def _witness_from_subgraph(
     if pattern is None:
         pattern = _cycle_pattern(MixedGraph(len(kinds), kinds))
     return RejectWitness(kind, pattern, vertices, comparison, lam)
-
-
-@lru_cache(maxsize=256)
-def _automorphisms(g: MixedGraph) -> tuple[tuple[int, ...], ...]:
-    """Automorphisms of g's underlying graph in ``itertools.permutations`` order."""
-    return tuple(_embeddings(g.adjacency, g))
 
 
 def classify_threshold(m: MixedGraph) -> Certificate:

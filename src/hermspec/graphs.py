@@ -171,9 +171,6 @@ class MixedGraph:
     def neighbors(self, u: int) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if self.adjacency[u] >> v & 1)
 
-    def degree(self, u: int) -> int:
-        return self.adjacency[u].bit_count()
-
     def is_undirected(self) -> bool:
         return all(k in (EdgeKind.NONE, EdgeKind.UNDIRECTED) for row in self.kinds for k in row)
 
@@ -194,15 +191,6 @@ class MixedGraph:
         return "".join(str(k) for row in self.kinds for k in row)
 
 
-def _empty_table(n: int) -> list[list[int]]:
-    return [[0] * n for _ in range(n)]
-
-
-def _set_pair(table: list[list[int]], u: int, v: int, kind: EdgeKind) -> None:
-    table[u][v] = int(kind)
-    table[v][u] = _FLIP[kind]
-
-
 def build(n: int, edges: Iterable[tuple[int, int, str | EdgeKind]]) -> MixedGraph:
     """Build a mixed graph from an edge list.
 
@@ -221,7 +209,7 @@ def build(n: int, edges: Iterable[tuple[int, int, str | EdgeKind]]) -> MixedGrap
         or a vertex pair listed twice in either order (double arcs and
         parallel edges are rejected).
     """
-    table = _empty_table(n)
+    table = [[0] * n for _ in range(n)]
     seen: set[tuple[int, int]] = set()
     for u, v, kind in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -234,15 +222,13 @@ def build(n: int, edges: Iterable[tuple[int, int, str | EdgeKind]]) -> MixedGrap
         seen.add(key)
         if isinstance(kind, EdgeKind) and kind != EdgeKind.NONE:
             k = kind
-            if k == EdgeKind.ARC_IN:
-                u, v, k = v, u, EdgeKind.ARC_OUT
         elif kind == "undirected":
             k = EdgeKind.UNDIRECTED
         elif kind == "arc":
             k = EdgeKind.ARC_OUT
         else:
             raise ValueError(f"unknown edge kind {kind!r} for pair ({u}, {v})")
-        _set_pair(table, u, v, k)
+        table[u][v], table[v][u] = int(k), _FLIP[k]
     return MixedGraph(n, tuple(tuple(r) for r in table))
 
 
@@ -322,24 +308,10 @@ def coalescence(m1: MixedGraph, u: int, m2: MixedGraph, v: int) -> MixedGraph:
         raise ValueError(f"vertex {u} out of range in first graph")
     if not 0 <= v < m2.n:
         raise ValueError(f"vertex {v} out of range in second graph")
-    n = m1.n + m2.n - 1
-    table = _empty_table(n)
-    for a in range(m1.n):
-        for b in range(m1.n):
-            table[a][b] = m1.kinds[a][b]
-    mapping = {}
-    nxt = m1.n
-    for w in range(m2.n):
-        if w == v:
-            mapping[w] = u
-        else:
-            mapping[w] = nxt
-            nxt += 1
-    for a in range(m2.n):
-        for b in range(m2.n):
-            if a != b and m2.kinds[a][b] != EdgeKind.NONE:
-                table[mapping[a]][mapping[b]] = m2.kinds[a][b]
-    return MixedGraph(n, tuple(tuple(r) for r in table))
+    # m2's vertex v becomes u; the others follow m1's, in order.
+    at = [u if w == v else m1.n + w - (w > v) for w in range(m2.n)]
+    glued = [(at[a], at[b], kind) for a, b, kind in m2.edges()]
+    return build(m1.n + m2.n - 1, m1.edges() + glued)
 
 
 def make_knst(s: int, t: int) -> MixedGraph:
@@ -353,14 +325,8 @@ def make_knst(s: int, t: int) -> MixedGraph:
     if s < 0 or t < 0 or s + t == 0:
         raise ValueError("block sizes must be nonnegative and not both zero")
     n = s + t
-    table = _empty_table(n)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if a < s and b >= s:
-                _set_pair(table, a, b, EdgeKind.ARC_OUT)
-            else:
-                _set_pair(table, a, b, EdgeKind.UNDIRECTED)
-    return MixedGraph(n, tuple(tuple(r) for r in table))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return build(n, [(a, b, "arc" if a < s <= b else "undirected") for a, b in pairs])
 
 
 def _flood(adj: tuple[int, ...], comp: int) -> int:
@@ -395,15 +361,7 @@ def is_connected(m: MixedGraph) -> bool:
 
 def disjoint_union(g: MixedGraph, h: MixedGraph) -> MixedGraph:
     """Disjoint union; h's vertices are shifted by g.n."""
-    n = g.n + h.n
-    table = _empty_table(n)
-    for a in range(g.n):
-        for b in range(g.n):
-            table[a][b] = g.kinds[a][b]
-    for a in range(h.n):
-        for b in range(h.n):
-            table[g.n + a][g.n + b] = h.kinds[a][b]
-    return MixedGraph(n, tuple(tuple(r) for r in table))
+    return build(g.n + h.n, g.edges() + [(g.n + a, g.n + b, kind) for a, b, kind in h.edges()])
 
 
 def join(g: MixedGraph, h: MixedGraph) -> MixedGraph:
@@ -415,19 +373,12 @@ def join(g: MixedGraph, h: MixedGraph) -> MixedGraph:
     if not g.is_undirected() or not h.is_undirected():
         raise ValueError("join requires fully undirected inputs")
     base = disjoint_union(g, h)
-    table = [list(row) for row in base.kinds]
-    for a in range(g.n):
-        for b in range(g.n, g.n + h.n):
-            _set_pair(table, a, b, EdgeKind.UNDIRECTED)
-    return MixedGraph(base.n, tuple(tuple(r) for r in table))
+    across = [(a, b, "undirected") for a in range(g.n) for b in range(g.n, base.n)]
+    return build(base.n, base.edges() + across)
 
 
 def complete_graph(n: int) -> MixedGraph:
-    table = _empty_table(n)
-    for a in range(n):
-        for b in range(a + 1, n):
-            _set_pair(table, a, b, EdgeKind.UNDIRECTED)
-    return MixedGraph(n, tuple(tuple(r) for r in table))
+    return build(n, [(a, b, "undirected") for a in range(n) for b in range(a + 1, n)])
 
 
 def path_graph(n: int) -> MixedGraph:

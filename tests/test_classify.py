@@ -555,7 +555,7 @@ def test_automorphisms_match_permutation_filter():
                 for u in range(n) for v in range(u + 1, n)
             )
         )
-        assert classify._automorphisms(g) == want
+        assert census._automorphisms(g) == want
 
 
 #: Forbidden graphs that contain an induced copy of an entry of
@@ -616,7 +616,7 @@ def _family_by_components(g):
     if all(g.kinds[u][v] for u in range(n) for v in range(u + 1, n)):
         return classify.FamilyMatch("complete", s=max(n - 1, 0), t=0)
     for v in range(n):
-        if g.degree(v) != n - 1:
+        if len(g.neighbors(v)) != n - 1:
             continue
         rest = [w for w in range(n) if w != v]
         sub = induced(g, rest)
@@ -760,6 +760,8 @@ def test_verify_h3_requires_a_partition():
     assert not forge(3, 2, (0, 0, 1), (3, 4)).verify(m)
     assert not forge(3, 2, (0, 1), (3, 4)).verify(m)
     assert not forge(2, 3, (0, 1, 2), (3, 4)).verify(m)
+    # The empty graph has no smallest eigenvalue, so no accept verifies on it.
+    assert forge(0, 0, (), ()).verify(build(0, [])) is False
 
 
 def test_verify_h3_requires_the_true_split():
@@ -967,7 +969,8 @@ def test_cycle_witness_key_space_is_the_forbidden_cycles():
 
 def test_cycle_witness_is_shared_across_relabelings_and_switchings():
     # The witness memo is keyed on the cycle's kinds alone, so relabeled and
-    # switched copies of one reject miss it once per distinct kind sequence.
+    # switched copies of one reject miss it once per distinct kind sequence;
+    # classify and verify each look it up once per copy.
     rng = random.Random(32)
     # A holonomy -1 triangle and a holonomy +1 quadrangle, each with a pendant arc.
     tri_reject = build(4, [(0, 1, "arc"), (1, 2, "arc"), (0, 2, "undirected"), (2, 3, "arc")])
@@ -983,7 +986,7 @@ def test_cycle_witness_is_shared_across_relabelings_and_switchings():
             vs = w.vertices
             shapes.add(tuple(g.kinds[u][v] for u, v in zip(vs, vs[1:] + vs[:1])))
         info = classify._cycle_witness.cache_info()
-        assert (info.misses, info.hits) == (len(shapes), 20 - len(shapes)), kind
+        assert (info.misses, info.hits) == (len(shapes), 40 - len(shapes)), kind
         assert len(shapes) < 20
 
 
@@ -1005,12 +1008,59 @@ def test_cycle_certificate_memo_matches_unmemoized_witness():
                 exits[kind] += 1
     assert exits == {"triangle": 104320, "quadrangle": 1268}
     # Each of the 20 forbidden triangles and 61 forbidden quadrangles misses
-    # once, and the memo then holds exactly those.
+    # once, and the memo then holds exactly those; classify and verify each
+    # look up every reject.
     info = classify._cycle_witness.cache_info()
-    assert (info.misses, info.hits) == (81, 105588 - 81)
+    assert (info.misses, info.hits) == (81, 2 * 105588 - 81)
     for along in _forbidden_cycles():
         classify._cycle_witness(along)
     assert classify._cycle_witness.cache_info().misses == 81
+
+
+def test_cycle_reject_verify_reads_the_witness_memo(monkeypatch):
+    # Verify names a triangle or quadrangle reject by the kinds along its
+    # cycle: once classify has warmed the memo, verify hits it and never calls
+    # triangle_type or quad_class.  A witness that is no such cycle of m fails.
+    tri = build(4, [(0, 1, "arc"), (1, 2, "arc"), (0, 2, "undirected"), (2, 3, "arc")])
+    c4 = cycle_graph(4)
+    diamond = build(4, [(u, (u + 1) % 4, "undirected") for u in range(4)] + [(0, 2, "arc")])
+    tri_cert, c4_cert = classify_threshold(tri), classify_threshold(c4)
+    assert tri_cert.verify(tri) and c4_cert.verify(c4)
+    for m, cert, vertices, pattern in [
+        (tri, tri_cert, (0, 1, 1), None),
+        (tri, tri_cert, (0, 0, 1), None),
+        (tri, tri_cert, (-4, 1, 2), None),  # row -4 is row 0: only the range check fails it
+        (tri, tri_cert, (0, 1, 4), None),
+        (tri, tri_cert, (1, 2, 3), None),  # not a triangle
+        (tri, tri_cert, (0, 1, 2), "K3_31"),
+        (c4, c4_cert, (0, 1, 2, 2), None),
+        (c4, c4_cert, (-4, 1, 2, 3), None),
+        (c4, c4_cert, (0, 1, 2, 4), None),
+        (c4, c4_cert, (0, 1, 2, 3), "imaginary"),
+        (diamond, c4_cert, (0, 1, 2, 3), None),  # a chorded quadrangle
+    ]:
+        w = replace(cert.witness, vertices=vertices, pattern=pattern or cert.witness.pattern)
+        assert replace(cert, witness=w).verify(m) is False, w
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    graphs = [parse_mgfile(text) for text in workloads.generate_mix(1, 5000)]
+    certified = [(m, classify_threshold(m)) for m in graphs]
+    cycles = [
+        (m, cert) for m, cert in certified
+        if cert.witness is not None and cert.witness.kind in ("triangle", "quadrangle")
+    ]
+    assert {cert.witness.kind for _, cert in cycles} == {"triangle", "quadrangle"}
+    misses = classify._cycle_witness.cache_info().misses
+
+    def refuse(_):
+        raise AssertionError("a cycle reject was named from its subgraph")
+
+    monkeypatch.setattr(classify, "triangle_type", refuse)
+    monkeypatch.setattr(classify, "quad_class", refuse)
+    assert all(cert.verify(m) for m, cert in cycles)
+    assert classify._cycle_witness.cache_info().misses == misses
 
 
 def test_forbidden_memo_matches_unmemoized_search():
@@ -1301,7 +1351,7 @@ def test_h1_perm_inverts_the_shape_embedding(monkeypatch):
     import workloads
 
     graphs = [parse_mgfile(text) for text in workloads.generate_mix(1, 25000)]
-    classify._automorphisms.cache_clear()
+    census._automorphisms.cache_clear()
     certified = []
 
     def recording(m):
@@ -1318,7 +1368,7 @@ def test_h1_perm_inverts_the_shape_embedding(monkeypatch):
         embedding = classify._family_of(m).embedding
         assert [cert.details.perm[v] for v in embedding] == list(range(m.n))
     assert sum(i < in_census for i in h1) == 37 + 36 < len(h1)
-    assert classify._automorphisms.cache_info().currsize == 0
+    assert census._automorphisms.cache_info().currsize == 0
 
 
 def test_classify_reject_witnesses():

@@ -202,7 +202,7 @@ def test_constructors():
     assert path_graph(4).edge_count() == 3
     assert cycle_graph(5).edge_count() == 5
     assert star_graph(3).edge_count() == 3
-    assert star_graph(3).degree(0) == 3
+    assert len(star_graph(3).neighbors(0)) == 3
 
 
 def test_join_and_disjoint_union():
@@ -232,7 +232,7 @@ def test_make_knst_pattern():
 def test_coalescence_glues_one_vertex():
     paw = coalescence(complete_graph(3), 0, path_graph(2), 0)
     assert paw.n == 4
-    assert paw.degree(0) == 3
+    assert len(paw.neighbors(0)) == 3
     assert underlying_graph(paw).edge_count() == 4
     with pytest.raises(ValueError):
         coalescence(complete_graph(3), 7, path_graph(2), 0)
@@ -259,7 +259,7 @@ def test_adjacency_matches_kinds():
             assert adj[u] == sum(1 << v for v in range(n) if m.kinds[u][v] != 0)
             assert out[u] == sum(1 << v for v in range(n) if m.kinds[u][v] == EdgeKind.ARC_OUT)
             assert m.neighbors(u) == tuple(v for v in range(n) if m.kinds[u][v] != 0)
-            assert m.degree(u) == len(m.neighbors(u))
+            assert adj[u].bit_count() == len(m.neighbors(u))
         assert m.edge_count() == len(m.edges())
         # A cached mask takes no part in equality, hashing or the repr.
         assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
@@ -306,3 +306,121 @@ def test_connected_components_match_dfs_reference():
         assert is_connected(m) == (len(want) <= 1)
         split += len(want) > 1
     assert split > 600
+
+
+# The table-filling constructors that predate building every graph through
+# ``build``, kept as references for its edge lists.
+
+
+def _empty_table(n: int) -> list[list[int]]:
+    return [[0] * n for _ in range(n)]
+
+
+def _set_pair(table: list[list[int]], u: int, v: int, kind: EdgeKind) -> None:
+    table[u][v] = int(kind)
+    table[v][u] = _FLIP[kind]
+
+
+def _filled_coalescence(m1: MixedGraph, u: int, m2: MixedGraph, v: int) -> MixedGraph:
+    if not 0 <= u < m1.n:
+        raise ValueError(f"vertex {u} out of range in first graph")
+    if not 0 <= v < m2.n:
+        raise ValueError(f"vertex {v} out of range in second graph")
+    n = m1.n + m2.n - 1
+    table = _empty_table(n)
+    for a in range(m1.n):
+        for b in range(m1.n):
+            table[a][b] = m1.kinds[a][b]
+    mapping = {}
+    nxt = m1.n
+    for w in range(m2.n):
+        if w == v:
+            mapping[w] = u
+        else:
+            mapping[w] = nxt
+            nxt += 1
+    for a in range(m2.n):
+        for b in range(m2.n):
+            if a != b and m2.kinds[a][b] != EdgeKind.NONE:
+                table[mapping[a]][mapping[b]] = m2.kinds[a][b]
+    return MixedGraph(n, tuple(tuple(r) for r in table))
+
+
+def _filled_make_knst(s: int, t: int) -> MixedGraph:
+    if s < 0 or t < 0 or s + t == 0:
+        raise ValueError("block sizes must be nonnegative and not both zero")
+    n = s + t
+    table = _empty_table(n)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if a < s and b >= s:
+                _set_pair(table, a, b, EdgeKind.ARC_OUT)
+            else:
+                _set_pair(table, a, b, EdgeKind.UNDIRECTED)
+    return MixedGraph(n, tuple(tuple(r) for r in table))
+
+
+def _filled_disjoint_union(g: MixedGraph, h: MixedGraph) -> MixedGraph:
+    n = g.n + h.n
+    table = _empty_table(n)
+    for a in range(g.n):
+        for b in range(g.n):
+            table[a][b] = g.kinds[a][b]
+    for a in range(h.n):
+        for b in range(h.n):
+            table[g.n + a][g.n + b] = h.kinds[a][b]
+    return MixedGraph(n, tuple(tuple(r) for r in table))
+
+
+def _filled_join(g: MixedGraph, h: MixedGraph) -> MixedGraph:
+    if not g.is_undirected() or not h.is_undirected():
+        raise ValueError("join requires fully undirected inputs")
+    base = _filled_disjoint_union(g, h)
+    table = [list(row) for row in base.kinds]
+    for a in range(g.n):
+        for b in range(g.n, g.n + h.n):
+            _set_pair(table, a, b, EdgeKind.UNDIRECTED)
+    return MixedGraph(base.n, tuple(tuple(r) for r in table))
+
+
+def _filled_complete_graph(n: int) -> MixedGraph:
+    table = _empty_table(n)
+    for a in range(n):
+        for b in range(a + 1, n):
+            _set_pair(table, a, b, EdgeKind.UNDIRECTED)
+    return MixedGraph(n, tuple(tuple(r) for r in table))
+
+
+def _same_result(new, old, *args):
+    """Whether ``new`` and ``old`` give equal kind tables of plain ints, or
+    raise the same error with the same message, on ``args``."""
+    try:
+        want = old(*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            new(*args)
+        return str(got.value) == str(exc)
+    got = new(*args)
+    return got.n == want.n and got.kinds == want.kinds and all(
+        type(k) is int for row in got.kinds for k in row
+    )
+
+
+def test_constructors_build_the_filled_tables():
+    rng = random.Random(35)
+    for _ in range(1000):
+        g = random_mixed(rng, rng.randrange(0, 7), p=rng.uniform(0.1, 0.9))
+        h = random_mixed(rng, rng.randrange(0, 7), p=rng.uniform(0.1, 0.9))
+        assert _same_result(disjoint_union, _filled_disjoint_union, g, h)
+        u, v = rng.randrange(-1, g.n + 1), rng.randrange(-1, h.n + 1)
+        assert _same_result(coalescence, _filled_coalescence, g, u, h, v), (g, u, h, v)
+        assert _same_result(join, _filled_join, g, h)  # raises unless both undirected
+        g, h = underlying_graph(g), underlying_graph(h)
+        assert _same_result(join, _filled_join, g, h)
+    for n in range(-2, 9):
+        assert _same_result(complete_graph, _filled_complete_graph, n)
+    for s in range(-1, 6):
+        for t in range(-1, 6):
+            assert _same_result(make_knst, _filled_make_knst, s, t)
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        complete_graph(-1)
