@@ -24,16 +24,17 @@ survivors by one rule, ``_orbits``: the smallest key over the shape's
 automorphisms, of the encoding, of the smaller encoding of an orientation
 and its converse, or of the class key.
 
-An exhaustive sweep reads the base-3 digits and the class keys of
-``_KEY_BLOCK`` orientations at a time, in int8 arithmetic mod 4, and
-computes the characteristic polynomials of the block's new classes in
+An exhaustive sweep reads the base-3 digits, edge i-exponents and class
+keys of ``_KEY_BLOCK`` orientations at a time, in int8 arithmetic mod 4,
+and computes the characteristic polynomials of the pass's new classes in
 batches of at most ``_BLOCK``, the batch that bounds the sweep's memory.
-Kind tables are built from per-vertex row tables: row u of an
-orientation's kind table depends only on the digits of u's incident edges,
-so each distinct row is built once per underlying graph and shared, and the
-row keys come from the same digits as the class keys.  The classifier's
-triangle stage reads each bare table, and only a table that passes it, 2,613
-of the 106,933 at n <= 5, is built into a MixedGraph for the rest.
+The same exponents give every orientation's triangle verdict,
+``_triangle_safe``: by interlacing, a triangle of holonomy other than one
+fails the bound, so an orientation the mask rejects is checked against its
+class verdict alone, and built only to name a mismatch.  Only the mask-safe
+orientations, 2,613 of the 106,933 at n <= 5, get kind tables, from
+per-vertex row tables: row u depends only on the digits of u's incident
+edges, so each distinct row is built once per underlying graph and shared.
 
 The six-vertex complete graph has 3^15 = 14,348,907 orientations, too many
 to build one by one, so its sweep decides its 4^10 classes in pool blocks,
@@ -75,7 +76,6 @@ from .graphs import (
     complete_graph,
     converse,
     decode,
-    is_connected,
     underlying_graph,
 )
 from .polynomials import Trichotomy, taylor_compare_min_root
@@ -248,29 +248,41 @@ def enumerate_connected_graphs(n: int) -> list[MixedGraph]:
 
     One representative per isomorphism class, chosen as the lexicographically
     smallest edge bitmask, sorted by (edge count, bitmask).  Limited to
-    n <= 6, as n = 7 takes 5,040 passes over 2^21 edge sets, one per vertex
-    permutation.  Expected counts: 1, 1, 2, 6, 21, 112 for n = 1..6.
+    n <= 6, the census's reach.  Expected counts: 1, 1, 2, 6, 21, 112 for
+    n = 1..6.
     """
     if not 1 <= n <= 6:
         raise ValueError("graph enumeration limited to 1 <= n <= 6")
+    return list(_connected_graphs(n))
+
+
+@lru_cache(maxsize=8)
+def _connected_graphs(n: int) -> tuple[MixedGraph, ...]:
+    """``enumerate_connected_graphs(n)`` by one-vertex augmentation: every
+    connected graph has a non-cut vertex (a leaf of a spanning tree), so
+    joining vertex n - 1 to each nonempty vertex set of each connected graph
+    on n - 1 vertices meets every class.  Each candidate's edge bitmask (bit
+    i for pair i of ``combinations(range(n), 2)``) becomes the smallest over
+    its n! relabelings."""
+    if n == 1:
+        return (build(1, []),)
     pairs = list(combinations(range(n), 2))
-    m = len(pairs)
     idx = {pair: i for i, pair in enumerate(pairs)}
-    masks = np.arange(1 << m, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(m)) & 1
-    weights = (np.int64(1) << np.arange(m)).astype(np.int64)
-    canon = masks.copy()
+    joins = [0]  # edge masks from vertex n - 1 to each vertex set, the empty one first
+    for u in range(n - 1):
+        joins += [join | 1 << idx[u, n - 1] for join in joins]
+    canon = np.array([
+        sum(1 << idx[e] for e in edge_list(g)) | join
+        for g in _connected_graphs(n - 1) for join in joins[1:]
+    ], dtype=np.int64)
+    bits = (canon[:, None] >> np.arange(len(pairs))) & 1
+    weights = np.int64(1) << np.arange(len(pairs), dtype=np.int64)
     for perm in permutations(range(n)):
         order = [idx[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
-        pmask = bits[:, order] @ weights
-        np.minimum(canon, pmask, out=canon)
-    out = []
-    for mask in _distinct(canon).tolist():
-        g = build(n, [(u, v, "undirected") for i, (u, v) in enumerate(pairs) if mask >> i & 1])
-        if is_connected(g):
-            out.append((g.edge_count(), mask, g))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return [g for _, _, g in out]
+        np.minimum(canon, bits[:, order] @ weights, out=canon)
+    reps = sorted(_distinct(canon).tolist(), key=lambda mask: (mask.bit_count(), mask))
+    return tuple(build(n, [(u, v, "undirected") for i, (u, v) in enumerate(pairs) if mask >> i & 1])
+                 for mask in reps)
 
 
 @lru_cache(maxsize=256)
@@ -472,24 +484,25 @@ def _class_matrices(g: MixedGraph, keys: np.ndarray) -> np.ndarray:
 
 def _class_verdicts(
     g: MixedGraph, memo: dict[int, Trichotomy]
-) -> Iterator[tuple[np.ndarray, list[Trichotomy]]]:
-    """The base-3 digits and exact verdicts of every orientation of g, in
-    blocks of ``_BLOCK`` indices in index order.
+) -> Iterator[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], Iterator[Trichotomy]]]:
+    """The exact verdict of every orientation of g, one pass of
+    ``_KEY_BLOCK`` indices at a time, in index order.
 
-    Digits are read and keyed by ``_class_keys`` once per ``_KEY_BLOCK``
-    indices.  Of each converse pair of keys not yet in ``memo`` only the
-    smaller is decided, in batches of at most ``_BLOCK`` keys; its verdict
-    is stored under both keys, so ``memo`` ends up holding one verdict per
-    switching class of g.  The converse of an orientation is an
-    orientation, so every key stored is met.  The verdicts and the
-    orientations built from them go out ``_BLOCK`` at a time, which keeps
-    their Python objects to one block's worth.
+    Each pass yields the base-3 digits of its indices (``_digits``), their
+    edge i-exponents and their ``_class_keys``, with an iterator over their
+    verdicts, read from ``memo``.  Of each converse pair of keys not yet in
+    ``memo`` only the smaller is decided, in batches of at most ``_BLOCK``
+    keys; its verdict is stored under both keys, so ``memo`` ends up holding
+    one verdict per switching class of g, in the order decided.  The
+    converse of an orientation is an orientation, so every key stored is
+    met.
     """
     m = g.edge_count()
     total = 3 ** m
     for start in range(0, total, _KEY_BLOCK):
         digits = _digits(np.arange(start, min(start + _KEY_BLOCK, total)), m)
-        keys = _class_keys(g, _DIGIT_EXP[digits.T])
+        exps = _DIGIT_EXP[digits.T]
+        keys = _class_keys(g, exps)
         canon = _distinct(np.minimum(keys, _converse_keys(keys))).tolist()
         fresh = np.array([k for k in canon if k not in memo], dtype=np.int64)
         for i in range(0, len(fresh), _BLOCK):
@@ -497,15 +510,7 @@ def _class_verdicts(
             verdicts = _decide(_char_poly_rows(_class_matrices(g, batch)))
             memo.update(zip(batch.tolist(), verdicts))
             memo.update(zip(_converse_keys(batch).tolist(), verdicts))
-        for i in range(0, len(keys), _BLOCK):
-            yield digits[i:i + _BLOCK], list(map(memo.__getitem__, keys[i:i + _BLOCK].tolist()))
-
-
-def _sweep(g: MixedGraph, memo: dict[int, Trichotomy]) -> Iterator[tuple[_Kinds, Trichotomy]]:
-    """The kind table of every orientation of g with its exact verdict, in
-    index order, from one digit pass per block of ``_class_verdicts``."""
-    for digits, verdicts in _class_verdicts(g, memo):
-        yield from zip(_built(g, digits), verdicts)
+        yield (digits, exps, keys), map(memo.__getitem__, keys.tolist())
 
 
 def derive_scattered_catalog() -> Catalog:
@@ -658,26 +663,22 @@ def _tally(decided: Iterable[tuple[_Kinds, Trichotomy]]) -> LevelStats:
     """Classify each orientation and compare it with its exact verdict.
 
     ``decided`` pairs the kind table of each orientation with the exact
-    comparison of its smallest eigenvalue against -(1+sqrt5)/2, from
-    ``_sweep`` or ``_decided``.  Counts accepts by family, rejects and
+    comparison of its smallest eigenvalue against -(1+sqrt5)/2: a sample's
+    orientations (``_decided``), or the mask-safe ones of an exhaustive
+    sweep (``_tally_underlying``).  Counts accepts by family, rejects and
     exact-EQUAL boundaries, and records the encoding of every orientation
-    whose verdict disagrees with the exact comparison.  ``n``,
-    ``underlying_graphs``, ``classes``, ``polys`` and ``label`` are left for
-    the caller: ``_tally_underlying`` fills the first four,
-    ``verify_main_theorem`` sets ``n`` of the n=6 sample and ``label`` of
-    each deep family graph.
+    whose verdict disagrees with the exact one.  ``n``, ``underlying_graphs``,
+    ``classes``, ``polys`` and ``label`` are left for the caller.
 
-    The verdict is ``_classify``'s: its triangle scan runs first on the bare
-    table (``_bad_triangle``), and a forbidden triangle counts as a reject
-    with no certificate built.  Only a table that passes it is built into a
-    MixedGraph, without re-validation, for ``_classify``, whose own triangle
-    scan then finds nothing.  Most orientations leave at a triangle, so most
-    are never built.  ``_classify`` is
-    ``classify_threshold``'s body without its connectivity check, so every
-    orientation must orient a nonempty connected underlying graph:
-    ``_tally_underlying`` checks its graph once, and the K_6 subsample and
-    the n=6 sample orient ``complete_graph(6)`` and the output of
-    ``enumerate_connected_graphs``, which keeps only connected graphs.
+    The verdict is ``_classify``'s.  Its triangle scan runs first on the
+    bare table (``_bad_triangle``): most sampled orientations leave there, a
+    reject with no graph built, and a mask-safe one always passes.  A table
+    that passes is built into a MixedGraph, without re-validation, for
+    ``_classify``, which is ``classify_threshold``'s body without its
+    connectivity check.  So every orientation must orient a nonempty
+    connected graph: ``_tally_underlying`` checks its graph once, and the
+    samples orient ``complete_graph(6)`` and graphs from
+    ``enumerate_connected_graphs``.
     """
     orientations = rejects = boundary_equal = 0
     accepts: dict[str, int] = {}
@@ -707,14 +708,36 @@ def _tally(decided: Iterable[tuple[_Kinds, Trichotomy]]) -> LevelStats:
 def _tally_underlying(g: MixedGraph) -> LevelStats:
     """``_tally`` over every orientation of one underlying graph, decided
     once per converse pair of switching classes (a pool task).  Raises
-    ValueError when g is empty or disconnected."""
+    ValueError when g is empty or disconnected.
+
+    ``_triangle_safe`` screens each pass of ``_class_verdicts``: a masked-out
+    orientation is a reject, counted from its class verdict alone and built
+    only to record a mismatch.  ``_tally`` gets the rest."""
     _check_classifiable(g)
     memo: dict[int, Trichotomy] = {}
-    stats = _tally(_sweep(g, memo))
+    decided: dict[Trichotomy, list[int]] = {v: [] for v in Trichotomy}  # memo's keys by verdict
+    parts = []
+    for (digits, exps, keys), _ in _class_verdicts(g, memo):
+        # memo keeps insertion order, so the pass's fresh classes come last.
+        for key, v in islice(reversed(memo.items()), len(memo) - sum(map(len, decided.values()))):
+            decided[v].append(key)
+        # int64 members, even when empty, and a table over keys below 4^cotree: np.isin's
+        # other path sorts by np.unique, which imports numpy.ma.
+        above = np.array(decided[Trichotomy.GREATER], np.int64)
+        equal = np.array(decided[Trichotomy.EQUAL], np.int64)
+        safe = _triangle_safe(g, exps)
+        cut = keys[~safe]
+        wrong = _built(g, digits[~safe][np.isin(cut, above, kind="table")])
+        parts.append(LevelStats(
+            0, orientations=len(cut), rejects=len(cut),
+            boundary_equal=int(np.isin(cut, equal, kind="table").sum()),
+            mismatches=[MixedGraph._trusted(g.n, t).encode() for t in wrong],
+        ))
+        verdicts = map(memo.__getitem__, keys[safe].tolist())
+        parts.append(_tally(zip(_built(g, digits[safe]), verdicts)))
     keys = np.fromiter(memo, dtype=np.int64, count=len(memo))
-    stats.n, stats.underlying_graphs, stats.classes = g.n, 1, len(memo)
-    stats.polys = int(np.count_nonzero(keys <= _converse_keys(keys)))
-    return stats
+    polys = int(np.count_nonzero(keys <= _converse_keys(keys)))
+    return _merged(LevelStats(g.n, 1, classes=len(memo), polys=polys), parts)
 
 
 def _merged(stats: LevelStats, parts: Iterable[LevelStats]) -> LevelStats:

@@ -147,6 +147,35 @@ def test_enumerate_connected_graphs_counts():
         enumerate_connected_graphs(8)
 
 
+def _connected_graphs_by_mask_scan(n: int) -> list[MixedGraph]:
+    """Reference: the smallest edge mask over all n! relabelings of every
+    edge set on n vertices, kept when connected, sorted by (edge count,
+    mask)."""
+    pairs = list(combinations(range(n), 2))
+    idx = {pair: i for i, pair in enumerate(pairs)}
+    masks = np.arange(1 << len(pairs), dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(len(pairs))) & 1
+    weights = np.int64(1) << np.arange(len(pairs), dtype=np.int64)
+    canon = masks.copy()
+    for perm in permutations(range(n)):
+        order = [idx[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+        np.minimum(canon, bits[:, order] @ weights, out=canon)
+    out = []
+    for mask in np.unique(canon).tolist():
+        g = build(n, [(u, v, "undirected") for i, (u, v) in enumerate(pairs) if mask >> i & 1])
+        if is_connected(g):
+            out.append((g.edge_count(), mask, g))
+    return [g for _, _, g in sorted(out, key=lambda t: t[:2])]
+
+
+def test_connected_graphs_match_mask_scan_reference():
+    for n in range(1, 7):
+        assert enumerate_connected_graphs(n) == _connected_graphs_by_mask_scan(n), n
+    # Each call returns a fresh list, so a caller's edit reaches no other.
+    enumerate_connected_graphs(6).clear()
+    assert len(enumerate_connected_graphs(6)) == 112
+
+
 def test_iso_classes_of_triangles():
     classes = iso_classes(list(enumerate_orientations(complete_graph(3))))
     assert len(classes) == 7
@@ -300,21 +329,24 @@ def test_census_reports_triangle_stage_errors(monkeypatch):
 
 
 def test_census_certificates_are_the_classifiers(monkeypatch):
-    # Every orientation with n <= 5 gets exactly _classify's verdict: a
-    # triangle reject is decided on the bare kind table, at the vertices of
-    # _classify's triangle witness, with no certificate built; every other
-    # orientation gets a certificate equal to _classify's, from a graph built
-    # only for the orientations that pass the triangle stage.
-    stage, rest = census._bad_triangle, census._classify
+    # Every orientation with n <= 5 gets exactly _classify's verdict: an
+    # orientation the triangle mask rejects is counted with no graph built,
+    # and _classify's witness for it is a triangle, the one _bad_triangle
+    # finds; every other orientation gets a certificate equal to _classify's,
+    # from a graph built only for the orientations that pass the mask.
+    mask, rest = census._triangle_safe, census._classify
     seen = Counter()
 
-    def triangle(table):
-        tri = stage(table)
-        if tri is not None:
-            witness = classify._classify(MixedGraph(len(table), table)).witness
-            assert witness.kind == "triangle" and witness.vertices == tri
+    def triangle(g, exps):
+        safe = mask(g, exps)
+        digits = np.searchsorted(census._DIGIT_EXP, exps).astype(np.int64)
+        indices = 3 ** np.arange(len(exps), dtype=np.int64) @ digits
+        for i in indices[~safe].tolist():
+            m = orientation(g, i)
+            witness = classify._classify(m).witness
+            assert witness.kind == "triangle" and witness.vertices == classify._bad_triangle(m.kinds)
             seen["triangle"] += 1
-        return tri
+        return safe
 
     def past_triangles(m):
         cert = rest(m)
@@ -323,12 +355,56 @@ def test_census_certificates_are_the_classifiers(monkeypatch):
         seen["rest"] += 1
         return cert
 
-    monkeypatch.setattr(census, "_bad_triangle", triangle)
+    monkeypatch.setattr(census, "_triangle_safe", triangle)
     monkeypatch.setattr(census, "_classify", past_triangles)
     report = verify_main_theorem(n_max=5)
     assert report.ok
     assert sum(lv.orientations for lv in report.levels) == 106_933
     assert seen == {"triangle": 104_320, "rest": 2_613}
+
+
+def test_census_reports_triangle_mask_errors(monkeypatch):
+    # A mask that rejects every orientation must surface each orientation the
+    # classifier accepts as a mismatch, recorded by its encoding.
+    monkeypatch.setattr(census, "_triangle_safe", lambda g, exps: np.zeros(exps.shape[1], dtype=bool))
+    report = verify_main_theorem(n_max=3)
+    assert not report.ok
+    for lv in report.levels:
+        accepted = [
+            m.encode() for g in enumerate_connected_graphs(lv.n) for m in enumerate_orientations(g)
+            if classify.classify_threshold(m).accepted
+        ]
+        assert lv.mismatches == sorted(accepted) and lv.accepts == {}
+        assert lv.rejects == lv.orientations
+    assert [len(lv.mismatches) for lv in report.levels] == [1, 3, 16]
+    assert "result: FAIL" in report.text()
+
+
+def test_screened_tally_matches_unscreened_reference(monkeypatch):
+    # The screened sweep counts what _tally counts when it classifies every
+    # orientation, with verdicts decided orientation by orientation.  K_5
+    # minus an edge spans three key passes.  With every orientation masked
+    # out, the boundaries and the GREATER orientations, now mismatches,
+    # still come from the class verdicts.
+    graphs = [g for n in range(1, 5) for g in enumerate_connected_graphs(n)]
+    graphs.append(build(5, [(u, v, "undirected") for u, v in combinations(range(5), 2)
+                            if (u, v) != (3, 4)]))
+    assert orientation_count(graphs[-1]) > 2 * census._KEY_BLOCK
+    refs = [census._tally(census._decided(enumerate_orientations(g))) for g in graphs]
+    for g, ref in zip(graphs, refs):
+        stats = census._tally_underlying(g)
+        assert (stats.n, stats.underlying_graphs) == (g.n, 1)
+        assert replace(stats, n=0, underlying_graphs=0, classes=0, polys=0) == ref, g.encode()
+    monkeypatch.setattr(census, "_triangle_safe", lambda g, exps: np.zeros(exps.shape[1], dtype=bool))
+    boundary = 0
+    for g, ref in zip(graphs, refs):
+        stats = census._tally_underlying(g)
+        above = [m.encode() for m, (_, exact) in zip(enumerate_orientations(g),
+                 census._decided(enumerate_orientations(g))) if exact is Trichotomy.GREATER]
+        assert stats.rejects == stats.orientations == ref.orientations and stats.accepts == {}
+        assert stats.boundary_equal == ref.boundary_equal and stats.mismatches == sorted(above)
+        boundary += stats.boundary_equal
+    assert boundary == 27
 
 
 def test_census_pool_matches_serial():
@@ -433,7 +509,10 @@ def test_class_verdicts_match_block_decide():
     # K_5's 3^10 orientations span nine key blocks of _KEY_BLOCK.
     for label, g in [("K_5", complete_graph(5)), *census._deep_family_graphs()[1:]]:
         memo = {}
-        tables, verdicts = zip(*census._sweep(g, memo))
+        tables, verdicts = zip(*(
+            pair for (digits, _, _), block in census._class_verdicts(g, memo)
+            for pair in zip(census._built(g, digits), block)
+        ))
         assert list(tables) == [m.kinds for m in enumerate_orientations(g)], label
         ref = [exact for _, exact in census._decided(enumerate_orientations(g))]
         assert list(verdicts) == ref, label
