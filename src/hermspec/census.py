@@ -24,24 +24,27 @@ survivors by one rule, ``_orbits``: the smallest key over the shape's
 automorphisms, of the encoding, of the smaller encoding of an orientation
 and its converse, or of the class key.
 
-An exhaustive sweep reads the base-3 digits, edge i-exponents and class
-keys of ``_KEY_BLOCK`` orientations at a time, in int8 arithmetic mod 4,
-and computes the characteristic polynomials of the pass's new classes in
-batches of at most ``_BLOCK``, the batch that bounds the sweep's memory.
-The same exponents give every orientation's triangle verdict,
-``_triangle_safe``: by interlacing, a triangle of holonomy other than one
-fails the bound, so an orientation the mask rejects is checked against its
-class verdict alone, and built only to name a mismatch.  Only the mask-safe
-orientations, 2,613 of the 106,933 at n <= 5, get kind tables, from
-per-vertex row tables: row u depends only on the digits of u's incident
-edges, so each distinct row is built once per underlying graph and shared.
+An exhaustive sweep over one underlying graph keeps one dense verdict
+table, ``_class_table``: an int8 code per class key, 0 while undecided, then
+1, 2 or 3 for LESS, EQUAL or GREATER.  A key has one base-4 digit per
+cotree edge, so it indexes the table directly.  The sweep runs in passes of
+``_KEY_BLOCK`` orientations, ``_class_pass``: each pass reads the base-3
+digits of its orientations, their edge i-exponents and their class keys in
+int8 arithmetic mod 4, and decides its undecided classes in batches of at
+most ``_BLOCK``, the batch that bounds the sweep's memory.  The same
+exponents give every orientation's triangle verdict, ``_triangle_safe``: by
+interlacing, a triangle of holonomy other than one fails the bound, so an
+orientation the mask rejects is checked against its class code alone, and
+built only to name a mismatch.  Only the mask-safe orientations, 2,613 of
+the 106,933 at n <= 5 and 63 of K_6's, get kind tables, from per-vertex row
+tables: row u depends only on the digits of u's incident edges, so each
+distinct row is built once per underlying graph and shared.
 
-The six-vertex complete graph has 3^15 = 14,348,907 orientations, too many
-to build one by one, so its sweep decides its 4^10 classes in pool blocks,
-only the 136 blocks that hold the smaller key of a converse pair, and scans
-its orientations in numpy chunks with the kernels every graph shares:
-``_triangle_safe`` and ``_class_keys``, whose keys on K_6 are the holonomies
-of the ten triangles through vertex 0.
+The six-vertex complete graph has 3^15 = 14,348,907 orientations in 2,187
+passes, and 4^10 classes, a 1 MB table; its class keys are the holonomies
+of the ten triangles through vertex 0.  Its sweep fills the table first,
+from pooled decisions of the 524,800 keys that are the smaller of a class
+and its converse, and then pools the passes, which only read it.
 """
 
 from __future__ import annotations
@@ -106,10 +109,12 @@ _KIND_OF_DIGIT = (
 #: more repeated polynomials but hold more matrices at once.
 _BLOCK = 3 ** 5
 
-#: Orientations per class-key pass of an exhaustive sweep.  A pass holds
-#: its digits and keys as arrays, a few tens of bytes per orientation, and
-#: pays its fixed numpy overhead once per 27 blocks of ``_BLOCK``.
-_KEY_BLOCK = 3 ** 8
+#: Orientations per class-key pass of an exhaustive sweep, whose low
+#: ``_KEY_DIGITS`` base-3 digits every pass shares.  A pass holds its digits
+#: and keys as arrays, a few tens of bytes per orientation, and pays its
+#: fixed numpy overhead once per 27 blocks of ``_BLOCK``.
+_KEY_DIGITS = 8
+_KEY_BLOCK = 3 ** _KEY_DIGITS
 
 #: i-exponent of orientation digits 0, 1, 2, and the unit i^h for h = 0..3.
 _DIGIT_EXP = np.array([_EXP_FROM_KIND[k] for k in _KIND_OF_DIGIT], dtype=np.int8)
@@ -482,35 +487,68 @@ def _class_matrices(g: MixedGraph, keys: np.ndarray) -> np.ndarray:
     return h
 
 
-def _class_verdicts(
-    g: MixedGraph, memo: dict[int, Trichotomy]
-) -> Iterator[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], Iterator[Trichotomy]]]:
-    """The exact verdict of every orientation of g, one pass of
-    ``_KEY_BLOCK`` indices at a time, in index order.
+#: The verdict of each code of a ``_class_table``: 0 is undecided.
+_VERDICTS = (None, Trichotomy.LESS, Trichotomy.EQUAL, Trichotomy.GREATER)
+_CODE = {verdict: code for code, verdict in enumerate(_VERDICTS)}
+_EQUAL, _GREATER = _CODE[Trichotomy.EQUAL], _CODE[Trichotomy.GREATER]
 
-    Each pass yields the base-3 digits of its indices (``_digits``), their
-    edge i-exponents and their ``_class_keys``, with an iterator over their
-    verdicts, read from ``memo``.  Of each converse pair of keys not yet in
-    ``memo`` only the smaller is decided, in batches of at most ``_BLOCK``
-    keys; its verdict is stored under both keys, so ``memo`` ends up holding
-    one verdict per switching class of g, in the order decided.  The
-    converse of an orientation is an orientation, so every key stored is
-    met.
+
+def _class_table(g: MixedGraph) -> np.ndarray:
+    """An undecided verdict table of g: one int8 code per switching class,
+    indexed by its ``_class_keys`` key, so 4^(cotree edges) entries; K_6's
+    ten cotree edges give 1 MB."""
+    return np.zeros(4 ** len(_spanning_tree(g)[1]), dtype=np.int8)
+
+
+def _class_codes(g: MixedGraph, keys: np.ndarray) -> np.ndarray:
+    """The verdict code of each class key of g (a pool task), decided by
+    ``_decide`` in batches of at most ``_BLOCK`` keys."""
+    codes = np.empty(len(keys), dtype=np.int8)
+    for i in range(0, len(keys), _BLOCK):
+        rows = _char_poly_rows(_class_matrices(g, keys[i:i + _BLOCK]))
+        codes[i:i + _BLOCK] = [_CODE[v] for v in _decide(rows)]
+    return codes
+
+
+@lru_cache(maxsize=1)
+def _low_digits() -> tuple[np.ndarray, np.ndarray]:
+    """Base-3 digits of 0 .. _KEY_BLOCK - 1 on ``_KEY_DIGITS`` edges and
+    their edge i-exponents, one row per edge: the low digits of every
+    ``_class_pass``."""
+    digits = np.ascontiguousarray(_digits(range(_KEY_BLOCK), _KEY_DIGITS).T)
+    return digits, _DIGIT_EXP[digits]
+
+
+def _class_pass(
+    g: MixedGraph, start: int, table: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The base-3 digits (``_digits``), edge i-exponents and verdict codes
+    of the orientations of g from ``start``, a multiple of ``_KEY_BLOCK``,
+    up to the next multiple or the last orientation.
+
+    The low ``_KEY_DIGITS`` digits come from ``_low_digits``; the others are
+    the digits of start // _KEY_BLOCK throughout the pass.  Codes are read
+    from ``table``, g's ``_class_table``.  Of each converse pair of keys the
+    pass meets undecided, only the smaller is decided (``_class_codes``),
+    and its code is written under both keys.  The converse of an
+    orientation is an orientation, so every key written is met.
     """
     m = g.edge_count()
-    total = 3 ** m
-    for start in range(0, total, _KEY_BLOCK):
-        digits = _digits(np.arange(start, min(start + _KEY_BLOCK, total)), m)
-        exps = _DIGIT_EXP[digits.T]
-        keys = _class_keys(g, exps)
-        canon = _distinct(np.minimum(keys, _converse_keys(keys))).tolist()
-        fresh = np.array([k for k in canon if k not in memo], dtype=np.int64)
-        for i in range(0, len(fresh), _BLOCK):
-            batch = fresh[i:i + _BLOCK]
-            verdicts = _decide(_char_poly_rows(_class_matrices(g, batch)))
-            memo.update(zip(batch.tolist(), verdicts))
-            memo.update(zip(_converse_keys(batch).tolist(), verdicts))
-        yield (digits, exps, keys), map(memo.__getitem__, keys.tolist())
+    low = min(m, _KEY_DIGITS)
+    size = 3 ** low
+    low_digits, low_exps = _low_digits()
+    high = _digits([start // _KEY_BLOCK], m - low).T
+    # Filled one edge row at a time, ten times cheaper than by orientation
+    # rows; the digits go out transposed, as a view.
+    digits = np.empty((m, size), dtype=np.int8)
+    digits[:low], digits[low:] = low_digits[:low, :size], high
+    exps = np.empty((m, size), dtype=np.int8)
+    exps[:low], exps[low:] = low_exps[:low, :size], _DIGIT_EXP[high]
+    keys = _class_keys(g, exps)
+    fresh = keys[table[keys] == 0]
+    fresh = _distinct(np.minimum(fresh, _converse_keys(fresh)))
+    table[fresh] = table[_converse_keys(fresh)] = _class_codes(g, fresh)
+    return digits.T, exps, table[keys]
 
 
 def derive_scattered_catalog() -> Catalog:
@@ -528,10 +566,10 @@ def derive_scattered_catalog() -> Catalog:
     rows: list[ReconciliationRow] = []
     for label in SPORADIC_LABELS:
         g = sporadic_underlying()[label]
-        verdicts = (exact for _, block in _class_verdicts(g, {}) for exact in block)
-        survivors = [
-            orientation(g, i) for i, exact in enumerate(verdicts) if exact is Trichotomy.GREATER
-        ]
+        table = _class_table(g)
+        passes = range(0, orientation_count(g), _KEY_BLOCK)
+        codes = np.concatenate([_class_pass(g, start, table)[2] for start in passes])
+        survivors = [orientation(g, i) for i in np.flatnonzero(codes == _GREATER).tolist()]
         classes = iso_classes(survivors)
         reps = [decode(g.n, key) for key in sorted(classes)]
         for i, rep in enumerate(reps):
@@ -587,7 +625,11 @@ class LevelStats:
 
 @dataclass
 class K6Stats:
-    """Vectorized sweep over all orientations of the complete graph K_6."""
+    """Sweep over all orientations of the complete graph K_6 (``_k6_sweep``).
+
+    ``accepted`` and ``mismatches`` count what ``_tally_pass`` finds over
+    every pass, as for any exhaustive sweep; the subsample draws seeded
+    orientations and decides them one by one, with no class table."""
 
     total: int = 0
     accepted: int = 0
@@ -665,7 +707,7 @@ def _tally(decided: Iterable[tuple[_Kinds, Trichotomy]]) -> LevelStats:
     ``decided`` pairs the kind table of each orientation with the exact
     comparison of its smallest eigenvalue against -(1+sqrt5)/2: a sample's
     orientations (``_decided``), or the mask-safe ones of an exhaustive
-    sweep (``_tally_underlying``).  Counts accepts by family, rejects and
+    sweep's pass (``_tally_pass``).  Counts accepts by family, rejects and
     exact-EQUAL boundaries, and records the encoding of every orientation
     whose verdict disagrees with the exact one.  ``n``, ``underlying_graphs``,
     ``classes``, ``polys`` and ``label`` are left for the caller.
@@ -676,8 +718,8 @@ def _tally(decided: Iterable[tuple[_Kinds, Trichotomy]]) -> LevelStats:
     that passes is built into a MixedGraph, without re-validation, for
     ``_classify``, which is ``classify_threshold``'s body without its
     connectivity check.  So every orientation must orient a nonempty
-    connected graph: ``_tally_underlying`` checks its graph once, and the
-    samples orient ``complete_graph(6)`` and graphs from
+    connected graph: ``_tally_underlying`` checks its graph once, and K_6's
+    sweep and the samples orient ``complete_graph(6)`` and graphs from
     ``enumerate_connected_graphs``.
     """
     orientations = rejects = boundary_equal = 0
@@ -705,39 +747,35 @@ def _tally(decided: Iterable[tuple[_Kinds, Trichotomy]]) -> LevelStats:
     )
 
 
-def _tally_underlying(g: MixedGraph) -> LevelStats:
-    """``_tally`` over every orientation of one underlying graph, decided
-    once per converse pair of switching classes (a pool task).  Raises
-    ValueError when g is empty or disconnected.
+def _tally_pass(g: MixedGraph, start: int, table: np.ndarray) -> LevelStats:
+    """``_tally`` over the orientations of one ``_class_pass`` (a pool task).
 
-    ``_triangle_safe`` screens each pass of ``_class_verdicts``: a masked-out
-    orientation is a reject, counted from its class verdict alone and built
-    only to record a mismatch.  ``_tally`` gets the rest."""
+    ``_triangle_safe`` screens the pass: a masked-out orientation is a
+    reject, counted as a boundary or a mismatch from its verdict code alone
+    and built only to record a mismatch.  ``_tally`` gets the rest."""
+    digits, exps, codes = _class_pass(g, start, table)
+    safe = _triangle_safe(g, exps)
+    cut = codes[~safe]
+    wrong = _built(g, digits[~safe & (codes == _GREATER)])
+    screened = LevelStats(
+        0, orientations=len(cut), rejects=len(cut),
+        boundary_equal=int(np.count_nonzero(cut == _EQUAL)),
+        mismatches=[MixedGraph._trusted(g.n, t).encode() for t in wrong],
+    )
+    verdicts = map(_VERDICTS.__getitem__, codes[safe].tolist())
+    return _merged(screened, [_tally(zip(_built(g, digits[safe]), verdicts))])
+
+
+def _tally_underlying(g: MixedGraph) -> LevelStats:
+    """``_tally_pass`` over every orientation of one underlying graph, with
+    one ``_class_table`` (a pool task).  Raises ValueError when g is empty
+    or disconnected."""
     _check_classifiable(g)
-    memo: dict[int, Trichotomy] = {}
-    decided: dict[Trichotomy, list[int]] = {v: [] for v in Trichotomy}  # memo's keys by verdict
-    parts = []
-    for (digits, exps, keys), _ in _class_verdicts(g, memo):
-        # memo keeps insertion order, so the pass's fresh classes come last.
-        for key, v in islice(reversed(memo.items()), len(memo) - sum(map(len, decided.values()))):
-            decided[v].append(key)
-        # int64 members, even when empty, and a table over keys below 4^cotree: np.isin's
-        # other path sorts by np.unique, which imports numpy.ma.
-        above = np.array(decided[Trichotomy.GREATER], np.int64)
-        equal = np.array(decided[Trichotomy.EQUAL], np.int64)
-        safe = _triangle_safe(g, exps)
-        cut = keys[~safe]
-        wrong = _built(g, digits[~safe][np.isin(cut, above, kind="table")])
-        parts.append(LevelStats(
-            0, orientations=len(cut), rejects=len(cut),
-            boundary_equal=int(np.isin(cut, equal, kind="table").sum()),
-            mismatches=[MixedGraph._trusted(g.n, t).encode() for t in wrong],
-        ))
-        verdicts = map(memo.__getitem__, keys[safe].tolist())
-        parts.append(_tally(zip(_built(g, digits[safe]), verdicts)))
-    keys = np.fromiter(memo, dtype=np.int64, count=len(memo))
+    table = _class_table(g)
+    parts = [_tally_pass(g, start, table) for start in range(0, orientation_count(g), _KEY_BLOCK)]
+    keys = np.flatnonzero(table)
     polys = int(np.count_nonzero(keys <= _converse_keys(keys)))
-    return _merged(LevelStats(g.n, 1, classes=len(memo), polys=polys), parts)
+    return _merged(LevelStats(g.n, 1, classes=len(keys), polys=polys), parts)
 
 
 def _merged(stats: LevelStats, parts: Iterable[LevelStats]) -> LevelStats:
@@ -757,78 +795,28 @@ def _merged(stats: LevelStats, parts: Iterable[LevelStats]) -> LevelStats:
     return stats
 
 
-# --- K_6 sweep by switching class -----------------------------------------
-
 _K6 = complete_graph(6)
-_K6_CHUNK = 3 ** 9  # 19,683 orientations per chunk, 3^6 chunks in total
-#: The BFS tree of K_6 is the star at vertex 0, so its ten cotree edges
-#: (a, b) close the triangles (0, a, b) and a class key has ten digits.
-_K6_CLASSES = 4 ** 10
-_K6_CLASS_BLOCK = 4 ** 6
-#: Starts of the 136 class blocks that hold the smaller key of some converse
-#: pair (``_k6_class_block``); the other 120 hold none.
-_K6_CLASS_STARTS = tuple(
-    s for s in range(0, _K6_CLASSES, _K6_CLASS_BLOCK) if s <= _converse_keys(s)
-)
-
-
-def _k6_class_block(start: int) -> list[int]:
-    """Keys of the classes with lambda_min above -(1+sqrt5)/2, decided
-    exactly by ``_decide``, among the converse pairs whose smaller key lies
-    in [start, start + _K6_CLASS_BLOCK) (a pool task).
-
-    Each such key comes with its converse key, which may lie in another
-    block; sorted, without repeats.  The smaller key of a pair is the one
-    whose highest odd digit is 1, so a block whose top four digits hold an
-    odd digit decides all of its keys or none, and a block holds a key to
-    decide exactly when its start is its own smaller key
-    (``_K6_CLASS_STARTS``).
-    """
-    keys = np.arange(start, min(start + _K6_CLASS_BLOCK, _K6_CLASSES), dtype=np.int64)
-    keys = keys[keys <= _converse_keys(keys)]
-    if not len(keys):
-        return []
-    verdicts = _decide(_char_poly_rows(_class_matrices(_K6, keys)))
-    above = keys[[v is Trichotomy.GREATER for v in verdicts]]
-    return sorted({*above.tolist(), *_converse_keys(above).tolist()})
-
-
-@lru_cache(maxsize=1)
-def _k6_low_exps() -> np.ndarray:
-    """i-exponents of the nine low edges of every K_6 chunk, (9, _K6_CHUNK):
-    a chunk starts at a multiple of 3^9, so their digits are those of
-    0 .. 3^9 - 1 in every chunk."""
-    return _DIGIT_EXP[_digits(range(_K6_CHUNK), 9).T]
-
-
-def _k6_chunk(start: int, above: tuple[int, ...]) -> tuple[int, int]:
-    """Scan the chunk of K_6 orientations from ``start``, a multiple of
-    ``_K6_CHUNK``; returns (accepted, mismatches).
-
-    An orientation is accepted by its triangle verdict (``_triangle_safe``),
-    and is a mismatch when that verdict differs from whether its class key
-    (``_class_keys``) is in ``above``, the keys of the classes that lie
-    exactly above the threshold.
-    """
-    exps = np.empty((15, _K6_CHUNK), dtype=np.int8)
-    exps[:9] = _k6_low_exps()
-    exps[9:] = _DIGIT_EXP[_digits([start // _K6_CHUNK], 6).T]
-    accept = _triangle_safe(_K6, exps)
-    return int(accept.sum()), int((accept != np.isin(_class_keys(_K6, exps), above)).sum())
 
 
 def _k6_sweep(pmap: Callable, rng: random.Random, subsample: int) -> K6Stats:
-    blocks = pmap(_k6_class_block, _K6_CLASS_STARTS)
-    above = tuple(key for keys in blocks for key in keys)
-    stats = K6Stats(total=3 ** 15)
-    chunks = pmap(partial(_k6_chunk, above=above), range(0, 3 ** 15, _K6_CHUNK))
-    for accepted, mismatches in chunks:
-        stats.accepted += accepted
-        stats.mismatches += mismatches
+    """The K_6 deep sweep: its class table is filled first, from pooled
+    decisions of the smaller key of each converse pair, so that every pass
+    only reads it; then a seeded subsample is decided orientation by
+    orientation."""
+    table = _class_table(_K6)
+    keys = np.arange(len(table), dtype=np.int64)
+    canon = keys[keys <= _converse_keys(keys)]
+    blocks = [canon[i:i + _KEY_BLOCK] for i in range(0, len(canon), _KEY_BLOCK)]
+    table[canon] = table[_converse_keys(canon)] = np.concatenate(
+        list(pmap(partial(_class_codes, _K6), blocks))
+    )
+    passes = pmap(partial(_tally_pass, _K6, table=table), range(0, 3 ** 15, _KEY_BLOCK))
+    swept = _merged(LevelStats(6), passes)
     drawn = _tally(_decided(_oriented(_K6, [rng.randrange(3 ** 15) for _ in range(subsample)])))
-    stats.subsample = drawn.orientations
-    stats.subsample_mismatches = drawn.mismatches
-    return stats
+    return K6Stats(
+        total=swept.orientations, accepted=swept.accepted, mismatches=len(swept.mismatches),
+        subsample=drawn.orientations, subsample_mismatches=drawn.mismatches,
+    )
 
 
 def _deep_family_graphs() -> list[tuple[str, MixedGraph]]:
@@ -850,11 +838,12 @@ def verify_main_theorem(
     Exhausts every orientation of every connected underlying graph with up
     to min(n_max, 5) vertices, one ``LevelStats`` per vertex count, merged
     from one ``_tally_underlying`` per graph.  With ``n_max=6`` the
-    six-vertex deep sweep also exhausts the six-vertex family graphs (K_6 by
-    switching class in ``K6Stats``, and one ``LevelStats`` each for the two
-    clique coalescences and K_{2,4} plus two edges) and runs ``sample``
-    seeded random spot checks across all 112 connected six-vertex graphs,
-    tallied in one more ``LevelStats``.
+    six-vertex deep sweep also exhausts the six-vertex family graphs by the
+    same class passes (K_6 in ``K6Stats``, with a seeded subsample of at
+    least 10,000, and one ``LevelStats`` each for the two clique
+    coalescences and K_{2,4} plus two edges) and runs ``sample`` seeded
+    random spot checks across all 112 connected six-vertex graphs, tallied
+    in one more ``LevelStats``.
     """
     if not 1 <= n_max <= 6:
         raise ValueError("census covers 1 <= n_max <= 6")

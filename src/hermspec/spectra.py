@@ -51,7 +51,6 @@ __all__ = [
     "quotient_contained_exactly",
     "phi_cubic",
     "f_cubic",
-    "embed_real",
 ]
 
 #: Certified float bound: every integer below 2**53 is exact in float64, and
@@ -386,23 +385,3 @@ def f_cubic(s: int, t: int) -> IntPolynomial:
     return IntPolynomial(
         [2 * s * t - s - t, s * t - 2 * t - 2 * s + 1, 2 - t - s, 1]
     )
-
-
-def embed_real(h: np.ndarray) -> list[list[int]]:
-    """Real symmetric 2n x 2n embedding [[Re, -Im], [Im, Re]] of the (n, n)
-    Hermitian array H.
-
-    Its characteristic polynomial is the square of char(H); kept as an
-    exact cross-check oracle.
-    """
-    n = len(h)
-    out = [[0] * (2 * n) for _ in range(2 * n)]
-    for u in range(n):
-        for v in range(n):
-            z = h[u, v]
-            re, im = int(z.real), int(z.imag)
-            out[u][v] = re
-            out[u][n + v] = -im
-            out[n + u][v] = im
-            out[n + u][n + v] = re
-    return out

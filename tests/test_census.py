@@ -229,10 +229,18 @@ def _encoded(classes) -> set[frozenset[str]]:
     return {frozenset(m.encode() for m in members) for members in classes}
 
 
+def _swept(g: MixedGraph) -> tuple[list, np.ndarray]:
+    """Every ``census._class_pass`` of g, in order, over one class table,
+    and that table."""
+    table = census._class_table(g)
+    starts = range(0, orientation_count(g), census._KEY_BLOCK)
+    return [census._class_pass(g, start, table) for start in starts], table
+
+
 def _survivors(g: MixedGraph) -> list[MixedGraph]:
     """Orientations of g with lambda_min above -(1+sqrt5)/2."""
-    verdicts = (exact for _, block in census._class_verdicts(g, {}) for exact in block)
-    return [orientation(g, i) for i, exact in enumerate(verdicts) if exact is Trichotomy.GREATER]
+    codes = np.concatenate([codes for _, _, codes in _swept(g)[0]])
+    return [orientation(g, i) for i in np.flatnonzero(codes == census._GREATER).tolist()]
 
 
 def test_switching_orbits_match_pairwise_search():
@@ -508,15 +516,15 @@ def test_class_representatives_share_the_spectrum():
 def test_class_verdicts_match_block_decide():
     # K_5's 3^10 orientations span nine key blocks of _KEY_BLOCK.
     for label, g in [("K_5", complete_graph(5)), *census._deep_family_graphs()[1:]]:
-        memo = {}
+        passes, table = _swept(g)
         tables, verdicts = zip(*(
-            pair for (digits, _, _), block in census._class_verdicts(g, memo)
-            for pair in zip(census._built(g, digits), block)
+            pair for digits, _, codes in passes
+            for pair in zip(census._built(g, digits), map(census._VERDICTS.__getitem__, codes))
         ))
         assert list(tables) == [m.kinds for m in enumerate_orientations(g)], label
         ref = [exact for _, exact in census._decided(enumerate_orientations(g))]
         assert list(verdicts) == ref, label
-        assert len(memo) == {"K_5": 4 ** 6 - 1, "K_3.K_4": 256, "k24-plus-2edges": 1024}[label]
+        assert np.count_nonzero(table) == {"K_5": 4 ** 6 - 1, "K_3.K_4": 256, "k24-plus-2edges": 1024}[label]
     # On K_6 the star at vertex 0 is the BFS tree, so the key holds the
     # holonomies of the triangles (0, a, b) as base-4 digits.
     k6 = complete_graph(6)
@@ -528,20 +536,23 @@ def test_class_verdicts_match_block_decide():
         for j, (a, b) in enumerate(combinations(range(1, 6), 2))
     )
     assert (census._class_keys(k6, exps) == ref).all()
-    # A chunk takes its nine low digits from one shared table and its six
-    # high digits from its start; it must read as the digits of its indices.
-    for start in (0, 5 * census._K6_CHUNK, 3 ** 15 - census._K6_CHUNK):
-        exps = _exps(range(start, start + census._K6_CHUNK), 15)
-        accept, keys = census._triangle_safe(k6, exps), census._class_keys(k6, exps)
-        above = tuple(sorted(set(keys[::7].tolist())))
-        want = int(accept.sum()), int((accept != np.isin(keys, above)).sum())
-        assert census._k6_chunk(start, above) == want and want[1] > 0
+    # A pass takes its low digits from one shared table and its high digits
+    # from its start; it must read as the digits of its indices, with the
+    # codes its table holds for their keys.
+    for g in (complete_graph(5), census._deep_family_graphs()[0][1], k6):
+        m, table = g.edge_count(), census._class_table(g)
+        last = orientation_count(g) - census._KEY_BLOCK
+        for start in (0, last // census._KEY_BLOCK // 2 * census._KEY_BLOCK, last):
+            digits, exps, codes = census._class_pass(g, start, table)
+            want = census._digits(range(start, start + census._KEY_BLOCK), m)
+            assert (digits == want).all() and (exps == census._DIGIT_EXP[want.T]).all()
+            assert codes.all() and (codes == table[census._class_keys(g, exps)]).all()
 
 
 def test_triangle_safe_is_the_classifiers_triangle_verdict():
-    # The K_6 sweep accepts by the triangle mask, so the mask must be the
-    # classifier's triangle scan: on every orientation with n <= 5, on
-    # seeded K_6 orientations and on the first K_6 chunk.
+    # Every exhaustive sweep, K_6's too, rejects by the triangle mask, so the
+    # mask must be the classifier's triangle scan: on every orientation with
+    # n <= 5, on seeded K_6 orientations and on the first K_6 pass.
     passed = total = 0
     for n in range(1, 6):
         for g in enumerate_connected_graphs(n):
@@ -552,11 +563,11 @@ def test_triangle_safe_is_the_classifiers_triangle_verdict():
     assert (passed, total) == (2613, 106933)
     k6 = complete_graph(6)
     rng = random.Random(31)
-    for indices in ([rng.randrange(3 ** 15) for _ in range(2000)], range(census._K6_CHUNK)):
+    for indices in ([rng.randrange(3 ** 15) for _ in range(2000)], range(census._KEY_BLOCK)):
         safe = census._triangle_safe(k6, _exps(indices, 15))
         want = [classify._bad_triangle(m.kinds) is None for m in census._oriented(k6, indices)]
         assert safe.tolist() == want
-    assert census._k6_chunk(0, above=())[0] == int(safe.sum()) == 7
+    assert census._tally_pass(k6, 0, census._class_table(k6)).accepted == int(safe.sum()) == 3
 
 
 def test_k6_class_representatives_share_the_spectrum():
@@ -631,20 +642,39 @@ def test_class_sweep_batches_stay_within_block(monkeypatch):
         assert sum(batches) == stats.polys
 
 
-def test_k6_class_blocks_dispatched():
-    # Only blocks holding the smaller key of some converse pair go to the
-    # pool: the 16 blocks whose top four digits are all even hold 2,080 such
-    # keys each, and of the other 240 exactly half hold 4,096.
-    starts = range(0, census._K6_CLASSES, census._K6_CLASS_BLOCK)
-    holding = []
-    for start in starts:
-        keys = np.arange(start, start + census._K6_CLASS_BLOCK, dtype=np.int64)
-        if (keys <= census._converse_keys(keys)).any():
-            holding.append(start)
-    assert census._K6_CLASS_STARTS == tuple(holding)
-    assert len(holding) == 136
-    for start in sorted(set(starts) - set(holding)):
-        assert census._k6_class_block(start) == [], start
+def test_k6_class_blocks_dispatched(monkeypatch):
+    # The K_6 sweep fills its class table before its passes, deciding only
+    # the smaller key of each converse pair: of the 256 blocks of 4^6 keys,
+    # the 16 whose top four digits are all even hold 2,080 such keys each,
+    # and of the other 240 exactly half hold 4,096, so 524,800 in all.
+    every = np.arange(4 ** 10, dtype=np.int64)
+    canon = every[every <= census._converse_keys(every)]
+    holding = sorted(set((canon // 4 ** 6).tolist()))
+    assert len(holding) == 136 and len(canon) == 16 * 2080 + 120 * 4096 == 524800
+    decided, rows, starts = [], [], []
+    real_matrices, real_rows = census._class_matrices, census._char_poly_rows
+
+    def matrices(g, keys):
+        decided.extend(keys.tolist())
+        return real_matrices(g, keys)
+
+    def char_poly_rows(h):
+        rows.append(len(h))
+        return real_rows(h)
+
+    def tally_pass(g, start, table):
+        assert table.all()  # every pass only reads the table
+        starts.append(start)
+        if start == 0:
+            assert np.flatnonzero(table == census._GREATER).tolist() == [0]
+        return LevelStats(0)
+
+    monkeypatch.setattr(census, "_class_matrices", matrices)
+    monkeypatch.setattr(census, "_char_poly_rows", char_poly_rows)
+    monkeypatch.setattr(census, "_tally_pass", tally_pass)
+    census._k6_sweep(map, random.Random(0), subsample=0)
+    assert decided == canon.tolist() and sum(rows) == 524800
+    assert starts == list(range(0, 3 ** 15, census._KEY_BLOCK))
 
 
 #: Run in a fresh interpreter, since sys.modules is shared by the whole process.
@@ -669,16 +699,47 @@ def test_census_never_imports_numpy_ma():
 
 
 def test_k6_class_table_and_chunk():
-    assert census._k6_class_block(0) == [0]
-    # The first chunk holds 7 of the 63 K_6[s,t] forms, all of class 0.
-    assert census._k6_chunk(0, above=(0,)) == (7, 0)
-    assert census._k6_chunk(0, above=()) == (7, 7)
-    # Orientation 1 (one arc, 0 -> 1) fails its triangles; listing its class
-    # as above the threshold must show up as a mismatch.
-    (key,) = census._class_keys(complete_graph(6), _exps([1], 15))
-    assert key == 1 + 4 + 16 + 64
-    accepted, mismatches = census._k6_chunk(0, above=(0, key))
-    assert accepted == 7 and mismatches >= 1
+    k6 = complete_graph(6)
+    (code,) = census._class_codes(k6, np.zeros(1, dtype=np.int64))
+    assert code == census._GREATER
+    # The first pass holds 3 of the 63 K_6[s,t] forms, all of class 0.
+    stats = census._tally_pass(k6, 0, census._class_table(k6))
+    assert (stats.accepted, stats.mismatches) == (3, [])
+    forms = sorted(m.encode() for m in census._oriented(k6, range(census._KEY_BLOCK))
+                   if classify.classify_threshold(m).accepted)
+    assert len(forms) == 3
+    # Class 0 marked LESS turns those 3 into mismatches.
+    table = census._class_table(k6)
+    table[0] = census._CODE[Trichotomy.LESS]
+    stats = census._tally_pass(k6, 0, table)
+    assert (stats.accepted, stats.mismatches) == (3, forms)
+    # Orientation 1 (one arc, 0 -> 1) fails its triangles; marking its class
+    # as above the threshold must show up as a mismatch.  A table holds one
+    # code per converse pair, so the converse class is marked too.
+    keys = census._class_keys(k6, _exps([1], 15))
+    assert keys.tolist() == [1 + 4 + 16 + 64]
+    table = census._class_table(k6)
+    table[keys] = table[census._converse_keys(keys)] = census._GREATER
+    stats = census._tally_pass(k6, 0, table)
+    assert stats.accepted == 3 and orientation(k6, 1).encode() in stats.mismatches
+
+
+def test_k6_pass_tally_matches_unscreened_reference():
+    # K_6 goes through the screened pass of every exhaustive sweep: on pass 0
+    # and two seeded passes, _tally_pass counts what _tally counts when it
+    # classifies every orientation, with verdicts decided one by one.  Its 3
+    # mask-safe orientations in pass 0 are classified, not accepted by the
+    # mask.
+    k6 = complete_graph(6)
+    table = census._class_table(k6)
+    rng = random.Random(37)
+    starts = [0] + [rng.randrange(3 ** 7) * census._KEY_BLOCK for _ in range(2)]
+    for start in starts:
+        indices = range(start, start + census._KEY_BLOCK)
+        ref = census._tally(census._decided(census._oriented(k6, indices)))
+        assert census._tally_pass(k6, start, table) == ref, start
+        if start == 0:
+            assert ref.accepts == {"H3": 3} and ref.rejects == census._KEY_BLOCK - 3
 
 
 def _class_polys(g: MixedGraph, keys) -> set[tuple[int, ...]]:
@@ -697,12 +758,11 @@ def test_taylor_oracle_matches_sturm_on_class_polynomials():
     # A class and its converse share their char poly
     # (test_converse_classes_share_char_polys), so the converse-canonical
     # K_6 keys reach every K_6 class polynomial.
+    every = np.arange(4 ** 10, dtype=np.int64)
+    canon = every[every <= census._converse_keys(every)]
     k6_polys = set()
-    for start in range(0, census._K6_CLASSES, census._K6_CLASS_BLOCK):
-        keys = np.arange(start, start + census._K6_CLASS_BLOCK, dtype=np.int64)
-        keys = keys[keys <= census._converse_keys(keys)]
-        if len(keys):
-            k6_polys |= _class_polys(complete_graph(6), keys)
+    for start in range(0, len(canon), census._KEY_BLOCK):
+        k6_polys |= _class_polys(complete_graph(6), canon[start:start + census._KEY_BLOCK])
     golden = Counter()
     for row in census_polys | k6_polys:
         p = IntPolynomial(row[::-1])
@@ -730,10 +790,7 @@ def test_converse_classes_share_char_polys():
             conv_rows = _char_poly_rows(census._class_matrices(g, converse))
             assert (rows == conv_rows).all(), g.encode()
             assert set(converse.tolist()) == set(met.tolist()), g.encode()
-            memo = {}
-            for _ in census._class_verdicts(g, memo):
-                pass
-            assert sorted(memo) == met.tolist(), g.encode()
+            assert np.flatnonzero(_swept(g)[1]).tolist() == met.tolist(), g.encode()
             n_classes += len(met)
             n_polys += int((met <= converse).sum())
         classes.append(n_classes)
@@ -741,7 +798,7 @@ def test_converse_classes_share_char_polys():
     assert classes == [1, 1, 5, 90, 5990]
     assert polys == [1, 1, 4, 54, 3091]
     rng = np.random.default_rng(26)
-    keys = rng.integers(0, census._K6_CLASSES, size=20000, dtype=np.int64)
+    keys = rng.integers(0, 4 ** 10, size=20000, dtype=np.int64)
     converse = census._converse_keys(keys)
     shifts = 2 * np.arange(10)[:, None]  # digit by digit, h becomes (4 - h) mod 4
     assert ((converse >> shifts & 3) == (-(keys >> shifts) & 3)).all()
@@ -749,5 +806,5 @@ def test_converse_classes_share_char_polys():
     rows = _char_poly_rows(census._class_matrices(k6, keys))
     assert (rows == _char_poly_rows(census._class_matrices(k6, converse))).all()
     # 1,024 of the 4^10 K_6 keys are their own converse; the rest pair up.
-    every = np.arange(census._K6_CLASSES, dtype=np.int64)
+    every = np.arange(4 ** 10, dtype=np.int64)
     assert int((every <= census._converse_keys(every)).sum()) == 524800

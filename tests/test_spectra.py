@@ -30,7 +30,6 @@ from hermspec.spectra import (
     char_poly_rows,
     compare_lambda_min,
     eigenvalues,
-    embed_real,
     f_cubic,
     interlacing_holds,
     phi_cubic,
@@ -83,6 +82,27 @@ def _charpoly_leibniz(h: np.ndarray) -> list[int]:
     return out
 
 
+def _embed_real(h: np.ndarray) -> list[list[int]]:
+    """Real symmetric 2n x 2n embedding [[Re, -Im], [Im, Re]] of the (n, n)
+    Hermitian array H.
+
+    Its characteristic polynomial is the square of char(H).  Built entry by
+    entry in Python ints, it is the reference for the embedding that
+    ``spectra._char_poly_rows`` builds in numpy.
+    """
+    n = len(h)
+    out = [[0] * (2 * n) for _ in range(2 * n)]
+    for u in range(n):
+        for v in range(n):
+            z = h[u, v]
+            re, im = int(z.real), int(z.imag)
+            out[u][v] = re
+            out[u][n + v] = -im
+            out[n + u][v] = im
+            out[n + u][n + v] = re
+    return out
+
+
 def _random_mixed(rng: random.Random, n: int, p: float = 0.6):
     edges = []
     for u in range(n):
@@ -123,7 +143,7 @@ def test_float_and_integer_paths_agree():
     rng = random.Random(12)
     for _ in range(60):
         m = _random_mixed(rng, rng.randrange(2, 14))
-        e = np.array(embed_real(hermitian_matrix(m)), dtype=np.int64)
+        e = np.array(_embed_real(hermitian_matrix(m)), dtype=np.int64)
         norm = float(np.abs(e).sum(axis=1).max())
         fast = _faddeev_leverrier(e.astype(np.float64), 2, norm)
         assert fast is not None
@@ -139,7 +159,7 @@ def test_char_poly_large_graph_uses_integer_path(monkeypatch):
     p = char_poly(m)
     monkeypatch.setattr("hermspec.spectra._EXACT_LIMIT", 1.0)
     assert char_poly(m) == p
-    sq = char_poly_int_matrix(embed_real(hermitian_matrix(m)))
+    sq = char_poly_int_matrix(_embed_real(hermitian_matrix(m)))
     assert sq.coeffs == (p * p).coeffs
 
 
@@ -179,7 +199,7 @@ def test_embed_real_square_identity():
     for _ in range(40):
         m = _random_mixed(rng, rng.randrange(1, 7))
         p = char_poly(m)
-        sq = char_poly_int_matrix(embed_real(hermitian_matrix(m)))
+        sq = char_poly_int_matrix(_embed_real(hermitian_matrix(m)))
         assert sq.coeffs == (p * p).coeffs
 
 
