@@ -31,14 +31,19 @@ cotree edge, so it indexes the table directly.  The sweep runs in passes of
 ``_KEY_BLOCK`` orientations, ``_class_pass``: each pass reads the base-3
 digits of its orientations, their edge i-exponents and their class keys in
 int8 arithmetic mod 4, and decides its undecided classes in batches of at
-most ``_BLOCK``, the batch that bounds the sweep's memory.  The same
-exponents give every orientation's triangle verdict, ``_triangle_safe``: by
-interlacing, a triangle of holonomy other than one fails the bound, so an
-orientation the mask rejects is checked against its class code alone, and
-built only to name a mismatch.  Only the mask-safe orientations, 2,613 of
-the 106,933 at n <= 5 and 63 of K_6's, get kind tables, from per-vertex row
-tables: row u depends only on the digits of u's incident edges, so each
-distinct row is built once per underlying graph and shared.
+most ``_BLOCK``, the batch that bounds the sweep's memory.  Two screens
+then take every reject they can name, as the classifier does, by
+interlacing.  The same exponents give every orientation's cycle verdict,
+``_cycle_safe``: a triangle of holonomy other than one, or an induced
+quadrangle of holonomy other than -1, fails the bound.  An induced
+forbidden subgraph fails it in every orientation, so on a graph in which
+``_shape_of`` finds one, every orientation is a reject.  A screened
+orientation is checked against its class code alone, and built only to
+name a mismatch.  Only the orientations past both screens, 254 of the
+106,933 at n <= 5 and 63 of K_6's, get kind tables and are classified.
+Their tables come from per-vertex row tables: row u depends only on the
+digits of u's incident edges, so each distinct row is built once per
+underlying graph and shared.
 
 The six-vertex complete graph has 3^15 = 14,348,907 orientations in 2,187
 passes, and 4^10 classes, a 1 MB table; its class keys are the holonomies
@@ -67,7 +72,7 @@ from .catalog import (
     SPORADIC_LABELS,
     sporadic_underlying,
 )
-from .classify import _bad_triangle, _check_classifiable, _classify, _embeddings
+from .classify import _bad_triangle, _check_classifiable, _classify, _embeddings, _shape_of
 from .graphs import (
     _EXP_FROM_KIND,
     _FLIP,
@@ -434,22 +439,53 @@ def _class_keys(g: MixedGraph, exps: np.ndarray) -> np.ndarray:
     return keys
 
 
+#: One entry per underlying graph, as for ``_row_tables``.
 @lru_cache(maxsize=256)
-def _triangles(g: MixedGraph) -> tuple[tuple[int, int, int], ...]:
-    """Edge positions (ab, bc, ac) of each triangle a < b < c of g."""
+def _cycles(g: MixedGraph) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """Each triangle and each induced quadrangle of g, walked from its
+    smallest vertex a to a's smaller cycle neighbour: the ``edge_list``
+    positions of the edges the walk takes low to high, of those it takes
+    high to low, and the holonomy exponent the classifier requires, 0 for a
+    triangle (``_bad_triangle``) and 2 for a quadrangle
+    (``find_forbidden_quadrangle``).  Every walk takes at least two edges
+    low to high: its first, and one on the way from its second vertex to
+    its last, which lies above it."""
     pos = {e: i for i, e in enumerate(edge_list(g))}
-    return tuple((pos[a, b], pos[b, c], pos[a, c]) for a, b, c in combinations(range(g.n), 3)
-                 if {(a, b), (b, c), (a, c)} <= pos.keys())
+    adj = g.adjacency
+    cycles = []
+    for size, target in ((3, 0), (4, 2)):
+        for vs in combinations(range(g.n), size):
+            inside = sum(1 << v for v in vs)
+            if any((adj[v] & inside).bit_count() != 2 for v in vs):
+                continue  # not a triangle, or not an induced quadrangle
+            walk = [vs[0]]
+            while len(walk) < size:
+                walk.append(next(v for v in vs if adj[walk[-1]] >> v & 1 and v not in walk))
+            steps = list(zip(walk, walk[1:] + walk[:1]))
+            cycles.append((
+                tuple(pos[u, v] for u, v in steps if u < v),
+                tuple(pos[v, u] for u, v in steps if u > v),
+                target,
+            ))
+    return tuple(cycles)
 
 
-def _triangle_safe(g: MixedGraph, exps: np.ndarray) -> np.ndarray:
-    """The classifier's triangle verdict, ``_bad_triangle(table) is None``,
-    of each orientation of g given as for ``_class_keys``: every triangle
-    (a, b, c) has holonomy exponent e(a, b) + e(b, c) - e(a, c) = 0 mod 4,
-    so the low two bits of their bitwise or are 0."""
+def _cycle_safe(g: MixedGraph, exps: np.ndarray) -> np.ndarray:
+    """The classifier's cycle verdict, ``_bad_triangle(table) is None and
+    find_forbidden_quadrangle(m) is None``, of each orientation of g given
+    as for ``_class_keys``: each of g's ``_cycles`` has its holonomy
+    exponent, the signed sum of its edge exponents, equal to its target mod
+    4, so the low two bits of the bitwise or of the differences are 0."""
     bits = np.zeros(exps.shape[1], dtype=np.int8)
-    for ab, bc, ac in _triangles(g):
-        bits |= exps[ab] + exps[bc] - exps[ac]
+    for up, down, target in _cycles(g):
+        hol = exps[up[0]] + exps[up[1]]
+        for e in up[2:]:
+            hol += exps[e]
+        for e in down:
+            hol -= exps[e]
+        if target:
+            hol -= target
+        bits |= hol
     return bits & 3 == 0
 
 
@@ -706,8 +742,8 @@ def _tally(decided: Iterable[tuple[_Kinds, Trichotomy]]) -> LevelStats:
 
     ``decided`` pairs the kind table of each orientation with the exact
     comparison of its smallest eigenvalue against -(1+sqrt5)/2: a sample's
-    orientations (``_decided``), or the mask-safe ones of an exhaustive
-    sweep's pass (``_tally_pass``).  Counts accepts by family, rejects and
+    orientations (``_decided``), or those of an exhaustive sweep's pass that
+    pass its screens (``_tally_pass``).  Counts accepts by family, rejects and
     exact-EQUAL boundaries, and records the encoding of every orientation
     whose verdict disagrees with the exact one.  ``n``, ``underlying_graphs``,
     ``classes``, ``polys`` and ``label`` are left for the caller.
@@ -750,11 +786,15 @@ def _tally(decided: Iterable[tuple[_Kinds, Trichotomy]]) -> LevelStats:
 def _tally_pass(g: MixedGraph, start: int, table: np.ndarray) -> LevelStats:
     """``_tally`` over the orientations of one ``_class_pass`` (a pool task).
 
-    ``_triangle_safe`` screens the pass: a masked-out orientation is a
-    reject, counted as a boundary or a mismatch from its verdict code alone
-    and built only to record a mismatch.  ``_tally`` gets the rest."""
+    Two screens take every reject they can name, in the classifier's order:
+    ``_cycle_safe`` those with a forbidden triangle or induced quadrangle,
+    and on a graph in which ``_shape_of`` finds a forbidden subgraph, all
+    the rest, since orienting keeps the underlying graph.  A screened
+    orientation is a reject, counted as a boundary or a mismatch from its
+    verdict code alone and built only to record a mismatch.  ``_tally``
+    gets the rest."""
     digits, exps, codes = _class_pass(g, start, table)
-    safe = _triangle_safe(g, exps)
+    safe = _cycle_safe(g, exps) & (_shape_of(g.adjacency)[1] is None)
     cut = codes[~safe]
     wrong = _built(g, digits[~safe & (codes == _GREATER)])
     screened = LevelStats(

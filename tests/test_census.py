@@ -337,54 +337,91 @@ def test_census_reports_triangle_stage_errors(monkeypatch):
 
 
 def test_census_certificates_are_the_classifiers(monkeypatch):
-    # Every orientation with n <= 5 gets exactly _classify's verdict: an
-    # orientation the triangle mask rejects is counted with no graph built,
-    # and _classify's witness for it is a triangle, the one _bad_triangle
-    # finds; every other orientation gets a certificate equal to _classify's,
-    # from a graph built only for the orientations that pass the mask.
-    mask, rest = census._triangle_safe, census._classify
+    # Every orientation with n <= 5 gets exactly _classify's verdict.  An
+    # orientation a screen rejects is counted with no graph built, and
+    # _classify's witness for it is the screen's: the triangle _bad_triangle
+    # finds or the quadrangle find_forbidden_quadrangle finds when the cycle
+    # mask rejects it, else the forbidden subgraph _shape_of finds in its
+    # graph.  Every other orientation gets a certificate equal to
+    # _classify's, from a graph built only for the orientations that pass
+    # both screens.
+    mask, classified = census._cycle_safe, census._classify
     seen = Counter()
 
-    def triangle(g, exps):
+    def cycle(g, exps):
         safe = mask(g, exps)
+        forbidden = classify._shape_of(g.adjacency)[1]
         digits = np.searchsorted(census._DIGIT_EXP, exps).astype(np.int64)
         indices = 3 ** np.arange(len(exps), dtype=np.int64) @ digits
-        for i in indices[~safe].tolist():
+        for i in indices[~safe if forbidden is None else slice(None)].tolist():
             m = orientation(g, i)
             witness = classify._classify(m).witness
-            assert witness.kind == "triangle" and witness.vertices == classify._bad_triangle(m.kinds)
-            seen["triangle"] += 1
+            if (tri := classify._bad_triangle(m.kinds)) is not None:
+                assert witness.kind == "triangle" and witness.vertices == tri
+            elif (quad := classify.find_forbidden_quadrangle(m)) is not None:
+                assert witness.kind == "quadrangle" and witness.vertices == quad
+            else:
+                assert witness.kind == "forbidden-subgraph"
+                assert (witness.pattern, witness.vertices) == forbidden
+            seen[witness.kind] += 1
         return safe
 
-    def past_triangles(m):
-        cert = rest(m)
-        assert find_forbidden_triangle(m) is None
+    def past_screens(m):
+        cert = classified(m)
+        assert find_forbidden_triangle(m) is None and classify.find_forbidden_quadrangle(m) is None
+        assert classify._shape_of(m.adjacency)[1] is None
         assert cert == classify._classify(MixedGraph(m.n, m.kinds)), m.encode()
-        seen["rest"] += 1
+        seen["classified"] += 1
         return cert
 
-    monkeypatch.setattr(census, "_triangle_safe", triangle)
-    monkeypatch.setattr(census, "_classify", past_triangles)
+    monkeypatch.setattr(census, "_cycle_safe", cycle)
+    monkeypatch.setattr(census, "_classify", past_screens)
     report = verify_main_theorem(n_max=5)
     assert report.ok
     assert sum(lv.orientations for lv in report.levels) == 106_933
-    assert seen == {"triangle": 104_320, "rest": 2_613}
+    assert seen == {
+        "triangle": 104_320, "quadrangle": 1_268, "forbidden-subgraph": 1_091, "classified": 254,
+    }
 
 
-def test_census_reports_triangle_mask_errors(monkeypatch):
+def _accepted_encodings(graphs) -> list[str]:
+    """Sorted encodings of the orientations of ``graphs`` that the classifier
+    accepts."""
+    return sorted(
+        m.encode() for g in graphs for m in enumerate_orientations(g)
+        if classify.classify_threshold(m).accepted
+    )
+
+
+def test_census_reports_cycle_mask_errors(monkeypatch):
     # A mask that rejects every orientation must surface each orientation the
     # classifier accepts as a mismatch, recorded by its encoding.
-    monkeypatch.setattr(census, "_triangle_safe", lambda g, exps: np.zeros(exps.shape[1], dtype=bool))
-    report = verify_main_theorem(n_max=3)
+    monkeypatch.setattr(census, "_cycle_safe", lambda g, exps: np.zeros(exps.shape[1], dtype=bool))
+    report = verify_main_theorem(n_max=4)
     assert not report.ok
     for lv in report.levels:
-        accepted = [
-            m.encode() for g in enumerate_connected_graphs(lv.n) for m in enumerate_orientations(g)
-            if classify.classify_threshold(m).accepted
-        ]
-        assert lv.mismatches == sorted(accepted) and lv.accepts == {}
-        assert lv.rejects == lv.orientations
-    assert [len(lv.mismatches) for lv in report.levels] == [1, 3, 16]
+        assert lv.mismatches == _accepted_encodings(enumerate_connected_graphs(lv.n))
+        assert lv.accepts == {} and lv.rejects == lv.orientations
+    assert [len(lv.mismatches) for lv in report.levels] == [1, 3, 16, 73]
+    assert "result: FAIL" in report.text()
+
+
+def test_census_reports_shape_screen_errors(monkeypatch):
+    # A shape screen that finds P_4 in K_4 rejects all 81 orientations of a
+    # family graph; each of the 15 it hides from H3 must surface as a
+    # mismatch, recorded by its encoding, and the other graphs stay clean.
+    real, k4 = census._shape_of, complete_graph(4)
+
+    def p4_in_k4(adjacency):
+        return (None, ("P_4", (0, 1, 2, 3))) if adjacency == k4.adjacency else real(adjacency)
+
+    monkeypatch.setattr(census, "_shape_of", p4_in_k4)
+    report = verify_main_theorem(n_max=4)
+    assert not report.ok
+    assert [lv.mismatches for lv in report.levels[:3]] == [[], [], []]
+    assert report.levels[3].mismatches == _accepted_encodings([k4])
+    assert len(report.levels[3].mismatches) == 15
+    assert report.levels[3].accepts == {"H1": 37, "H4": 21}
     assert "result: FAIL" in report.text()
 
 
@@ -403,7 +440,7 @@ def test_screened_tally_matches_unscreened_reference(monkeypatch):
         stats = census._tally_underlying(g)
         assert (stats.n, stats.underlying_graphs) == (g.n, 1)
         assert replace(stats, n=0, underlying_graphs=0, classes=0, polys=0) == ref, g.encode()
-    monkeypatch.setattr(census, "_triangle_safe", lambda g, exps: np.zeros(exps.shape[1], dtype=bool))
+    monkeypatch.setattr(census, "_cycle_safe", lambda g, exps: np.zeros(exps.shape[1], dtype=bool))
     boundary = 0
     for g, ref in zip(graphs, refs):
         stats = census._tally_underlying(g)
@@ -549,25 +586,42 @@ def test_class_verdicts_match_block_decide():
             assert codes.all() and (codes == table[census._class_keys(g, exps)]).all()
 
 
-def test_triangle_safe_is_the_classifiers_triangle_verdict():
-    # Every exhaustive sweep, K_6's too, rejects by the triangle mask, so the
-    # mask must be the classifier's triangle scan: on every orientation with
-    # n <= 5, on seeded K_6 orientations and on the first K_6 pass.
+def test_cycle_safe_is_the_classifiers_cycle_verdict(monkeypatch):
+    # Every exhaustive sweep, K_6's too, rejects by the cycle mask, so the
+    # mask must be the classifier's triangle and quadrangle scans: on every
+    # orientation with n <= 5, on every orientation of K_{2,4} plus two
+    # edges, on seeded K_6 orientations and on the first K_6 pass.  Its
+    # triangle half, the mask over the triangles alone, must be the triangle
+    # scan.
+    def verdicts(g, indices):
+        tables = [m.kinds for m in census._oriented(g, indices)]
+        want = [classify._bad_triangle(t) is None
+                and classify.find_forbidden_quadrangle(MixedGraph(g.n, t)) is None for t in tables]
+        return census._cycle_safe(g, _exps(indices, g.edge_count())), want, tables
+
+    graphs = [g for n in range(1, 6) for g in enumerate_connected_graphs(n)]
     passed = total = 0
-    for n in range(1, 6):
-        for g in enumerate_connected_graphs(n):
-            tables = [m.kinds for m in enumerate_orientations(g)]
-            safe = census._triangle_safe(g, _exps(range(len(tables)), g.edge_count()))
-            assert safe.tolist() == [classify._bad_triangle(t) is None for t in tables], g.encode()
+    for g in [*graphs, sporadic_underlying()["k24-plus-2edges"]]:
+        safe, want, tables = verdicts(g, range(orientation_count(g)))
+        assert safe.tolist() == want, g.encode()
+        if g.n <= 5:
             passed, total = passed + int(safe.sum()), total + len(tables)
-    assert (passed, total) == (2613, 106933)
+    assert (passed, total) == (1345, 106933)
     k6 = complete_graph(6)
+    assert [target for _, _, target in census._cycles(k6)] == [0] * 20  # no induced quadrangle
     rng = random.Random(31)
     for indices in ([rng.randrange(3 ** 15) for _ in range(2000)], range(census._KEY_BLOCK)):
-        safe = census._triangle_safe(k6, _exps(indices, 15))
-        want = [classify._bad_triangle(m.kinds) is None for m in census._oriented(k6, indices)]
+        safe, want, _ = verdicts(k6, indices)
         assert safe.tolist() == want
     assert census._tally_pass(k6, 0, census._class_table(k6)).accepted == int(safe.sum()) == 3
+    cycles = census._cycles
+    monkeypatch.setattr(census, "_cycles", lambda g: tuple(c for c in cycles(g) if c[2] == 0))
+    passed = total = 0
+    for g in graphs:
+        safe, _, tables = verdicts(g, range(orientation_count(g)))
+        assert safe.tolist() == [classify._bad_triangle(t) is None for t in tables], g.encode()
+        passed, total = passed + int(safe.sum()), total + len(tables)
+    assert (passed, total) == (2613, 106933)
 
 
 def test_k6_class_representatives_share_the_spectrum():

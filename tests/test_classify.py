@@ -947,8 +947,9 @@ def _forbidden_cycles() -> set[tuple[int, ...]]:
 
 def test_cycle_witness_key_space_is_the_forbidden_cycles():
     # Of the 27 mixed triangles and 81 mixed quadrangles, exactly the 20 and
-    # 61 whose holonomy is not safe fail the threshold; the census reaches
-    # the memo only through _classify's quadrangle stage.
+    # 61 whose holonomy is not safe fail the threshold.  The census never
+    # reaches the memo: its cycle mask takes every triangle and quadrangle
+    # reject before _classify runs.
     safe = {t.value for t in SAFE_TRIANGLES} | {q.value for q in SAFE_QUADS}
     counts = Counter()
     for size in (3, 4):
@@ -963,7 +964,7 @@ def test_cycle_witness_key_space_is_the_forbidden_cycles():
     classify._cycle_witness.cache_clear()
     assert verify_main_theorem(n_max=5).ok
     info = classify._cycle_witness.cache_info()
-    assert info.hits + info.misses == 1268  # the quadrangle rejects only
+    assert info.hits + info.misses == 0
     assert info.currsize == info.misses <= 61
 
 
